@@ -35,7 +35,11 @@ from .training import RunConfig, make_suite, train_run
 
 def _load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return RunConfig.from_dict(json.load(f))
+        try:
+            raw = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise InvalidConfig(f"{path}: not a JSON document ({e})") from e
+    return RunConfig.from_dict(raw)
 
 
 def _write_run_outputs(out_dir: Path, cfg: RunConfig, result=None, metrics=None) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64 = 1 << 64
+_ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,42 @@ class MaskKey:
         return int.from_bytes(h.digest(), "little")
 
 
-def mask_uniforms(key: MaskKey, n: int) -> np.ndarray:
-    """n uniforms in [0, 1) from the key's Philox counter stream."""
-    gen = np.random.Generator(np.random.Philox(key=key.material()))
-    return gen.random(n)
+class MaskGenerator:
+    """One Philox bit generator, re-keyed for every draw.
+
+    Each draw resets the key and counter, so its bytes equal those of a fresh
+    ``Philox(key=key.material())`` while skipping that constructor, which
+    seeds a SeedSequence from OS entropy before the key overrides it. A
+    generator is not safe to share between threads: each optimizer state or
+    merge owns its own.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
+
+    def uniforms(self, key: MaskKey, n: int) -> np.ndarray:
+        material = key.material()
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": _ZERO_BLOCK,
+                "key": np.array([material & (_U64 - 1), material >> 64], dtype=np.uint64),
+            },
+            "buffer": _ZERO_BLOCK,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen.random(n)
 
 
-def bernoulli_mask(key: MaskKey, n: int, p: float) -> np.ndarray:
+def mask_uniforms(key: MaskKey, n: int, gen: MaskGenerator | None = None) -> np.ndarray:
+    """n uniforms in [0, 1) from the key's Philox counter stream, drawn with
+    gen when given, else with a generator made for this one draw."""
+    return (gen or MaskGenerator()).uniforms(key, n)
+
+
+def bernoulli_mask(key: MaskKey, n: int, p: float, gen: MaskGenerator | None = None) -> np.ndarray:
     """Boolean keep-mask where each element is independently kept with probability p."""
-    return mask_uniforms(key, n) < p
+    return mask_uniforms(key, n, gen) < p

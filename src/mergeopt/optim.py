@@ -1,9 +1,10 @@
 """Adam-family optimizer with online merging variants and regularization baselines.
 
-One optimizer step is a single logical transaction: the step counter t moves
-by exactly one, moment updates happen identically for every variant, and the
-variants differ only in how the per-tensor update delta is post-processed
-before it lands on the parameters.
+One optimizer step is a single logical transaction over the flat parameter
+vector: the step counter t moves by exactly one, one vectorized Adam update
+happens identically for every variant, and the variants differ only in the
+rule that turns the update delta into the new parameters. Masks stay keyed
+per tensor, so each tensor's slice of a flat mask is its own keyed stream.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import MisalignedSets, MissingBaseModel, NonFiniteGradient
-from .kernels import sign_consensus, sparsify_random, sparsify_top_p, validate_probability
-from .masks import MaskKey, bernoulli_mask
+from .kernels import sign_consensus, sparsify_top_p, validate_probability
+from .kernels import sparsify_random  # noqa: F401  (not called; bench/tracer.py wraps it here)
+from .masks import MaskGenerator, MaskKey, bernoulli_mask
 from .params import DeltaSet, ParameterSet, check_aligned, load_checkpoint, save_checkpoint
 
 MASK_STREAM_UPDATE = "update"
@@ -90,12 +92,11 @@ class OnlineMergeConfig:
 
 
 class OptimizerState:
-    """Per-tensor Adam moments, the step counter, the cached reference delta,
-    the step-K accumulator, and an optional EMA shadow of the parameters.
-
-    The base model is deliberately not part of the state: the relaxed online
-    merge needs only tau_ref, which is cached once at init and never mutated.
-    """
+    """Flat Adam moments, step-K accumulator and optional EMA shadow over the
+    layout of the parameters it was made for (m, v, delta_cache and ema map
+    names to views of them), the step counter, the cached reference delta,
+    and the mask generator. The base model is deliberately not part of the
+    state: the relaxed online merge needs only tau_ref, never mutated."""
 
     def __init__(
         self,
@@ -106,19 +107,52 @@ class OptimizerState:
     ):
         if tau_ref is not None:
             check_aligned(params, tau_ref)
-        self.m = {n: np.zeros(a.size) for n, _, a in params}
-        self.v = {n: np.zeros(a.size) for n, _, a in params}
-        self.delta_cache = {n: np.zeros(a.size) for n, _, a in params}
+        self._layout = params
+        self._slices = params.slices()
+        size = params.total_elements()
+        self._m, self._v, self._dc = np.zeros(size), np.zeros(size), np.zeros(size)
+        self.m = self._views(self._m)
+        self.v = self._views(self._v)
+        self.delta_cache = self._views(self._dc)
         self.t = 0
         self.tau_ref = tau_ref
         self.seed = int(seed)
-        self.ema = {n: a.copy() for n, _, a in params} if track_ema else None
-        self._shapes = {n: s for n, s, _ in params}
+        self._ema = params.vector().copy() if track_ema else None
+        self._masks = MaskGenerator()
+
+    def _views(self, vector: np.ndarray) -> dict:
+        return {name: vector[s] for name, s in self._slices}
+
+    @property
+    def ema(self) -> Optional[dict]:
+        """name -> view of the EMA shadow, or None while there is none."""
+        return None if self._ema is None else self._views(self._ema)
+
+    @ema.setter
+    def ema(self, shadow: Optional[dict]) -> None:
+        self._ema = None if shadow is None else (
+            ParameterSet((n, s, shadow[n]) for n, s, _ in self._layout).vector().copy()
+        )
 
     def ema_parameters(self) -> Optional[ParameterSet]:
-        if self.ema is None:
+        if self._ema is None:
             return None
-        return ParameterSet((n, s, self.ema[n]) for n, s in self._shapes.items())
+        return self._layout.with_vector(self._ema.copy())
+
+
+def _adam(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, hyper: AdamHyper) -> np.ndarray:
+    """Advance the moments m and v in place with gradient g at step t and
+    return the raw update delta -lr * mhat / sqrt(vhat + eps)."""
+    m *= hyper.beta1
+    m += (1.0 - hyper.beta1) * g
+    v *= hyper.beta2
+    v += (1.0 - hyper.beta2) * np.square(g)
+    if hyper.bias_correction:
+        mhat = m / (1.0 - hyper.beta1**t)
+        vhat = v / (1.0 - hyper.beta2**t)
+    else:
+        mhat, vhat = m, v
+    return -hyper.learning_rate * mhat / np.sqrt(vhat + hyper.epsilon)
 
 
 def adam_delta(state: OptimizerState, name: str, grad, hyper: AdamHyper) -> np.ndarray:
@@ -134,82 +168,97 @@ def adam_delta(state: OptimizerState, name: str, grad, hyper: AdamHyper) -> np.n
         raise MisalignedSets(f"{name}: gradient has {g.size} elements, state has {m.size}")
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient(f"{name}: gradient contains NaN or infinity")
-    v = state.v[name]
-    m *= hyper.beta1
-    m += (1.0 - hyper.beta1) * g
-    v *= hyper.beta2
-    v += (1.0 - hyper.beta2) * np.square(g)
-    if hyper.bias_correction:
-        mhat = m / (1.0 - hyper.beta1**state.t)
-        vhat = v / (1.0 - hyper.beta2**state.t)
-    else:
-        mhat, vhat = m, v
-    return -hyper.learning_rate * mhat / np.sqrt(vhat + hyper.epsilon)
+    return _adam(m, state.v[name], g, state.t, hyper)
 
 
-def _update_delta(
-    state: OptimizerState, name: str, grad, theta: np.ndarray, hyper: AdamHyper
-) -> np.ndarray:
-    """Full per-step change: Adam delta plus decoupled decay folded in, so the
-    merge operators govern the entire parameter change."""
-    d = adam_delta(state, name, grad, hyper)
+def _step(params, grads, state, hyper, rule=None, cfg=None, grad_rate=None) -> ParameterSet:
+    """One optimizer transaction over the flat layout: t += 1, child-tuning's
+    gradient dropout (grad_rate), one Adam update with decoupled decay folded
+    into the delta so the merge governs the entire change, then
+    rule(state, cfg, theta, delta) -> new parameters (theta + delta if none).
+    The result owns a fresh buffer: sets returned earlier never change."""
+    check_aligned(params, grads)
+    check_aligned(params, state._layout)
+    state.t += 1
+    g = grads.vector()
+    if grad_rate is not None:
+        g = np.where(_keep_mask(state, MASK_STREAM_GRAD, grad_rate), g, 0.0) / grad_rate
+    if not np.isfinite(g).all():
+        bad = next(n for n, s in state._slices if not np.isfinite(g[s]).all())
+        raise NonFiniteGradient(f"{bad}: gradient contains NaN or infinity")
+    theta = params.vector()
+    d = _adam(state._m, state._v, g, state.t, hyper)
     if hyper.weight_decay != 0.0:
         d = d - hyper.learning_rate * hyper.weight_decay * theta
-    return d
+    return params.with_vector(theta + d if rule is None else rule(state, cfg, theta, d))
 
 
-def _begin_step(params: ParameterSet, grads: ParameterSet, state: OptimizerState) -> None:
-    check_aligned(params, grads)
-    state.t += 1
+def _keep_mask(state: OptimizerState, stream: str, p: float) -> np.ndarray:
+    """Flat keep-mask whose slice for each tensor is drawn from that tensor's
+    own (seed, name, step, stream) key."""
+    return np.concatenate([
+        bernoulli_mask(MaskKey(state.seed, name, state.t, stream), s.stop - s.start, p, state._masks)
+        for name, s in state._slices
+    ])
 
 
-def _rebuild(params: ParameterSet, new_arrays: dict) -> ParameterSet:
-    return ParameterSet((n, s, new_arrays[n]) for n, s, _ in params)
+def _ondare_merge(state, cfg, x) -> np.ndarray:
+    """(1 - alpha) * F(x) + alpha * F(tau_ref), F a random keep-mask on
+    independent streams. Neither side is rescaled: rescaling is essential
+    offline but destabilizes multi-step optimization."""
+    p = cfg.reserve_rate
+    kept_x = np.where(_keep_mask(state, MASK_STREAM_UPDATE, p), x, 0.0)
+    kept_tau = np.where(_keep_mask(state, MASK_STREAM_REF, p), state.tau_ref.vector(), 0.0)
+    return (1.0 - cfg.alpha) * kept_x + cfg.alpha * kept_tau
 
 
-def _require_variant(cfg: OnlineMergeConfig, expected: MergeVariant) -> None:
+def _onties_merge(state, cfg, x) -> np.ndarray:
+    """Sign consensus of (1 - alpha) * top-p(x) and alpha * top-p(tau_ref),
+    top-p taken within each tensor."""
+
+    def top_p(v):
+        return np.concatenate([sparsify_top_p(v[s], cfg.reserve_rate) for _, s in state._slices])
+
+    return sign_consensus((1.0 - cfg.alpha) * top_p(x), cfg.alpha * top_p(state.tau_ref.vector()))
+
+
+_MERGES = {MergeVariant.ONDARE: _ondare_merge, MergeVariant.ONTIES: _onties_merge}
+
+
+def _relaxed_rule(state, cfg, theta, d) -> np.ndarray:
+    return theta + _MERGES[cfg.variant](state, cfg, d)
+
+
+def _full_merge_rule(state, cfg, theta, d) -> np.ndarray:
+    base = cfg.base_for_full_merge.vector()
+    return base + _ondare_merge(state, cfg, (theta - base) + d)
+
+
+def _stepk_rule(state, cfg, theta, d) -> np.ndarray:
+    cache = state._dc
+    if state.t % cfg.gap_step != 0:
+        cache += d
+        return theta + d
+    rolled_back = theta - cache
+    d_total = d + cache
+    cache[:] = 0.0
+    return rolled_back + _MERGES[cfg.variant](state, cfg, d_total)
+
+
+def _require_online(cfg: OnlineMergeConfig, state: OptimizerState, expected) -> None:
     if cfg.variant is not expected:
         raise ValueError(f"config variant is {cfg.variant}, expected {expected}")
-
-
-def _merged_update(
-    which: MergeVariant,
-    delta_arr: np.ndarray,
-    tau_arr: np.ndarray,
-    cfg: OnlineMergeConfig,
-    seed: int,
-    name: str,
-    step: int,
-) -> np.ndarray:
-    """The online merge of one tensor's update delta with its reference delta.
-
-    Neither side is rescaled: rescaling is essential offline but destabilizes
-    multi-step optimization. The two sparsifications use independent mask
-    streams under the shared seed.
-    """
-    a_weight = 1.0 - cfg.alpha
-    if which is MergeVariant.ONDARE:
-        key_u = MaskKey(seed, name, step, MASK_STREAM_UPDATE)
-        key_r = MaskKey(seed, name, step, MASK_STREAM_REF)
-        return a_weight * sparsify_random(delta_arr, cfg.reserve_rate, key_u) + (
-            cfg.alpha * sparsify_random(tau_arr, cfg.reserve_rate, key_r)
-        )
-    if which is MergeVariant.ONTIES:
-        a = a_weight * sparsify_top_p(delta_arr, cfg.reserve_rate)
-        b = cfg.alpha * sparsify_top_p(tau_arr, cfg.reserve_rate)
-        return sign_consensus(a, b)
-    raise ValueError(f"no online merge rule for {which}")
+    if expected is MergeVariant.FULL_MERGE and cfg.base_for_full_merge is None:
+        raise MissingBaseModel("full merge requires base model parameters in the config")
+    if state.tau_ref is None:
+        raise ValueError("online merging needs a cached reference delta in the state")
 
 
 def adam_step(
     params: ParameterSet, grads: ParameterSet, state: OptimizerState, hyper: AdamHyper
 ) -> ParameterSet:
     """Plain Adam/AdamW: theta <- theta + delta, no merging."""
-    _begin_step(params, grads, state)
-    new = {}
-    for name, _, theta in params:
-        new[name] = theta + _update_delta(state, name, grads.flat(name), theta, hyper)
-    return _rebuild(params, new)
+    return _step(params, grads, state, hyper)
 
 
 def ondare_step(
@@ -221,8 +270,8 @@ def ondare_step(
 ) -> ParameterSet:
     """Random-sparsify both the update delta and the reference delta, then
     combine them linearly with weights (1 - alpha, alpha)."""
-    _require_variant(cfg, MergeVariant.ONDARE)
-    return _online_step(params, grads, state, hyper, cfg, MergeVariant.ONDARE)
+    _require_online(cfg, state, MergeVariant.ONDARE)
+    return _step(params, grads, state, hyper, _relaxed_rule, cfg)
 
 
 def onties_step(
@@ -234,20 +283,8 @@ def onties_step(
 ) -> ParameterSet:
     """Top-p sparsify both sides and combine them with elementwise sign
     consensus instead of addition."""
-    _require_variant(cfg, MergeVariant.ONTIES)
-    return _online_step(params, grads, state, hyper, cfg, MergeVariant.ONTIES)
-
-
-def _online_step(params, grads, state, hyper, cfg, which) -> ParameterSet:
-    if state.tau_ref is None:
-        raise ValueError("online merging needs a cached reference delta in the state")
-    _begin_step(params, grads, state)
-    new = {}
-    for name, _, theta in params:
-        d = _update_delta(state, name, grads.flat(name), theta, hyper)
-        upd = _merged_update(which, d, state.tau_ref.flat(name), cfg, state.seed, name, state.t)
-        new[name] = theta + upd
-    return _rebuild(params, new)
+    _require_online(cfg, state, MergeVariant.ONTIES)
+    return _step(params, grads, state, hyper, _relaxed_rule, cfg)
 
 
 def full_merge_step(
@@ -264,23 +301,9 @@ def full_merge_step(
     Kept for reproducing the instability of merging the whole trajectory
     instead of just the current update.
     """
-    _require_variant(cfg, MergeVariant.FULL_MERGE)
-    if cfg.base_for_full_merge is None:
-        raise MissingBaseModel("full merge requires base model parameters in the config")
-    if state.tau_ref is None:
-        raise ValueError("online merging needs a cached reference delta in the state")
-    base = cfg.base_for_full_merge
-    check_aligned(params, base)
-    _begin_step(params, grads, state)
-    new = {}
-    for name, _, theta in params:
-        d = _update_delta(state, name, grads.flat(name), theta, hyper)
-        shifted = (theta - base.flat(name)) + d
-        merged = _merged_update(
-            MergeVariant.ONDARE, shifted, state.tau_ref.flat(name), cfg, state.seed, name, state.t
-        )
-        new[name] = base.flat(name) + merged
-    return _rebuild(params, new)
+    _require_online(cfg, state, MergeVariant.FULL_MERGE)
+    check_aligned(params, cfg.base_for_full_merge)
+    return _step(params, grads, state, hyper, _full_merge_rule, cfg)
 
 
 def stepk_step(
@@ -297,28 +320,10 @@ def stepk_step(
     K = 1 degenerates to the fully online optimizer; K = T is a single
     end-of-run merge over the total displacement.
     """
-    if cfg.variant not in (MergeVariant.ONDARE, MergeVariant.ONTIES):
+    if cfg.variant not in _MERGES:
         raise ValueError(f"step-K requires an online merge variant, got {cfg.variant}")
-    if state.tau_ref is None:
-        raise ValueError("online merging needs a cached reference delta in the state")
-    _begin_step(params, grads, state)
-    merging = state.t % cfg.gap_step == 0
-    new = {}
-    for name, _, theta in params:
-        d = _update_delta(state, name, grads.flat(name), theta, hyper)
-        cache = state.delta_cache[name]
-        if not merging:
-            cache += d
-            new[name] = theta + d
-        else:
-            rolled_back = theta - cache
-            d_total = d + cache
-            cache[:] = 0.0
-            upd = _merged_update(
-                cfg.variant, d_total, state.tau_ref.flat(name), cfg, state.seed, name, state.t
-            )
-            new[name] = rolled_back + upd
-    return _rebuild(params, new)
+    _require_online(cfg, state, cfg.variant)
+    return _step(params, grads, state, hyper, _stepk_rule, cfg)
 
 
 def childtuning_step(
@@ -332,15 +337,7 @@ def childtuning_step(
     rescale the survivors by 1/p before the Adam update. The mask sits on the
     gradient, unlike online merging which masks the update delta (without
     rescale)."""
-    p = validate_probability(reserve_rate)
-    _begin_step(params, grads, state)
-    new = {}
-    for name, _, theta in params:
-        g = grads.flat(name)
-        key = MaskKey(state.seed, name, state.t, MASK_STREAM_GRAD)
-        masked = np.where(bernoulli_mask(key, g.size, p), g, 0.0) / p
-        new[name] = theta + _update_delta(state, name, masked, theta, hyper)
-    return _rebuild(params, new)
+    return _step(params, grads, state, hyper, grad_rate=validate_probability(reserve_rate))
 
 
 def ema_update(state: OptimizerState, params: ParameterSet, coefficient: float = 1e-3) -> None:
@@ -351,28 +348,26 @@ def ema_update(state: OptimizerState, params: ParameterSet, coefficient: float =
     c = float(coefficient)
     if not (0.0 < c < 1.0):
         raise ValueError(f"EMA coefficient must be in (0, 1), got {coefficient}")
-    if state.ema is None:
-        state.ema = {n: a.copy() for n, _, a in params}
+    if state._ema is None:
+        state._ema = params.vector().copy()
         return
-    for name, _, theta in params:
-        shadow = state.ema[name]
-        shadow *= 1.0 - c
-        shadow += c * theta
+    state._ema *= 1.0 - c
+    state._ema += c * params.vector()
 
 
 def save_optimizer_state(state: OptimizerState, path, scalars: Optional[dict] = None) -> None:
     """Serialize moments and cached deltas to a PSET1 container with reserved
     name prefixes, plus a JSON sidecar for the scalar state."""
-    entries = []
-    for prefix, table in (("__m.", state.m), ("__v.", state.v), ("__dc.", state.delta_cache)):
-        for name, shape in state._shapes.items():
-            entries.append((prefix + name, shape, table[name]))
+    tables = [("__m.", state._m), ("__v.", state._v), ("__dc.", state._dc)]
     if state.tau_ref is not None:
-        for name, shape, arr in state.tau_ref:
-            entries.append(("__tau." + name, shape, arr))
-    if state.ema is not None:
-        for name, shape in state._shapes.items():
-            entries.append(("__ema." + name, shape, state.ema[name]))
+        tables.append(("__tau.", state.tau_ref.vector()))
+    if state._ema is not None:
+        tables.append(("__ema.", state._ema))
+    entries = [
+        (prefix + name, state._layout.shape(name), vector[s])
+        for prefix, vector in tables
+        for name, s in state._slices
+    ]
     save_checkpoint(ParameterSet(entries), path)
     sidecar = {
         "t": state.t,
@@ -402,13 +397,13 @@ def load_optimizer_state(path) -> tuple[OptimizerState, dict]:
     shell = ParameterSet(groups["__m."])
     state = OptimizerState(shell, seed=sidecar.get("seed", 0))
     state.t = int(sidecar["t"])
-    state.m = {n: a.copy() for n, _, a in ParameterSet(groups["__m."])}
-    state.v = {n: a.copy() for n, _, a in ParameterSet(groups["__v."])}
-    state.delta_cache = {n: a.copy() for n, _, a in ParameterSet(groups["__dc."])}
+    state._m[:] = shell.vector()
+    state._v[:] = ParameterSet(groups["__v."]).vector()
+    state._dc[:] = ParameterSet(groups["__dc."]).vector()
     if groups["__tau."]:
         state.tau_ref = DeltaSet(
             groups["__tau."], base_fingerprint=sidecar.get("tau_base_fingerprint") or ""
         )
     if groups["__ema."]:
-        state.ema = {n: a.copy() for n, _, a in ParameterSet(groups["__ema."])}
+        state.ema = {n: a for n, _, a in ParameterSet(groups["__ema."])}
     return state, sidecar

@@ -21,26 +21,23 @@ from .errors import FormatError, MisalignedSets
 MAGIC = b"PSET1\n"
 
 
-def _flat_f64(data) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64, copy=True, order="C").reshape(-1)
-    arr.setflags(write=False)
-    return arr
-
-
 class ParameterSet:
-    """Ordered collection of named, shaped, flat float64 tensors.
+    """Ordered collection of named, shaped float64 tensors held in one flat,
+    read-only buffer in entry order; each tensor is a view of its slice.
 
     Equality is bit-exact over names, shapes, and raw float bytes, so it
     distinguishes -0.0 from 0.0 and treats equal NaN payloads as equal.
     """
 
-    __slots__ = ("_names", "_shapes", "_arrays", "_pos")
+    __slots__ = ("_names", "_shapes", "_slices", "_pos", "_vector", "_arrays")
 
     def __init__(self, entries: Iterable[tuple]):
         names: list[str] = []
         shapes: list[tuple[int, ...]] = []
+        slices: list[slice] = []
         arrays: list[np.ndarray] = []
         pos: dict[str, int] = {}
+        start = 0
         for name, shape, data in entries:
             if not isinstance(name, str) or not name:
                 raise ValueError(f"tensor name must be a nonempty string, got {name!r}")
@@ -49,7 +46,7 @@ class ParameterSet:
             shape = tuple(int(s) for s in shape)
             if any(s < 1 for s in shape):
                 raise ValueError(f"{name}: shape {shape} has a nonpositive dimension")
-            arr = _flat_f64(data)
+            arr = np.asarray(data, dtype=np.float64).reshape(-1)
             expected = math.prod(shape)
             if arr.size != expected:
                 raise ValueError(
@@ -58,11 +55,35 @@ class ParameterSet:
             pos[name] = len(names)
             names.append(name)
             shapes.append(shape)
+            slices.append(slice(start, start + arr.size))
             arrays.append(arr)
+            start += arr.size
         self._names = tuple(names)
         self._shapes = tuple(shapes)
-        self._arrays = tuple(arrays)
+        self._slices = tuple(slices)
         self._pos = pos
+        self._bind(np.concatenate(arrays) if arrays else np.zeros(0))
+
+    def _bind(self, vector: np.ndarray) -> None:
+        vector.setflags(write=False)
+        self._vector = vector
+        self._arrays = tuple(vector[s] for s in self._slices)
+
+    def with_vector(self, vector: np.ndarray) -> "ParameterSet":
+        """A plain ParameterSet with this set's names, shapes and order over
+        the given flat float64 vector, which it takes over (read-only, not
+        copied) without re-validating the entries."""
+        if vector.dtype != np.float64 or vector.shape != self._vector.shape:
+            raise ValueError(
+                f"need a flat float64 vector of {self._vector.size} elements, "
+                f"got {vector.dtype} of shape {vector.shape}"
+            )
+        out = ParameterSet.__new__(ParameterSet)
+        out._names, out._shapes, out._slices, out._pos = (
+            self._names, self._shapes, self._slices, self._pos
+        )
+        out._bind(vector)
+        return out
 
     @classmethod
     def from_arrays(cls, named_arrays) -> "ParameterSet":
@@ -83,6 +104,14 @@ class ParameterSet:
     def __iter__(self) -> Iterator[tuple[str, tuple[int, ...], np.ndarray]]:
         return iter(zip(self._names, self._shapes, self._arrays))
 
+    def vector(self) -> np.ndarray:
+        """The whole set as one read-only flat vector, in entry order."""
+        return self._vector
+
+    def slices(self) -> tuple[tuple[str, slice], ...]:
+        """(name, slice of the flat vector) for each entry, in order."""
+        return tuple(zip(self._names, self._slices))
+
     def shape(self, name: str) -> tuple[int, ...]:
         return self._shapes[self._pos[name]]
 
@@ -96,7 +125,7 @@ class ParameterSet:
         return self._arrays[i].reshape(self._shapes[i])
 
     def total_elements(self) -> int:
-        return sum(a.size for a in self._arrays)
+        return self._vector.size
 
     def map(self, fn) -> "ParameterSet":
         """New set with fn applied to each flat array; shapes are kept."""
@@ -126,7 +155,7 @@ class ParameterSet:
             return NotImplemented
         if self._names != other._names or self._shapes != other._shapes:
             return False
-        return all(a.tobytes() == b.tobytes() for a, b in zip(self._arrays, other._arrays))
+        return self._vector.tobytes() == other._vector.tobytes()
 
     __hash__ = None
 
@@ -151,6 +180,8 @@ class DeltaSet(ParameterSet):
 
 def check_aligned(a: ParameterSet, b: ParameterSet) -> None:
     """Raise MisalignedSets at the first entry where names, shapes, or order differ."""
+    if a._names == b._names and a._shapes == b._shapes:
+        return
     for i in range(min(len(a), len(b))):
         na, nb = a.names[i], b.names[i]
         if na != nb:
@@ -191,13 +222,10 @@ def apply_delta(base: ParameterSet, d: DeltaSet) -> ParameterSet:
 def save_checkpoint(p: ParameterSet, path) -> None:
     """Write the PSET1 binary format: magic, u32 header length, JSON header,
     then contiguous little-endian float64 payload in entry order."""
-    entries = []
-    offset = 0
-    chunks = []
-    for name, shape, arr in p:
-        entries.append({"name": name, "shape": list(shape), "offset": offset, "len": arr.size})
-        offset += arr.size
-        chunks.append(arr.astype("<f8", copy=False).tobytes())
+    entries = [
+        {"name": name, "shape": list(p.shape(name)), "offset": s.start, "len": s.stop - s.start}
+        for name, s in p.slices()
+    ]
     header = json.dumps(
         {"entries": entries, "dtype": "f64", "version": 1},
         separators=(",", ":"),
@@ -206,8 +234,7 @@ def save_checkpoint(p: ParameterSet, path) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        for chunk in chunks:
-            f.write(chunk)
+        f.write(p.vector().astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> ParameterSet:
@@ -235,9 +262,9 @@ def load_checkpoint(path) -> ParameterSet:
     for e in raw_entries:
         try:
             name, shape, offset, length = e["name"], e["shape"], e["offset"], e["len"]
-        except (TypeError, KeyError) as exc:
+            shape = tuple(int(s) for s in shape)
+        except (TypeError, KeyError, ValueError) as exc:
             raise FormatError(f"{path}: malformed entry record {e!r}") from exc
-        shape = tuple(int(s) for s in shape)
         if offset != running:
             raise FormatError(f"{path}: entry {name!r} offset {offset}, expected {running}")
         if length != math.prod(shape):
@@ -253,5 +280,5 @@ def load_checkpoint(path) -> ParameterSet:
             (name, shape, np.frombuffer(payload, dtype="<f8", count=length, offset=offset * 8))
             for name, shape, offset, length in entries
         )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: {e}") from e

@@ -193,14 +193,8 @@ def _backprop(policy: ToyPolicy, x, hidden, g_logits) -> ParameterSet:
     g_z1 = g_hidden * (1.0 - hidden**2)
     g_w1 = g_z1.T @ x
     g_b1 = g_z1.sum(axis=0)
-    return ParameterSet(
-        [
-            ("w1", policy.params.shape("w1"), g_w1),
-            ("b1", policy.params.shape("b1"), g_b1),
-            ("w2", policy.params.shape("w2"), g_w2),
-            ("b2", policy.params.shape("b2"), g_b2),
-        ]
-    )
+    blocks = (g_w1.ravel(), g_b1, g_w2.ravel(), g_b2)
+    return policy.params.with_vector(np.concatenate(blocks))
 
 
 def class_loss_and_grad(policy: ToyPolicy, x: np.ndarray, labels: np.ndarray):

@@ -11,6 +11,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -85,11 +86,17 @@ class RunMetrics:
             f.write(self.to_csv_bytes())
 
 
-def _take(d: dict, allowed: set, where: str) -> dict:
+def _take(d, allowed: set, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where} must be a JSON object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise InvalidConfig(f"unknown {where} key(s): {sorted(unknown)}")
-    return d
+    return dict(d)
+
+
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -156,29 +163,45 @@ class RunConfig:
             )
         if self.ema_coefficient is not None and not (0.0 < self.ema_coefficient < 1.0):
             raise InvalidConfig(f"ema_coefficient must be in (0, 1), got {self.ema_coefficient}")
+        if not _is_count(self.seed, 0) or self.seed >= 1 << 64:
+            raise InvalidConfig(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        for where, value, least in (
+            ("dpo.steps", self.dpo.steps, 0),
+            ("dpo.eval_every", self.dpo.eval_every, 1),
+            ("dpo.batch_size", self.dpo.batch_size, 1),
+            ("phases.pretrain_steps", self.phases.pretrain_steps, 0),
+            ("phases.sft_steps", self.phases.sft_steps, 0),
+            ("phases.batch_size", self.phases.batch_size, 1),
+        ):
+            if not _is_count(value, least):
+                raise InvalidConfig(f"{where} must be an integer >= {least}, got {value!r}")
+        m = self.merge
+        try:
+            self.adam.to_hyper()
+            OnlineMergeConfig(MergeVariant.ONDARE, m.alpha, m.reserve_rate, m.gap_step)
+        except (TypeError, ValueError) as e:
+            raise InvalidConfig(str(e)) from e
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(
-            _take(
-                d,
-                {"seed", "out_dir", "optimizer", "adam", "merge", "dpo", "phases", "data",
-                 "ema_coefficient"},
-                "config",
-            )
+        d = _take(
+            d,
+            {"seed", "out_dir", "optimizer", "adam", "merge", "dpo", "phases", "data",
+             "ema_coefficient"},
+            "config",
         )
         if "adam" in d:
-            d["adam"] = AdamSettings(**_take(dict(d["adam"]), set(AdamSettings.__dataclass_fields__), "adam"))
+            d["adam"] = AdamSettings(**_take(d["adam"], set(AdamSettings.__dataclass_fields__), "adam"))
         if "merge" in d:
-            d["merge"] = MergeSettings(**_take(dict(d["merge"]), set(MergeSettings.__dataclass_fields__), "merge"))
+            d["merge"] = MergeSettings(**_take(d["merge"], set(MergeSettings.__dataclass_fields__), "merge"))
         if "dpo" in d:
-            d["dpo"] = DpoSettings(**_take(dict(d["dpo"]), set(DpoSettings.__dataclass_fields__), "dpo"))
+            d["dpo"] = DpoSettings(**_take(d["dpo"], set(DpoSettings.__dataclass_fields__), "dpo"))
         if "phases" in d:
-            d["phases"] = PhaseSettings(**_take(dict(d["phases"]), set(PhaseSettings.__dataclass_fields__), "phases"))
+            d["phases"] = PhaseSettings(**_take(d["phases"], set(PhaseSettings.__dataclass_fields__), "phases"))
         if "data" in d:
-            data = dict(_take(dict(d["data"]), set(DataSettings.__dataclass_fields__), "data"))
+            data = _take(d["data"], set(DataSettings.__dataclass_fields__), "data")
             if "sizes" in data:
-                data["sizes"] = SuiteSizes(**_take(dict(data["sizes"]), set(SuiteSizes.__dataclass_fields__), "data.sizes"))
+                data["sizes"] = SuiteSizes(**_take(data["sizes"], set(SuiteSizes.__dataclass_fields__), "data.sizes"))
             d["data"] = DataSettings(**data)
         return cls(**d)
 
@@ -221,29 +244,26 @@ def _supervised_phase(policy: ToyPolicy, data, steps, hyper, rng, seed, batch_si
 
 
 def _build_optimizer(cfg: RunConfig, theta_base: ParameterSet):
-    """Map the optimizer name to (step function, online-merge config)."""
+    """The optimizer's step function, bound once to its merge settings.
+
+    The table is built per call so that it picks up this module's current
+    step-function names.
+    """
     m = cfg.merge
-    name = cfg.optimizer
-    if name in ("adam", "adamw"):
-        return (lambda p, g, s, h: adam_step(p, g, s, h)), None
-    if name == "childtuning":
-        return (lambda p, g, s, h: childtuning_step(p, g, s, h, m.reserve_rate)), None
-    if name == "ondare":
-        oc = OnlineMergeConfig(MergeVariant.ONDARE, m.alpha, m.reserve_rate)
-        return (lambda p, g, s, h: ondare_step(p, g, s, h, oc)), oc
-    if name == "onties":
-        oc = OnlineMergeConfig(MergeVariant.ONTIES, m.alpha, m.reserve_rate)
-        return (lambda p, g, s, h: onties_step(p, g, s, h, oc)), oc
-    if name == "fullmerge":
-        oc = OnlineMergeConfig(
-            MergeVariant.FULL_MERGE, m.alpha, m.reserve_rate, base_for_full_merge=theta_base
-        )
-        return (lambda p, g, s, h: full_merge_step(p, g, s, h, oc)), oc
-    if name in ("stepk-ondare", "stepk-onties"):
-        variant = MergeVariant.ONDARE if name.endswith("ondare") else MergeVariant.ONTIES
-        oc = OnlineMergeConfig(variant, m.alpha, m.reserve_rate, gap_step=m.gap_step)
-        return (lambda p, g, s, h: stepk_step(p, g, s, h, oc)), oc
-    raise InvalidConfig(f"unknown optimizer {name!r}")
+    if cfg.optimizer in ("adam", "adamw"):
+        return adam_step
+    if cfg.optimizer == "childtuning":
+        return partial(childtuning_step, reserve_rate=m.reserve_rate)
+    step, variant = {
+        "ondare": (ondare_step, MergeVariant.ONDARE),
+        "onties": (onties_step, MergeVariant.ONTIES),
+        "fullmerge": (full_merge_step, MergeVariant.FULL_MERGE),
+        "stepk-ondare": (stepk_step, MergeVariant.ONDARE),
+        "stepk-onties": (stepk_step, MergeVariant.ONTIES),
+    }[cfg.optimizer]
+    return partial(step, cfg=OnlineMergeConfig(
+        variant, m.alpha, m.reserve_rate, gap_step=m.gap_step, base_for_full_merge=theta_base
+    ))
 
 
 def _evaluate(policy: ToyPolicy, reference: ToyPolicy, suite: TaskSuite, beta, step) -> MetricsRecord:
@@ -294,7 +314,7 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
         seed=cfg.seed,
         track_ema=cfg.ema_coefficient is not None,
     )
-    step_fn, _ = _build_optimizer(cfg, theta_base)
+    step_fn = _build_optimizer(cfg, theta_base)
     hyper = cfg.adam.to_hyper()
 
     metrics = RunMetrics()

@@ -169,6 +169,37 @@ class TestTrain:
         assert echoed == original
 
 
+INVALID_CONFIGS = {
+    "eval_every 0": {"dpo": {"eval_every": 0}},
+    "steps -5": {"dpo": {"steps": -5}},
+    "batch_size 0": {"dpo": {"batch_size": 0}},
+    "alpha 2": {"merge": {"alpha": 2}},
+    "reserve_rate 0": {"merge": {"reserve_rate": 0}},
+    "gap_step 0": {"merge": {"gap_step": 0}},
+    "learning_rate -1": {"adam": {"learning_rate": -1}},
+    "seed string": {"seed": "x"},
+    "adam not an object": {"adam": 5},
+    "not JSON": None,
+}
+
+
+@pytest.mark.parametrize("label", list(INVALID_CONFIGS))
+def test_invalid_config_exits_two_before_training(tmp_path, capsys, label):
+    override = INVALID_CONFIGS[label]
+    if override is None:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"seed": 1,')
+    else:
+        cfg_path = write_config(tmp_path, **override)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.pset"))
+
+
 class TestSweep:
     def test_degenerate_grid_matches_single_train(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MERGEOPT_THREADS", "1")

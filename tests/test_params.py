@@ -184,6 +184,27 @@ def test_checkpoint_noncontiguous_offsets_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"name": "w", "shape": None, "offset": 0, "len": 1},
+        {"name": "w", "shape": ["a"], "offset": 0, "len": 1},
+        {"name": "w", "shape": [1], "offset": 0.0, "len": 1.0},
+        {"name": 5, "shape": [1], "offset": 0, "len": 1},
+        {"name": "w", "shape": [1], "offset": 0},
+        ["w", [1], 0, 1],
+    ],
+)
+def test_checkpoint_malformed_entry_is_format_error(tmp_path, entry):
+    import json as jsonlib
+
+    header = jsonlib.dumps({"entries": [entry], "dtype": "f64", "version": 1}).encode()
+    path = tmp_path / "bad.pset"
+    path.write_bytes(b"PSET1\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 8)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "nope.pset")
