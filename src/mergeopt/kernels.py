@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyInput, InvalidProbability, MisalignedSets
-from .masks import MaskGenerator, MaskKey, bernoulli_mask
+from .masks import MaskKey, bernoulli_mask
 from .params import ParameterSet, check_aligned, delta
 
 
@@ -48,19 +48,16 @@ def validate_probability(p: float) -> float:
     return p
 
 
-def sparsify_random(
-    x, p: float, key: MaskKey, rescale: bool = False, gen: MaskGenerator | None = None
-) -> np.ndarray:
+def sparsify_random(x, p: float, key: MaskKey, rescale: bool = False) -> np.ndarray:
     """Keep each element independently with probability p, zero the rest.
 
-    The keep-mask is a pure function of (key, element index); gen only saves
-    building a generator per call. With rescale, kept elements are divided by
-    p, making the operator unbiased; offline DARE uses that, online merging
-    does not.
+    The keep-mask is a pure function of (key, element index). With rescale,
+    kept elements are divided by p, making the operator unbiased; offline
+    DARE uses that, online merging does not.
     """
     p = validate_probability(p)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    mask = bernoulli_mask(key, x.size, p, gen)
+    mask = bernoulli_mask(key, x.size, p)
     out = np.where(mask, x, 0.0)
     if rescale:
         out = out / p
@@ -155,7 +152,6 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
     for m in models:
         check_aligned(base, m)
     taus = [delta(m, base) for m in models]
-    gen = MaskGenerator()
 
     merged_entries = []
     for name, shape, base_arr in base:
@@ -170,7 +166,6 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
                         spec.reserve_rate,
                         MaskKey(spec.seed, name, step=i, stream="offline-dare"),
                         rescale=spec.rescale,
-                        gen=gen,
                     )
                     for i, arr in enumerate(tau_arrays)
                 ]
