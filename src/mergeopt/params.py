@@ -29,7 +29,7 @@ class ParameterSet:
     distinguishes -0.0 from 0.0 and treats equal NaN payloads as equal.
     """
 
-    __slots__ = ("_names", "_shapes", "_slices", "_pos", "_vector", "_arrays")
+    __slots__ = ("_names", "_shapes", "_slices", "_pos", "_vector")
 
     def __init__(self, entries: Iterable[tuple]):
         names: list[str] = []
@@ -62,27 +62,24 @@ class ParameterSet:
         self._shapes = tuple(shapes)
         self._slices = tuple(slices)
         self._pos = pos
-        self._bind(np.concatenate(arrays) if arrays else np.zeros(0))
+        self._vector = np.concatenate(arrays) if arrays else np.zeros(0)
+        self._vector.setflags(write=False)
 
-    def _bind(self, vector: np.ndarray) -> None:
-        vector.setflags(write=False)
-        self._vector = vector
-        self._arrays = tuple(vector[s] for s in self._slices)
-
-    def with_vector(self, vector: np.ndarray) -> "ParameterSet":
-        """A plain ParameterSet with this set's names, shapes and order over
-        the given flat float64 vector, which it takes over (read-only, not
-        copied) without re-validating the entries."""
+    def with_vector(self, vector: np.ndarray, cls: type | None = None) -> "ParameterSet":
+        """A set of class cls (default ParameterSet) with this set's names,
+        shapes and order over the given flat float64 vector, which it takes
+        over (read-only, not copied) without re-validating the entries."""
         if vector.dtype != np.float64 or vector.shape != self._vector.shape:
             raise ValueError(
                 f"need a flat float64 vector of {self._vector.size} elements, "
                 f"got {vector.dtype} of shape {vector.shape}"
             )
-        out = ParameterSet.__new__(ParameterSet)
+        vector.setflags(write=False)
+        out = object.__new__(cls or ParameterSet)
         out._names, out._shapes, out._slices, out._pos = (
             self._names, self._shapes, self._slices, self._pos
         )
-        out._bind(vector)
+        out._vector = vector
         return out
 
     @classmethod
@@ -102,7 +99,7 @@ class ParameterSet:
         return name in self._pos
 
     def __iter__(self) -> Iterator[tuple[str, tuple[int, ...], np.ndarray]]:
-        return iter(zip(self._names, self._shapes, self._arrays))
+        return zip(self._names, self._shapes, (self._vector[s] for s in self._slices))
 
     def vector(self) -> np.ndarray:
         """The whole set as one read-only flat vector, in entry order."""
@@ -117,27 +114,25 @@ class ParameterSet:
 
     def flat(self, name: str) -> np.ndarray:
         """Read-only flat view of one tensor."""
-        return self._arrays[self._pos[name]]
+        return self._vector[self._slices[self._pos[name]]]
 
     def tensor(self, name: str) -> np.ndarray:
         """Read-only view reshaped to the entry's declared shape."""
         i = self._pos[name]
-        return self._arrays[i].reshape(self._shapes[i])
+        return self._vector[self._slices[i]].reshape(self._shapes[i])
 
     def total_elements(self) -> int:
         return self._vector.size
 
     def map(self, fn) -> "ParameterSet":
         """New set with fn applied to each flat array; shapes are kept."""
-        return ParameterSet(
-            (n, s, fn(a)) for n, s, a in zip(self._names, self._shapes, self._arrays)
-        )
+        return ParameterSet((n, s, fn(a)) for n, s, a in self)
 
     def zip_map(self, other: "ParameterSet", fn) -> "ParameterSet":
         check_aligned(self, other)
         return ParameterSet(
             (n, s, fn(a, b))
-            for (n, s, a), b in zip(self, other._arrays)
+            for (n, s, a), (_, _, b) in zip(self, other)
         )
 
     def fingerprint(self) -> str:
@@ -198,8 +193,9 @@ def check_aligned(a: ParameterSet, b: ParameterSet) -> None:
 def delta(a: ParameterSet, b: ParameterSet) -> DeltaSet:
     """Elementwise a - b with exact name/shape/order alignment."""
     check_aligned(a, b)
-    entries = [(n, s, x - b.flat(n)) for n, s, x in a]
-    return DeltaSet(entries, base_fingerprint=b.fingerprint())
+    d = a.with_vector(a.vector() - b.vector(), DeltaSet)
+    d.base_fingerprint = b.fingerprint()
+    return d
 
 
 def apply_delta(base: ParameterSet, d: DeltaSet) -> ParameterSet:
@@ -216,7 +212,7 @@ def apply_delta(base: ParameterSet, d: DeltaSet) -> ParameterSet:
             "applying anyway",
             stacklevel=2,
         )
-    return ParameterSet((n, s, x + d.flat(n)) for n, s, x in base)
+    return base.with_vector(base.vector() + d.vector())
 
 
 def save_checkpoint(p: ParameterSet, path) -> None:
@@ -256,7 +252,7 @@ def load_checkpoint(path) -> ParameterSet:
     raw_entries = header.get("entries")
     if not isinstance(raw_entries, list):
         raise FormatError(f"{path}: header has no entry list")
-    payload = buf[body_start + hlen :]
+    payload = memoryview(buf)[body_start + hlen :]
     running = 0
     entries = []
     for e in raw_entries:

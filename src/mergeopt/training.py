@@ -178,6 +178,7 @@ class RunConfig:
         m = self.merge
         try:
             self.adam.to_hyper()
+            AdamHyper(learning_rate=self.phases.learning_rate)
             OnlineMergeConfig(MergeVariant.ONDARE, m.alpha, m.reserve_rate, m.gap_step)
         except (TypeError, ValueError) as e:
             raise InvalidConfig(str(e)) from e

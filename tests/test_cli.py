@@ -177,6 +177,7 @@ INVALID_CONFIGS = {
     "reserve_rate 0": {"merge": {"reserve_rate": 0}},
     "gap_step 0": {"merge": {"gap_step": 0}},
     "learning_rate -1": {"adam": {"learning_rate": -1}},
+    "phase learning_rate 0": {"phases": {"learning_rate": 0}},
     "seed string": {"seed": "x"},
     "adam not an object": {"adam": 5},
     "not JSON": None,
