@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64 = 1 << 64
-_ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -53,27 +52,20 @@ class MaskGenerator:
     Each draw resets the key and counter, so its bytes equal those of a fresh
     ``Philox(key=key.material())`` while skipping that constructor, which
     seeds a SeedSequence from OS entropy before the key overrides it. A
-    generator is not safe to share between threads: each optimizer state or
-    merge owns its own.
+    generator is not safe to share between threads: each optimizer state
+    owns its own.
     """
 
     def __init__(self):
         self._bits = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bits)
+        # Counter zero and an empty output buffer: the state of any new Philox.
+        self._fresh = self._bits.state
 
     def uniforms(self, key: MaskKey, n: int) -> np.ndarray:
         material = key.material()
-        self._bits.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": _ZERO_BLOCK,
-                "key": np.array([material & (_U64 - 1), material >> 64], dtype=np.uint64),
-            },
-            "buffer": _ZERO_BLOCK,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._fresh["state"]["key"] = np.array([material & (_U64 - 1), material >> 64], np.uint64)
+        self._bits.state = self._fresh
         return self._gen.random(n)
 
 
