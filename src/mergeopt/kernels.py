@@ -153,8 +153,8 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
         check_aligned(base, m)
     taus = [delta(m, base) for m in models]
 
-    out = np.empty_like(base.vector())
-    for name, s in base.slices():
+    merged_entries = []
+    for name, shape, base_arr in base:
         tau_arrays = [t.flat(name) for t in taus]
         if spec.method is MergeMethod.TIES:
             merged = _ties_combine(tau_arrays, spec.weights, spec.reserve_rate)
@@ -170,5 +170,5 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
                     for i, arr in enumerate(tau_arrays)
                 ]
             merged = linear_combine(list(zip(spec.weights, tau_arrays)))
-        np.add(base.flat(name), merged, out=out[s])
-    return base.with_vector(out)
+        merged_entries.append((name, shape, base_arr + merged))
+    return ParameterSet(merged_entries)

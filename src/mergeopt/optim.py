@@ -115,13 +115,19 @@ class OptimizerState:
         self.v = self._views(self._v)
         self.delta_cache = self._views(self._dc)
         self.t = 0
-        self.tau_ref = tau_ref
+        self._tau_ref = tau_ref
+        self._tau = None if tau_ref is None else tau_ref.vector()
         self.seed = int(seed)
         self._ema = params.vector().copy() if track_ema else None
         self._masks = MaskGenerator()
 
     def _views(self, vector: np.ndarray) -> dict:
         return {name: vector[s] for name, s in self._slices}
+
+    @property
+    def tau_ref(self) -> Optional[DeltaSet]:
+        """The reference delta, fixed at construction (its flat copy is cached)."""
+        return self._tau_ref
 
     @property
     def ema(self) -> Optional[dict]:
@@ -156,12 +162,9 @@ def _adam(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, hyper: AdamHyper)
 
 
 def adam_delta(state: OptimizerState, name: str, grad, hyper: AdamHyper) -> np.ndarray:
-    """Advance the named tensor's moments with this gradient and return the
-    raw update delta -lr * mhat / sqrt(vhat + eps).
-
-    Moments are mutated in place; bias correction uses the current step
-    counter, which the caller must already have incremented.
-    """
+    """Advance one tensor's moments in place and return its raw update delta
+    -lr * mhat / sqrt(vhat + eps). Bias correction uses the current step
+    counter, which the caller must already have incremented."""
     g = np.asarray(grad, dtype=np.float64).reshape(-1)
     m = state.m[name]
     if g.size != m.size:
@@ -208,7 +211,7 @@ def _ondare_merge(state, cfg, x) -> np.ndarray:
     offline but destabilizes multi-step optimization."""
     p = cfg.reserve_rate
     kept_x = np.where(_keep_mask(state, MASK_STREAM_UPDATE, p), x, 0.0)
-    kept_tau = np.where(_keep_mask(state, MASK_STREAM_REF, p), state.tau_ref.vector(), 0.0)
+    kept_tau = np.where(_keep_mask(state, MASK_STREAM_REF, p), state._tau, 0.0)
     return (1.0 - cfg.alpha) * kept_x + cfg.alpha * kept_tau
 
 
@@ -219,7 +222,7 @@ def _onties_merge(state, cfg, x) -> np.ndarray:
     def top_p(v):
         return np.concatenate([sparsify_top_p(v[s], cfg.reserve_rate) for _, s in state._slices])
 
-    return sign_consensus((1.0 - cfg.alpha) * top_p(x), cfg.alpha * top_p(state.tau_ref.vector()))
+    return sign_consensus((1.0 - cfg.alpha) * top_p(x), cfg.alpha * top_p(state._tau))
 
 
 _MERGES = {MergeVariant.ONDARE: _ondare_merge, MergeVariant.ONTIES: _onties_merge}
@@ -359,8 +362,8 @@ def save_optimizer_state(state: OptimizerState, path, scalars: Optional[dict] = 
     """Serialize moments and cached deltas to a PSET1 container with reserved
     name prefixes, plus a JSON sidecar for the scalar state."""
     tables = [("__m.", state._m), ("__v.", state._v), ("__dc.", state._dc)]
-    if state.tau_ref is not None:
-        tables.append(("__tau.", state.tau_ref.vector()))
+    if state._tau is not None:
+        tables.append(("__tau.", state._tau))
     if state._ema is not None:
         tables.append(("__ema.", state._ema))
     entries = [
@@ -395,15 +398,16 @@ def load_optimizer_state(path) -> tuple[OptimizerState, dict]:
         else:
             raise ValueError(f"unexpected tensor {name!r} in optimizer state container")
     shell = ParameterSet(groups["__m."])
-    state = OptimizerState(shell, seed=sidecar.get("seed", 0))
+    tau_ref = None
+    if groups["__tau."]:
+        tau_ref = DeltaSet(
+            groups["__tau."], base_fingerprint=sidecar.get("tau_base_fingerprint") or ""
+        )
+    state = OptimizerState(shell, tau_ref=tau_ref, seed=sidecar.get("seed", 0))
     state.t = int(sidecar["t"])
     state._m[:] = shell.vector()
     state._v[:] = ParameterSet(groups["__v."]).vector()
     state._dc[:] = ParameterSet(groups["__dc."]).vector()
-    if groups["__tau."]:
-        state.tau_ref = DeltaSet(
-            groups["__tau."], base_fingerprint=sidecar.get("tau_base_fingerprint") or ""
-        )
     if groups["__ema."]:
         state.ema = {n: a for n, _, a in ParameterSet(groups["__ema."])}
     return state, sidecar

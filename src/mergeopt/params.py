@@ -21,23 +21,31 @@ from .errors import FormatError, MisalignedSets
 MAGIC = b"PSET1\n"
 
 
+def _flat_f64(data) -> np.ndarray:
+    arr = np.array(data, dtype=np.float64, copy=True, order="C").reshape(-1)
+    arr.setflags(write=False)
+    return arr
+
+
 class ParameterSet:
-    """Ordered collection of named, shaped float64 tensors held in one flat,
-    read-only buffer in entry order; each tensor is a view of its slice.
+    """Ordered collection of named, shaped, flat float64 tensors.
+
+    A set built from entries holds one array per tensor. A set made by
+    with_vector is backed by one contiguous read-only vector, and its
+    tensors are views of their slices; optimizer steps produce such sets.
 
     Equality is bit-exact over names, shapes, and raw float bytes, so it
     distinguishes -0.0 from 0.0 and treats equal NaN payloads as equal.
     """
 
-    __slots__ = ("_names", "_shapes", "_slices", "_pos", "_vector")
+    __slots__ = ("_names", "_shapes", "_arrays", "_pos", "_slices", "_vector")
 
     def __init__(self, entries: Iterable[tuple]):
         names: list[str] = []
         shapes: list[tuple[int, ...]] = []
-        slices: list[slice] = []
         arrays: list[np.ndarray] = []
         pos: dict[str, int] = {}
-        start = 0
+        slices: list[slice] = []
         for name, shape, data in entries:
             if not isinstance(name, str) or not name:
                 raise ValueError(f"tensor name must be a nonempty string, got {name!r}")
@@ -46,7 +54,7 @@ class ParameterSet:
             shape = tuple(int(s) for s in shape)
             if any(s < 1 for s in shape):
                 raise ValueError(f"{name}: shape {shape} has a nonpositive dimension")
-            arr = np.asarray(data, dtype=np.float64).reshape(-1)
+            arr = _flat_f64(data)
             expected = math.prod(shape)
             if arr.size != expected:
                 raise ValueError(
@@ -55,30 +63,31 @@ class ParameterSet:
             pos[name] = len(names)
             names.append(name)
             shapes.append(shape)
-            slices.append(slice(start, start + arr.size))
             arrays.append(arr)
-            start += arr.size
+            start = slices[-1].stop if slices else 0
+            slices.append(slice(start, start + arr.size))
         self._names = tuple(names)
         self._shapes = tuple(shapes)
-        self._slices = tuple(slices)
+        self._arrays = tuple(arrays)
         self._pos = pos
-        self._vector = np.concatenate(arrays) if arrays else np.zeros(0)
-        self._vector.setflags(write=False)
+        self._slices = tuple(slices)
+        self._vector = None
 
-    def with_vector(self, vector: np.ndarray, cls: type | None = None) -> "ParameterSet":
-        """A set of class cls (default ParameterSet) with this set's names,
-        shapes and order over the given flat float64 vector, which it takes
-        over (read-only, not copied) without re-validating the entries."""
-        if vector.dtype != np.float64 or vector.shape != self._vector.shape:
+    def with_vector(self, vector: np.ndarray) -> "ParameterSet":
+        """A plain ParameterSet with this set's names, shapes and order,
+        backed by the given flat float64 vector, which it takes over
+        (read-only, not copied) without re-validating the entries."""
+        if vector.dtype != np.float64 or vector.shape != (self.total_elements(),):
             raise ValueError(
-                f"need a flat float64 vector of {self._vector.size} elements, "
+                f"need a flat float64 vector of {self.total_elements()} elements, "
                 f"got {vector.dtype} of shape {vector.shape}"
             )
         vector.setflags(write=False)
-        out = object.__new__(cls or ParameterSet)
-        out._names, out._shapes, out._slices, out._pos = (
-            self._names, self._shapes, self._slices, self._pos
+        out = ParameterSet.__new__(ParameterSet)
+        out._names, out._shapes, out._pos, out._slices = (
+            self._names, self._shapes, self._pos, self._slices
         )
+        out._arrays = tuple(vector[s] for s in self._slices)
         out._vector = vector
         return out
 
@@ -99,11 +108,16 @@ class ParameterSet:
         return name in self._pos
 
     def __iter__(self) -> Iterator[tuple[str, tuple[int, ...], np.ndarray]]:
-        return zip(self._names, self._shapes, (self._vector[s] for s in self._slices))
+        return iter(zip(self._names, self._shapes, self._arrays))
 
     def vector(self) -> np.ndarray:
-        """The whole set as one read-only flat vector, in entry order."""
-        return self._vector
+        """The whole set as one read-only flat vector in entry order: free for
+        a set backed by one vector, otherwise a concatenated copy."""
+        if self._vector is not None:
+            return self._vector
+        out = np.concatenate(self._arrays) if self._arrays else np.zeros(0)
+        out.setflags(write=False)
+        return out
 
     def slices(self) -> tuple[tuple[str, slice], ...]:
         """(name, slice of the flat vector) for each entry, in order."""
@@ -114,25 +128,27 @@ class ParameterSet:
 
     def flat(self, name: str) -> np.ndarray:
         """Read-only flat view of one tensor."""
-        return self._vector[self._slices[self._pos[name]]]
+        return self._arrays[self._pos[name]]
 
     def tensor(self, name: str) -> np.ndarray:
         """Read-only view reshaped to the entry's declared shape."""
         i = self._pos[name]
-        return self._vector[self._slices[i]].reshape(self._shapes[i])
+        return self._arrays[i].reshape(self._shapes[i])
 
     def total_elements(self) -> int:
-        return self._vector.size
+        return self._slices[-1].stop if self._slices else 0
 
     def map(self, fn) -> "ParameterSet":
         """New set with fn applied to each flat array; shapes are kept."""
-        return ParameterSet((n, s, fn(a)) for n, s, a in self)
+        return ParameterSet(
+            (n, s, fn(a)) for n, s, a in zip(self._names, self._shapes, self._arrays)
+        )
 
     def zip_map(self, other: "ParameterSet", fn) -> "ParameterSet":
         check_aligned(self, other)
         return ParameterSet(
             (n, s, fn(a, b))
-            for (n, s, a), (_, _, b) in zip(self, other)
+            for (n, s, a), b in zip(self, other._arrays)
         )
 
     def fingerprint(self) -> str:
@@ -150,7 +166,7 @@ class ParameterSet:
             return NotImplemented
         if self._names != other._names or self._shapes != other._shapes:
             return False
-        return self._vector.tobytes() == other._vector.tobytes()
+        return all(a.tobytes() == b.tobytes() for a, b in zip(self._arrays, other._arrays))
 
     __hash__ = None
 
@@ -193,9 +209,8 @@ def check_aligned(a: ParameterSet, b: ParameterSet) -> None:
 def delta(a: ParameterSet, b: ParameterSet) -> DeltaSet:
     """Elementwise a - b with exact name/shape/order alignment."""
     check_aligned(a, b)
-    d = a.with_vector(a.vector() - b.vector(), DeltaSet)
-    d.base_fingerprint = b.fingerprint()
-    return d
+    entries = [(n, s, x - b.flat(n)) for n, s, x in a]
+    return DeltaSet(entries, base_fingerprint=b.fingerprint())
 
 
 def apply_delta(base: ParameterSet, d: DeltaSet) -> ParameterSet:
@@ -212,16 +227,19 @@ def apply_delta(base: ParameterSet, d: DeltaSet) -> ParameterSet:
             "applying anyway",
             stacklevel=2,
         )
-    return base.with_vector(base.vector() + d.vector())
+    return ParameterSet((n, s, x + d.flat(n)) for n, s, x in base)
 
 
 def save_checkpoint(p: ParameterSet, path) -> None:
     """Write the PSET1 binary format: magic, u32 header length, JSON header,
     then contiguous little-endian float64 payload in entry order."""
-    entries = [
-        {"name": name, "shape": list(p.shape(name)), "offset": s.start, "len": s.stop - s.start}
-        for name, s in p.slices()
-    ]
+    entries = []
+    offset = 0
+    chunks = []
+    for name, shape, arr in p:
+        entries.append({"name": name, "shape": list(shape), "offset": offset, "len": arr.size})
+        offset += arr.size
+        chunks.append(arr.astype("<f8", copy=False).tobytes())
     header = json.dumps(
         {"entries": entries, "dtype": "f64", "version": 1},
         separators=(",", ":"),
@@ -230,7 +248,8 @@ def save_checkpoint(p: ParameterSet, path) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        f.write(p.vector().astype("<f8", copy=False).tobytes())
+        for chunk in chunks:
+            f.write(chunk)
 
 
 def load_checkpoint(path) -> ParameterSet:
@@ -252,7 +271,7 @@ def load_checkpoint(path) -> ParameterSet:
     raw_entries = header.get("entries")
     if not isinstance(raw_entries, list):
         raise FormatError(f"{path}: header has no entry list")
-    payload = memoryview(buf)[body_start + hlen :]
+    payload = buf[body_start + hlen :]
     running = 0
     entries = []
     for e in raw_entries:
