@@ -172,6 +172,7 @@ class RunConfig:
             ("phases.pretrain_steps", self.phases.pretrain_steps, 0),
             ("phases.sft_steps", self.phases.sft_steps, 0),
             ("phases.batch_size", self.phases.batch_size, 1),
+            ("data.hidden_dim", self.data.hidden_dim, 1),
         ):
             if not _is_count(value, least):
                 raise InvalidConfig(f"{where} must be an integer >= {least}, got {value!r}")

@@ -180,6 +180,7 @@ INVALID_CONFIGS = {
     "phase learning_rate 0": {"phases": {"learning_rate": 0}},
     "seed string": {"seed": "x"},
     "adam not an object": {"adam": 5},
+    "hidden_dim 0": {"data": {"hidden_dim": 0}},
     "not JSON": None,
 }
 
