@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional
@@ -96,7 +97,7 @@ def _take(d, allowed: set, where: str) -> dict:
 
 
 def _is_count(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
