@@ -3,7 +3,6 @@
 from .errors import (
     EmptyInput,
     FormatError,
-    IndexOutOfRange,
     InvalidBeta,
     InvalidConfig,
     InvalidProbability,
@@ -28,19 +27,15 @@ from .optim import (
     MergeVariant,
     OnlineMergeConfig,
     OptimizerState,
-    adam_delta,
     adam_step,
     childtuning_step,
     ema_update,
     full_merge_step,
-    load_optimizer_state,
     ondare_step,
     onties_step,
-    save_optimizer_state,
     stepk_step,
 )
 from .params import (
-    DeltaSet,
     ParameterSet,
     apply_delta,
     check_aligned,
@@ -49,7 +44,6 @@ from .params import (
     save_checkpoint,
 )
 from .policy import (
-    PreferencePair,
     ToyPolicy,
     class_loss_and_grad,
     dpo_grad,
@@ -57,7 +51,6 @@ from .policy import (
     dpo_loss_and_grad,
     dpo_margins,
     log_softmax,
-    policy_logprob,
 )
 from .tasks import (
     LabeledSet,

@@ -37,7 +37,7 @@ def _load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (ValueError, RecursionError) as e:
             raise InvalidConfig(f"{path}: not a JSON document ({e})") from e
     return RunConfig.from_dict(raw)
 

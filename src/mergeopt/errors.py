@@ -38,10 +38,6 @@ class NonFiniteLoss(MergeOptError, FloatingPointError):
         self.metrics = metrics
 
 
-class IndexOutOfRange(MergeOptError, IndexError):
-    """Response index outside the policy's candidate range."""
-
-
 class InvalidBeta(MergeOptError, ValueError):
     """Preference-loss temperature must be positive."""
 

@@ -9,7 +9,6 @@ per tensor, so each tensor's slice of a flat mask is its own keyed stream.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,17 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MisalignedSets, MissingBaseModel, NonFiniteGradient
+from .errors import MissingBaseModel, NonFiniteGradient
 from .kernels import sign_consensus, sparsify_top_p, validate_probability
 from .kernels import sparsify_random  # noqa: F401  (not called; bench/tracer.py wraps it here)
 from .masks import MaskGenerator, MaskKey, bernoulli_mask
-from .params import DeltaSet, ParameterSet, check_aligned, load_checkpoint, save_checkpoint
+from .params import ParameterSet, check_aligned
 
 MASK_STREAM_UPDATE = "update"
 MASK_STREAM_REF = "ref"
 MASK_STREAM_GRAD = "grad"
-
-_STATE_PREFIXES = ("__m.", "__v.", "__dc.", "__tau.", "__ema.")
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,6 @@ class AdamHyper:
 
 
 class MergeVariant(Enum):
-    NONE = "none"
     ONDARE = "ondare"
     ONTIES = "onties"
     FULL_MERGE = "fullmerge"
@@ -76,7 +72,7 @@ class OnlineMergeConfig:
     the unrelaxed formulation that re-anchors every step on the base model.
     """
 
-    variant: MergeVariant = MergeVariant.NONE
+    variant: MergeVariant
     alpha: float = 1e-6
     reserve_rate: float = 0.5
     gap_step: int = 1
@@ -92,16 +88,18 @@ class OnlineMergeConfig:
 
 
 class OptimizerState:
-    """Flat Adam moments, step-K accumulator and optional EMA shadow over the
-    layout of the parameters it was made for (m, v, delta_cache and ema map
-    names to views of them), the step counter, the cached reference delta,
-    and the mask generator. The base model is deliberately not part of the
-    state: the relaxed online merge needs only tau_ref, never mutated."""
+    """Flat float64 vectors over the layout of the parameters the state was
+    made for: the Adam moments m and v, the step-K accumulator delta_cache,
+    the EMA shadow ema (None while there is none) and the read-only reference
+    delta tau_ref (None without one); plus the step counter, the mask
+    generator and alpha * top-p(tau_ref) per (alpha, reserve rate) for OnTIES.
+    The base model is deliberately not part of the state: the relaxed online
+    merge needs only tau_ref, never mutated."""
 
     def __init__(
         self,
         params: ParameterSet,
-        tau_ref: Optional[DeltaSet] = None,
+        tau_ref: Optional[ParameterSet] = None,
         seed: int = 0,
         track_ema: bool = False,
     ):
@@ -110,40 +108,18 @@ class OptimizerState:
         self._layout = params
         self._slices = params.slices()
         size = params.total_elements()
-        self._m, self._v, self._dc = np.zeros(size), np.zeros(size), np.zeros(size)
-        self.m = self._views(self._m)
-        self.v = self._views(self._v)
-        self.delta_cache = self._views(self._dc)
+        self.m, self.v, self.delta_cache = np.zeros(size), np.zeros(size), np.zeros(size)
         self.t = 0
-        self._tau_ref = tau_ref
-        self._tau = None if tau_ref is None else tau_ref.vector()
+        self.tau_ref = None if tau_ref is None else tau_ref.vector()
         self.seed = int(seed)
-        self._ema = params.vector().copy() if track_ema else None
+        self.ema = params.vector().copy() if track_ema else None
         self._masks = MaskGenerator()
-
-    def _views(self, vector: np.ndarray) -> dict:
-        return {name: vector[s] for name, s in self._slices}
-
-    @property
-    def tau_ref(self) -> Optional[DeltaSet]:
-        """The reference delta, fixed at construction (its flat copy is cached)."""
-        return self._tau_ref
-
-    @property
-    def ema(self) -> Optional[dict]:
-        """name -> view of the EMA shadow, or None while there is none."""
-        return None if self._ema is None else self._views(self._ema)
-
-    @ema.setter
-    def ema(self, shadow: Optional[dict]) -> None:
-        self._ema = None if shadow is None else (
-            ParameterSet((n, s, shadow[n]) for n, s, _ in self._layout).vector().copy()
-        )
+        self._onties_ref: dict = {}
 
     def ema_parameters(self) -> Optional[ParameterSet]:
-        if self._ema is None:
+        if self.ema is None:
             return None
-        return self._layout.with_vector(self._ema.copy())
+        return self._layout.with_vector(self.ema.copy())
 
 
 def _adam(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, hyper: AdamHyper) -> np.ndarray:
@@ -159,19 +135,6 @@ def _adam(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, hyper: AdamHyper)
     else:
         mhat, vhat = m, v
     return -hyper.learning_rate * mhat / np.sqrt(vhat + hyper.epsilon)
-
-
-def adam_delta(state: OptimizerState, name: str, grad, hyper: AdamHyper) -> np.ndarray:
-    """Advance one tensor's moments in place and return its raw update delta
-    -lr * mhat / sqrt(vhat + eps). Bias correction uses the current step
-    counter, which the caller must already have incremented."""
-    g = np.asarray(grad, dtype=np.float64).reshape(-1)
-    m = state.m[name]
-    if g.size != m.size:
-        raise MisalignedSets(f"{name}: gradient has {g.size} elements, state has {m.size}")
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteGradient(f"{name}: gradient contains NaN or infinity")
-    return _adam(m, state.v[name], g, state.t, hyper)
 
 
 def _step(params, grads, state, hyper, rule=None, cfg=None, grad_rate=None) -> ParameterSet:
@@ -190,7 +153,7 @@ def _step(params, grads, state, hyper, rule=None, cfg=None, grad_rate=None) -> P
         bad = next(n for n, s in state._slices if not np.isfinite(g[s]).all())
         raise NonFiniteGradient(f"{bad}: gradient contains NaN or infinity")
     theta = params.vector()
-    d = _adam(state._m, state._v, g, state.t, hyper)
+    d = _adam(state.m, state.v, g, state.t, hyper)
     if hyper.weight_decay != 0.0:
         d = d - hyper.learning_rate * hyper.weight_decay * theta
     return params.with_vector(theta + d if rule is None else rule(state, cfg, theta, d))
@@ -211,18 +174,24 @@ def _ondare_merge(state, cfg, x) -> np.ndarray:
     offline but destabilizes multi-step optimization."""
     p = cfg.reserve_rate
     kept_x = np.where(_keep_mask(state, MASK_STREAM_UPDATE, p), x, 0.0)
-    kept_tau = np.where(_keep_mask(state, MASK_STREAM_REF, p), state._tau, 0.0)
+    kept_tau = np.where(_keep_mask(state, MASK_STREAM_REF, p), state.tau_ref, 0.0)
     return (1.0 - cfg.alpha) * kept_x + cfg.alpha * kept_tau
 
 
 def _onties_merge(state, cfg, x) -> np.ndarray:
     """Sign consensus of (1 - alpha) * top-p(x) and alpha * top-p(tau_ref),
-    top-p taken within each tensor."""
+    top-p taken within each tensor. The reference side is constant, so it is
+    computed once per (alpha, reserve rate); the key carries alpha's sign
+    because -0.0 == 0.0 but scales tau_ref to zeros of the other sign."""
 
     def top_p(v):
         return np.concatenate([sparsify_top_p(v[s], cfg.reserve_rate) for _, s in state._slices])
 
-    return sign_consensus((1.0 - cfg.alpha) * top_p(x), cfg.alpha * top_p(state._tau))
+    key = (cfg.alpha, math.copysign(1.0, cfg.alpha), cfg.reserve_rate)
+    ref = state._onties_ref.get(key)
+    if ref is None:
+        ref = state._onties_ref[key] = cfg.alpha * top_p(state.tau_ref)
+    return sign_consensus((1.0 - cfg.alpha) * top_p(x), ref)
 
 
 _MERGES = {MergeVariant.ONDARE: _ondare_merge, MergeVariant.ONTIES: _onties_merge}
@@ -238,7 +207,7 @@ def _full_merge_rule(state, cfg, theta, d) -> np.ndarray:
 
 
 def _stepk_rule(state, cfg, theta, d) -> np.ndarray:
-    cache = state._dc
+    cache = state.delta_cache
     if state.t % cfg.gap_step != 0:
         cache += d
         return theta + d
@@ -351,63 +320,8 @@ def ema_update(state: OptimizerState, params: ParameterSet, coefficient: float =
     c = float(coefficient)
     if not (0.0 < c < 1.0):
         raise ValueError(f"EMA coefficient must be in (0, 1), got {coefficient}")
-    if state._ema is None:
-        state._ema = params.vector().copy()
+    if state.ema is None:
+        state.ema = params.vector().copy()
         return
-    state._ema *= 1.0 - c
-    state._ema += c * params.vector()
-
-
-def save_optimizer_state(state: OptimizerState, path, scalars: Optional[dict] = None) -> None:
-    """Serialize moments and cached deltas to a PSET1 container with reserved
-    name prefixes, plus a JSON sidecar for the scalar state."""
-    tables = [("__m.", state._m), ("__v.", state._v), ("__dc.", state._dc)]
-    if state._tau is not None:
-        tables.append(("__tau.", state._tau))
-    if state._ema is not None:
-        tables.append(("__ema.", state._ema))
-    entries = [
-        (prefix + name, state._layout.shape(name), vector[s])
-        for prefix, vector in tables
-        for name, s in state._slices
-    ]
-    save_checkpoint(ParameterSet(entries), path)
-    sidecar = {
-        "t": state.t,
-        "seed": state.seed,
-        "tau_base_fingerprint": getattr(state.tau_ref, "base_fingerprint", None),
-    }
-    if scalars:
-        sidecar.update(scalars)
-    with open(str(path) + ".json", "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_optimizer_state(path) -> tuple[OptimizerState, dict]:
-    """Inverse of save_optimizer_state; returns the state and its sidecar."""
-    container = load_checkpoint(path)
-    with open(str(path) + ".json", "r", encoding="utf-8") as f:
-        sidecar = json.load(f)
-    groups: dict[str, list] = {p: [] for p in _STATE_PREFIXES}
-    for name, shape, arr in container:
-        for prefix in _STATE_PREFIXES:
-            if name.startswith(prefix):
-                groups[prefix].append((name[len(prefix) :], shape, arr))
-                break
-        else:
-            raise ValueError(f"unexpected tensor {name!r} in optimizer state container")
-    shell = ParameterSet(groups["__m."])
-    tau_ref = None
-    if groups["__tau."]:
-        tau_ref = DeltaSet(
-            groups["__tau."], base_fingerprint=sidecar.get("tau_base_fingerprint") or ""
-        )
-    state = OptimizerState(shell, tau_ref=tau_ref, seed=sidecar.get("seed", 0))
-    state.t = int(sidecar["t"])
-    state._m[:] = shell.vector()
-    state._v[:] = ParameterSet(groups["__v."]).vector()
-    state._dc[:] = ParameterSet(groups["__dc."]).vector()
-    if groups["__ema."]:
-        state.ema = {n: a for n, _, a in ParameterSet(groups["__ema."])}
-    return state, sidecar
+    state.ema *= 1.0 - c
+    state.ema += c * params.vector()

@@ -11,7 +11,6 @@ import hashlib
 import json
 import math
 import struct
-import warnings
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -91,12 +90,6 @@ class ParameterSet:
         out._vector = vector
         return out
 
-    @classmethod
-    def from_arrays(cls, named_arrays) -> "ParameterSet":
-        """Build from an ordered mapping or iterable of (name, array) pairs."""
-        items = named_arrays.items() if hasattr(named_arrays, "items") else named_arrays
-        return cls((name, np.shape(a), a) for name, a in items)
-
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
@@ -144,13 +137,6 @@ class ParameterSet:
             (n, s, fn(a)) for n, s, a in zip(self._names, self._shapes, self._arrays)
         )
 
-    def zip_map(self, other: "ParameterSet", fn) -> "ParameterSet":
-        check_aligned(self, other)
-        return ParameterSet(
-            (n, s, fn(a, b))
-            for (n, s, a), b in zip(self, other._arrays)
-        )
-
     def fingerprint(self) -> str:
         """Content hash covering names, shapes, order, and raw float bytes."""
         h = hashlib.blake2b(digest_size=16)
@@ -174,21 +160,6 @@ class ParameterSet:
         return f"ParameterSet({len(self)} tensors, {self.total_elements()} elements)"
 
 
-class DeltaSet(ParameterSet):
-    """A ParameterSet holding a parameter difference, tagged with the hash
-    of the base it was computed against.
-
-    The tag is advisory: relaxed online merging deliberately applies deltas
-    relative to the current policy rather than the original base.
-    """
-
-    __slots__ = ("base_fingerprint",)
-
-    def __init__(self, entries, base_fingerprint: str = ""):
-        super().__init__(entries)
-        self.base_fingerprint = base_fingerprint
-
-
 def check_aligned(a: ParameterSet, b: ParameterSet) -> None:
     """Raise MisalignedSets at the first entry where names, shapes, or order differ."""
     if a._names == b._names and a._shapes == b._shapes:
@@ -206,27 +177,20 @@ def check_aligned(a: ParameterSet, b: ParameterSet) -> None:
         raise MisalignedSets(f"entry {i}: {extra!r} present in only one set")
 
 
-def delta(a: ParameterSet, b: ParameterSet) -> DeltaSet:
+def delta(a: ParameterSet, b: ParameterSet) -> ParameterSet:
     """Elementwise a - b with exact name/shape/order alignment."""
     check_aligned(a, b)
+    # All differences first, then the set: interleaving each large temporary
+    # with its copy (a generator) raised the peak RSS of a three-model 25 MB
+    # offline merge by 5-8 MB through heap fragmentation.
     entries = [(n, s, x - b.flat(n)) for n, s, x in a]
-    return DeltaSet(entries, base_fingerprint=b.fingerprint())
+    return ParameterSet(entries)
 
 
-def apply_delta(base: ParameterSet, d: DeltaSet) -> ParameterSet:
-    """Elementwise base + d.
-
-    A base-fingerprint mismatch warns instead of failing: applying a delta
-    to a model other than its original base is a supported use.
-    """
+def apply_delta(base: ParameterSet, d: ParameterSet) -> ParameterSet:
+    """Elementwise base + d. The delta need not come from this base: relaxed
+    online merging applies deltas to the current policy."""
     check_aligned(base, d)
-    fp = getattr(d, "base_fingerprint", "")
-    if fp and fp != base.fingerprint():
-        warnings.warn(
-            "delta was computed against a different base (fingerprint mismatch); "
-            "applying anyway",
-            stacklevel=2,
-        )
     return ParameterSet((n, s, x + d.flat(n)) for n, s, x in base)
 
 
@@ -264,7 +228,7 @@ def load_checkpoint(path) -> ParameterSet:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(buf[body_start : body_start + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:
         raise FormatError(f"{path}: invalid header JSON ({e})") from e
     if not isinstance(header, dict) or header.get("dtype") != "f64" or header.get("version") != 1:
         raise FormatError(f"{path}: unsupported header (need dtype f64, version 1)")
@@ -274,12 +238,17 @@ def load_checkpoint(path) -> ParameterSet:
     payload = buf[body_start + hlen :]
     running = 0
     entries = []
-    for e in raw_entries:
-        try:
-            name, shape, offset, length = e["name"], e["shape"], e["offset"], e["len"]
-            shape = tuple(int(s) for s in shape)
-        except (TypeError, KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed entry record {e!r}") from exc
+    for i, e in enumerate(raw_entries):
+        # Nonnegative JSON integers (type is int: not floats or bools), so the
+        # payload length check below bounds every count passed to numpy.
+        if not (
+            isinstance(e, dict)
+            and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list)
+            and all(type(v) is int and v >= 0 for v in [*e["shape"], e.get("offset"), e.get("len")])
+        ):
+            raise FormatError(f"{path}: malformed entry record {i}")
+        name, shape, offset, length = e["name"], tuple(e["shape"]), e["offset"], e["len"]
         if offset != running:
             raise FormatError(f"{path}: entry {name!r} offset {offset}, expected {running}")
         if length != math.prod(shape):

@@ -7,11 +7,9 @@ keeps the optimization problem's structure without any sequence modeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidBeta
+from .errors import InvalidBeta
 from .params import ParameterSet
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -94,28 +92,10 @@ class ToyPolicy:
         return float(np.mean(self.predict(x) == np.asarray(labels)))
 
 
-def policy_logprob(policy: ToyPolicy, x: np.ndarray, response: int) -> float:
-    """log pi(response | x) under the policy's softmax over candidates."""
-    response = int(response)
-    if not 0 <= response < policy.num_responses:
-        raise IndexOutOfRange(
-            f"response {response} outside [0, {policy.num_responses})"
-        )
-    return float(policy.logprobs(x)[response])
-
-
 def _pair_arrays(batch):
-    """Normalize a batch (PreferenceSet-like or iterable of pairs) to arrays."""
-    if hasattr(batch, "x") and hasattr(batch, "chosen"):
-        x = np.atleast_2d(np.asarray(batch.x, dtype=np.float64))
-        return x, np.asarray(batch.chosen, int), np.asarray(batch.rejected, int)
-    pairs = list(batch)
-    if not pairs:
-        return np.zeros((0, 0)), np.zeros(0, int), np.zeros(0, int)
-    x = np.stack([np.asarray(p.x, dtype=np.float64) for p in pairs])
-    chosen = np.array([p.chosen for p in pairs], dtype=int)
-    rejected = np.array([p.rejected for p in pairs], dtype=int)
-    return x, chosen, rejected
+    """A PreferenceSet-like batch as (x rows, chosen, rejected) arrays."""
+    x = np.atleast_2d(np.asarray(batch.x, dtype=np.float64))
+    return x, np.asarray(batch.chosen, int), np.asarray(batch.rejected, int)
 
 
 def dpo_margins(policy: ToyPolicy, reference: ToyPolicy, batch, beta: float) -> np.ndarray:
@@ -210,16 +190,3 @@ def class_loss_and_grad(policy: ToyPolicy, x: np.ndarray, labels: np.ndarray):
     g_logits[rows, labels] -= 1.0
     g_logits /= len(x)
     return loss, _backprop(policy, x, hidden, g_logits)
-
-
-@dataclass(frozen=True)
-class PreferencePair:
-    """One preference judgment: features x, chosen and rejected response indices."""
-
-    x: np.ndarray
-    chosen: int
-    rejected: int
-
-    def __post_init__(self):
-        if int(self.chosen) == int(self.rejected):
-            raise ValueError("chosen and rejected responses must differ")

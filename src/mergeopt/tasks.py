@@ -9,6 +9,8 @@ desk-scale stand-in for the reward-vs-forgetting trade-off.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,6 +26,21 @@ _SHIFT_SCALE = 0.8
 _UTILITY_CLUSTER_PENALTY = 4.0
 
 
+def is_count(value, least: int) -> bool:
+    """An integer, not a bool, of at least `least`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
+def is_real(value) -> bool:
+    """A finite real number that is not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class SuiteSizes:
     pretrain_train: int = 2000
@@ -35,8 +52,8 @@ class SuiteSizes:
 
     def validate(self):
         for name, value in asdict(self).items():
-            if int(value) < 1:
-                raise InvalidConfig(f"size {name} must be positive, got {value}")
+            if not is_count(value, 1):
+                raise InvalidConfig(f"size {name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +141,25 @@ def _sample_preferences(rng, centers, utility_w, utility_b, n, noise) -> Prefere
     return PreferenceSet(x, chosen, rejected)
 
 
+def check_data(input_dim, hidden_dim, num_responses, sizes: SuiteSizes, preference_noise) -> None:
+    """Raise InvalidConfig unless gen_task_suite can build a suite from these."""
+    for name, value, least in (
+        ("input_dim", input_dim, 1),
+        ("hidden_dim", hidden_dim, 1),
+        ("num_responses", num_responses, 2),
+    ):
+        if not is_count(value, least):
+            raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
+    if num_responses > input_dim:
+        raise InvalidConfig(
+            f"num_responses ({num_responses}) must not exceed input_dim ({input_dim}) "
+            "so cluster centers can be mutually orthogonal"
+        )
+    if not (is_real(preference_noise) and 0.0 <= preference_noise < 0.5):
+        raise InvalidConfig(f"preference_noise must be in [0, 0.5), got {preference_noise!r}")
+    sizes.validate()
+
+
 def gen_task_suite(
     seed: int,
     input_dim: int = 6,
@@ -140,16 +176,7 @@ def gen_task_suite(
     preference_noise so the loss cannot saturate instantly.
     """
     sizes = sizes or SuiteSizes()
-    sizes.validate()
-    if num_responses < 2:
-        raise InvalidConfig(f"need at least 2 candidate responses, got {num_responses}")
-    if num_responses > input_dim:
-        raise InvalidConfig(
-            f"num_responses ({num_responses}) must not exceed input_dim ({input_dim}) "
-            "so cluster centers can be mutually orthogonal"
-        )
-    if not (0.0 <= preference_noise < 0.5):
-        raise InvalidConfig(f"preference_noise must be in [0, 0.5), got {preference_noise}")
+    check_data(input_dim, hidden_dim, num_responses, sizes, preference_noise)
 
     rng = np.random.default_rng(int(seed))
     q, _ = np.linalg.qr(rng.normal(size=(input_dim, input_dim)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional
@@ -33,7 +32,7 @@ from .optim import (
 )
 from .params import ParameterSet, delta
 from .policy import ToyPolicy, class_loss_and_grad, dpo_loss, dpo_loss_and_grad
-from .tasks import SuiteSizes, TaskSuite, gen_task_suite
+from .tasks import SuiteSizes, TaskSuite, check_data, gen_task_suite, is_count, is_real
 
 OPTIMIZER_NAMES = (
     "adam",
@@ -94,10 +93,6 @@ def _take(d, allowed: set, where: str) -> dict:
     if unknown:
         raise InvalidConfig(f"unknown {where} key(s): {sorted(unknown)}")
     return dict(d)
-
-
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -162,10 +157,11 @@ class RunConfig:
             raise InvalidConfig(
                 f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZER_NAMES}"
             )
-        if self.ema_coefficient is not None and not (0.0 < self.ema_coefficient < 1.0):
-            raise InvalidConfig(f"ema_coefficient must be in (0, 1), got {self.ema_coefficient}")
-        if not _is_count(self.seed, 0) or self.seed >= 1 << 64:
+        if not isinstance(self.out_dir, str):
+            raise InvalidConfig(f"out_dir must be a string, got {self.out_dir!r}")
+        if not is_count(self.seed, 0) or self.seed >= 1 << 64:
             raise InvalidConfig(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        a, m = self.adam, self.merge
         for where, value, least in (
             ("dpo.steps", self.dpo.steps, 0),
             ("dpo.eval_every", self.dpo.eval_every, 1),
@@ -173,16 +169,39 @@ class RunConfig:
             ("phases.pretrain_steps", self.phases.pretrain_steps, 0),
             ("phases.sft_steps", self.phases.sft_steps, 0),
             ("phases.batch_size", self.phases.batch_size, 1),
-            ("data.hidden_dim", self.data.hidden_dim, 1),
+            ("merge.gap_step", m.gap_step, 1),
         ):
-            if not _is_count(value, least):
+            if not is_count(value, least):
                 raise InvalidConfig(f"{where} must be an integer >= {least}, got {value!r}")
-        m = self.merge
+        reals = [
+            ("adam.learning_rate", a.learning_rate),
+            ("adam.beta1", a.beta1),
+            ("adam.beta2", a.beta2),
+            ("adam.epsilon", a.epsilon),
+            ("adam.weight_decay", a.weight_decay),
+            ("phases.learning_rate", self.phases.learning_rate),
+            ("merge.alpha", m.alpha),
+            ("merge.reserve_rate", m.reserve_rate),
+            ("dpo.beta", self.dpo.beta),
+        ]
+        if self.ema_coefficient is not None:
+            reals.append(("ema_coefficient", self.ema_coefficient))
+        for where, value in reals:
+            if not is_real(value):
+                raise InvalidConfig(f"{where} must be a finite number, got {value!r}")
+        if not isinstance(a.bias_correction, bool):
+            raise InvalidConfig(f"adam.bias_correction must be true or false, got {a.bias_correction!r}")
+        if not self.dpo.beta > 0:
+            raise InvalidConfig(f"dpo.beta must be positive, got {self.dpo.beta!r}")
+        if self.ema_coefficient is not None and not (0.0 < self.ema_coefficient < 1.0):
+            raise InvalidConfig(f"ema_coefficient must be in (0, 1), got {self.ema_coefficient}")
+        d = self.data
+        check_data(d.input_dim, d.hidden_dim, d.num_responses, d.sizes, d.preference_noise)
         try:
-            self.adam.to_hyper()
+            a.to_hyper()
             AdamHyper(learning_rate=self.phases.learning_rate)
             OnlineMergeConfig(MergeVariant.ONDARE, m.alpha, m.reserve_rate, m.gap_step)
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise InvalidConfig(str(e)) from e
 
     @classmethod

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergeopt import ParameterSet, load_checkpoint, save_checkpoint
+from mergeopt import ParameterSet, cli, load_checkpoint, save_checkpoint
 from mergeopt.cli import main
 from mergeopt.training import RunConfig
 
@@ -45,7 +45,7 @@ def write_config(tmp_path, **overrides) -> Path:
 
 def checkpoint(tmp_path, name, arrays) -> Path:
     path = tmp_path / name
-    save_checkpoint(ParameterSet.from_arrays(arrays), path)
+    save_checkpoint(ParameterSet((n, np.shape(a), a) for n, a in arrays.items()), path)
     return path
 
 
@@ -182,11 +182,24 @@ INVALID_CONFIGS = {
     "adam not an object": {"adam": 5},
     "hidden_dim 0": {"data": {"hidden_dim": 0}},
     "not JSON": None,
+    "ema_coefficient string": {"ema_coefficient": "x"},
+    "beta string": {"dpo": {"beta": "x"}},
+    "beta 0": {"dpo": {"beta": 0}},
+    "input_dim string": {"data": {"input_dim": "x"}},
+    "preference_noise string": {"data": {"preference_noise": "x"}},
+    "num_responses 2.5": {"data": {"num_responses": 2.5}},
+    "size string": {"data": {"sizes": {"pretrain_train": "x"}}},
+    "size 2.5": {"data": {"sizes": {"pretrain_train": 2.5}}},
+    "bias_correction string": {"adam": {"bias_correction": "no"}},
 }
 
 
 @pytest.mark.parametrize("label", list(INVALID_CONFIGS))
-def test_invalid_config_exits_two_before_training(tmp_path, capsys, label):
+def test_invalid_config_exits_two_before_training(tmp_path, capsys, monkeypatch, label):
+    def no_data(cfg):
+        raise AssertionError("the task suite was built for an invalid config")
+
+    monkeypatch.setattr(cli, "make_suite", no_data)
     override = INVALID_CONFIGS[label]
     if override is None:
         cfg_path = tmp_path / "config.json"
@@ -290,3 +303,24 @@ class TestGendataInspect:
         bad = tmp_path / "bad.pset"
         bad.write_bytes(b"nope")
         assert main(["inspect", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "entry,payload_len",
+        [
+            ('{"name":"w","shape":[Infinity],"offset":0,"len":1}', 8),
+            ('{"name":"w","shape":"12","offset":0,"len":2}', 16),
+            ('{"name":"w","shape":[1],"offset":false,"len":true}', 8),
+            ("[" * 100_000 + "]" * 100_000, 0),
+        ],
+        ids=["shape Infinity", "shape string", "offset and len bools", "nested 100000 deep"],
+    )
+    def test_inspect_malformed_header_exit_one(self, tmp_path, capsys, entry, payload_len):
+        header = ('{"entries":[%s],"dtype":"f64","version":1}' % entry).encode()
+        bad = tmp_path / "bad.pset"
+        bad.write_bytes(
+            b"PSET1\n" + len(header).to_bytes(4, "little") + header + b"\x00" * payload_len
+        )
+        assert main(["inspect", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "Traceback" not in err

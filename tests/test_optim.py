@@ -5,7 +5,6 @@ import pytest
 
 from mergeopt import (
     AdamHyper,
-    DeltaSet,
     MaskKey,
     MergeVariant,
     MisalignedSets,
@@ -14,16 +13,14 @@ from mergeopt import (
     OnlineMergeConfig,
     OptimizerState,
     ParameterSet,
-    adam_delta,
     adam_step,
     bernoulli_mask,
     childtuning_step,
     ema_update,
     full_merge_step,
-    load_optimizer_state,
     ondare_step,
     onties_step,
-    save_optimizer_state,
+    sign_consensus,
     sparsify_random,
     sparsify_top_p,
     stepk_step,
@@ -35,14 +32,10 @@ def pset(**named):
     return ParameterSet((k, np.shape(v), v) for k, v in named.items())
 
 
-def dset(**named):
-    return DeltaSet([(k, np.shape(v), v) for k, v in named.items()])
-
-
 def make_problem(seed=0, n=8):
     rng = np.random.default_rng(seed)
     params = pset(w=rng.normal(size=n), b=rng.normal(size=3))
-    tau = dset(w=rng.normal(size=n), b=rng.normal(size=3))
+    tau = pset(w=rng.normal(size=n), b=rng.normal(size=3))
     return params, tau
 
 
@@ -52,49 +45,48 @@ def grad_stream(seed, step, params):
 
 
 class TestAdamDelta:
+    """The raw Adam update delta, seen through adam_step on one-tensor sets."""
+
     def test_zero_gradient_zero_moments_gives_zero(self):
-        params, _ = make_problem()
+        params = pset(w=np.random.default_rng(0).normal(size=8))
         state = OptimizerState(params)
-        state.t = 1
-        d = adam_delta(state, "w", np.zeros(8), AdamHyper.pseudocode_literal(0.1))
-        assert np.all(d == 0.0)
+        out = adam_step(params, pset(w=np.zeros(8)), state, AdamHyper.pseudocode_literal(0.1))
+        assert np.all(out.vector() - params.vector() == 0.0)
 
     def test_scalar_oracle_without_bias_correction(self):
         # Independent evaluation of the raw update rule on one scalar step:
         # m = 0.1, v = 0.001, delta = -0.1 * 0.1 / sqrt(0.001 + 1e-8).
         params = pset(x=[0.0])
         state = OptimizerState(params)
-        state.t = 1
         hyper = AdamHyper.pseudocode_literal(learning_rate=0.1)
-        d = adam_delta(state, "x", [1.0], hyper)
+        d = adam_step(params, pset(x=[1.0]), state, hyper).flat("x")
         expected = -0.1 * 0.1 / math.sqrt(0.001 + 1e-8)
         assert d[0] == pytest.approx(expected, abs=1e-15)
         assert d[0] == pytest.approx(-0.316226, abs=1e-6)
-        assert state.m["x"][0] == pytest.approx(0.1, abs=1e-15)
-        assert state.v["x"][0] == pytest.approx(0.001, abs=1e-15)
+        assert state.m[0] == pytest.approx(0.1, abs=1e-15)
+        assert state.v[0] == pytest.approx(0.001, abs=1e-15)
 
     def test_scalar_oracle_with_bias_correction(self):
         params = pset(x=[0.0])
         state = OptimizerState(params)
-        state.t = 1
-        d = adam_delta(state, "x", [1.0], AdamHyper(learning_rate=0.1))
+        d = adam_step(params, pset(x=[1.0]), state, AdamHyper(learning_rate=0.1)).flat("x")
         # mhat = 0.1/(1-0.9) = 1, vhat = 0.001/(1-0.999) = 1.
         assert d[0] == pytest.approx(-0.1 / math.sqrt(1.0 + 1e-8), abs=1e-15)
         assert d[0] == pytest.approx(-0.1, abs=1e-6)
+        assert state.m[0] == pytest.approx(0.1, abs=1e-15)
+        assert state.v[0] == pytest.approx(0.001, abs=1e-15)
 
     def test_nonfinite_gradient_rejected(self):
-        params, _ = make_problem()
+        params = pset(w=np.zeros(8))
         state = OptimizerState(params)
-        state.t = 1
         with pytest.raises(NonFiniteGradient):
-            adam_delta(state, "w", [np.nan] * 8, AdamHyper(learning_rate=0.1))
+            adam_step(params, pset(w=[np.nan] * 8), state, AdamHyper(learning_rate=0.1))
 
     def test_gradient_size_mismatch(self):
-        params, _ = make_problem()
+        params = pset(w=np.zeros(8))
         state = OptimizerState(params)
-        state.t = 1
         with pytest.raises(MisalignedSets):
-            adam_delta(state, "w", [1.0], AdamHyper(learning_rate=0.1))
+            adam_step(params, pset(w=[1.0]), state, AdamHyper(learning_rate=0.1))
 
 
 HYP = AdamHyper(learning_rate=0.05)
@@ -125,7 +117,7 @@ class TestOnDare:
         # At p=1 and alpha=0.5 the step applies 0.5*delta + 0.5*tau; compare
         # against an independently computed scalar delta.
         params = pset(x=[1.0])
-        tau = dset(x=[0.4])
+        tau = pset(x=[0.4])
         state = OptimizerState(params, tau_ref=tau, seed=0)
         hyper = AdamHyper.pseudocode_literal(learning_rate=0.2)
         cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.5, reserve_rate=1.0)
@@ -174,14 +166,31 @@ class TestOnTies:
         shadow = OptimizerState(params, tau_ref=tau, seed=13)
         g = grad_stream(3, 1, params)
         out = onties_step(params, g, state, HYP, cfg)
-        shadow.t = 1
+        # Plain Adam from all-zero parameters returns the raw update delta.
+        deltas = adam_step(params.map(np.zeros_like), g, shadow, HYP)
         for name, _, arr in params:
-            d = adam_delta(shadow, name, g.flat(name), HYP)
-            a = 0.75 * sparsify_top_p(d, 0.5)
+            a = 0.75 * sparsify_top_p(deltas.flat(name), 0.5)
             b = 0.25 * sparsify_top_p(tau.flat(name), 0.5)
-            from mergeopt import sign_consensus
-
             assert np.array_equal(out.flat(name), arr + sign_consensus(a, b))
+
+    def test_reference_side_follows_each_config(self):
+        # One state stepped under configs with different alpha (and rate)
+        # gives, at every step, the parameters of a fresh state brought to
+        # the same moments by plain Adam and stepped once under that config.
+        params, tau = make_problem(seed=6)
+        cfgs = [
+            OnlineMergeConfig(MergeVariant.ONTIES, alpha=a, reserve_rate=p)
+            for a, p in ((0.25, 0.5), (0.75, 0.5), (0.25, 0.3))
+        ]
+        state = OptimizerState(params, tau_ref=tau, seed=3)
+        p = params
+        for t, cfg in enumerate(cfgs + cfgs, start=1):
+            fresh = OptimizerState(params, tau_ref=tau, seed=3)
+            for k in range(1, t):
+                adam_step(params, grad_stream(4, k, params), fresh, HYP)
+            expected = onties_step(p, grad_stream(4, t, params), fresh, HYP, cfg)
+            p = onties_step(p, grad_stream(4, t, params), state, HYP, cfg)
+            assert p == expected
 
     def test_variant_mismatch_rejected(self):
         params, tau = make_problem()
@@ -196,7 +205,7 @@ class TestFullMerge:
         # base=1, theta=2, delta=0.5, tau=-1, alpha=0.5, p=1 -> 1.25
         base = pset(x=[1.0])
         params = pset(x=[2.0])
-        tau = dset(x=[-1.0])
+        tau = pset(x=[-1.0])
         state = OptimizerState(params, tau_ref=tau, seed=0)
         # Force delta exactly 0.5: gradient -1 with literal rule and lr chosen
         # so -lr*m/sqrt(v+eps) = 0.5.
@@ -212,7 +221,7 @@ class TestFullMerge:
     def test_alpha_zero_p_one_reduction_on_dyadic_values(self):
         base = pset(x=[1.0])
         params = pset(x=[2.0])
-        tau = dset(x=[-1.0])
+        tau = pset(x=[-1.0])
         hyper = AdamHyper.pseudocode_literal(learning_rate=0.5 * math.sqrt(0.001 + 1e-8) / 0.1)
         cfg = OnlineMergeConfig(
             MergeVariant.FULL_MERGE, alpha=0.0, reserve_rate=1.0, base_for_full_merge=base
@@ -250,7 +259,7 @@ class TestStepK:
         # parameters are theta0 + 0.5*(d1 + d2) + 0.5*tau.
         theta0, tau_val = 1.5, 0.4
         params = pset(x=[theta0])
-        tau = dset(x=[tau_val])
+        tau = pset(x=[tau_val])
         hyper = AdamHyper.pseudocode_literal(learning_rate=0.1)
         cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.5, reserve_rate=1.0, gap_step=2)
         state = OptimizerState(params, tau_ref=tau, seed=0)
@@ -266,19 +275,17 @@ class TestStepK:
 
         p1 = stepk_step(params, pset(x=[g1]), state, hyper, cfg)
         assert p1.flat("x")[0] == pytest.approx(theta0 + d1, abs=1e-15)
-        assert state.delta_cache["x"][0] == pytest.approx(d1, abs=1e-15)
+        assert state.delta_cache[0] == pytest.approx(d1, abs=1e-15)
         p2 = stepk_step(p1, pset(x=[g2]), state, hyper, cfg)
         assert p2.flat("x")[0] == pytest.approx(
             theta0 + 0.5 * (d1 + d2) + 0.5 * tau_val, abs=1e-14
         )
-        assert state.delta_cache["x"][0] == 0.0
+        assert state.delta_cache[0] == 0.0
 
     @pytest.mark.parametrize("variant", [MergeVariant.ONDARE, MergeVariant.ONTIES])
     def test_k_equals_total_steps_matches_two_phase_oracle(self, variant):
         # Oracle: run plain Adam for T steps, then apply one merge over the
         # total displacement with the shared mask seed and step index T.
-        from mergeopt import sign_consensus
-
         T, alpha, p, seed = 60, 0.3, 0.5, 33
         params, tau = make_problem(seed=10, n=50)
         cfg = OnlineMergeConfig(variant, alpha=alpha, reserve_rate=p, gap_step=T)
@@ -317,9 +324,9 @@ class TestStepK:
         for t in range(1, 7):
             p = stepk_step(p, grad_stream(9, t, params), state, HYP, cfg)
             if t % 3 == 0:
-                assert all(np.all(c == 0.0) for c in state.delta_cache.values())
+                assert np.all(state.delta_cache == 0.0)
             else:
-                assert any(np.any(c != 0.0) for c in state.delta_cache.values())
+                assert np.any(state.delta_cache != 0.0)
 
 
 class TestChildTuning:
@@ -365,26 +372,26 @@ class TestEma:
     def test_single_update(self):
         params = pset(x=[1.0])
         state = OptimizerState(params, track_ema=True)
-        state.ema = {"x": np.array([0.0])}
+        state.ema = np.array([0.0])
         ema_update(state, params, 1e-3)
-        assert state.ema["x"][0] == pytest.approx(1e-3, abs=1e-18)
+        assert state.ema[0] == pytest.approx(1e-3, abs=1e-18)
 
     def test_fixed_point(self):
         params = pset(x=[2.5])
         state = OptimizerState(params, track_ema=True)
         ema_update(state, params, 1e-3)
-        assert state.ema["x"][0] == 2.5
+        assert state.ema[0] == 2.5
 
     def test_geometric_convergence_closed_form(self):
         params = pset(x=[1.0])
         state = OptimizerState(params, track_ema=True)
         shadow0 = 0.25
-        state.ema = {"x": np.array([shadow0])}
+        state.ema = np.array([shadow0])
         c, n = 0.05, 40
         for _ in range(n):
             ema_update(state, params, c)
         expected_error = (1 - c) ** n * abs(1.0 - shadow0)
-        assert abs(1.0 - state.ema["x"][0]) == pytest.approx(expected_error, rel=1e-9)
+        assert abs(1.0 - state.ema[0]) == pytest.approx(expected_error, rel=1e-9)
 
     def test_coefficient_validated(self):
         params = pset(x=[1.0])
@@ -418,9 +425,8 @@ class TestStateInvariants:
         ref = states["adam"]
         for name, s in states.items():
             assert s.t == 1
-            for tensor in ("w", "b"):
-                assert np.array_equal(s.m[tensor], ref.m[tensor]), name
-                assert np.array_equal(s.v[tensor], ref.v[tensor]), name
+            assert np.array_equal(s.m, ref.m), name
+            assert np.array_equal(s.v, ref.v), name
 
     def test_second_moment_nonnegative_and_t_increases(self):
         params, tau = make_problem()
@@ -430,54 +436,22 @@ class TestStateInvariants:
         for t in range(1, 30):
             p = ondare_step(p, grad_stream(6, t, params), state, HYP, cfg)
             assert state.t == t
-            assert all(np.all(v >= 0.0) for v in state.v.values())
+            assert np.all(state.v >= 0.0)
 
     def test_tau_ref_is_not_mutated_by_steps(self):
         params, tau = make_problem()
-        before = {n: a.tobytes() for n, _, a in tau}
+        before = tau.vector().tobytes()
         state = OptimizerState(params, tau_ref=tau, seed=0)
         p = params
         cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.5, reserve_rate=0.5)
         for t in range(1, 10):
             p = ondare_step(p, grad_stream(7, t, params), state, HYP, cfg)
-        assert {n: a.tobytes() for n, _, a in state.tau_ref} == before
+        assert state.tau_ref.tobytes() == before
 
-
-class TestStateSerialization:
-    def test_roundtrip(self, tmp_path):
-        params, tau = make_problem()
-        state = OptimizerState(params, tau_ref=tau, seed=9, track_ema=True)
-        p = params
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE, gap_step=3)
-        for t in range(1, 8):
-            p = stepk_step(p, grad_stream(2, t, params), state, HYP, cfg)
-            ema_update(state, p, 0.01)
-        path = tmp_path / "state.pset"
-        save_optimizer_state(state, path, scalars={"note": "test"})
-        loaded, sidecar = load_optimizer_state(path)
-        assert loaded.t == state.t
-        assert loaded.seed == state.seed
-        assert sidecar["note"] == "test"
-        for tensor in ("w", "b"):
-            assert np.array_equal(loaded.m[tensor], state.m[tensor])
-            assert np.array_equal(loaded.v[tensor], state.v[tensor])
-            assert np.array_equal(loaded.delta_cache[tensor], state.delta_cache[tensor])
-            assert np.array_equal(loaded.ema[tensor], state.ema[tensor])
-            assert np.array_equal(loaded.tau_ref.flat(tensor), state.tau_ref.flat(tensor))
-
-    def test_memory_contract_no_base_model_in_state(self, tmp_path):
-        # The state may cache the reference delta but never the base model:
-        # serialized names carry only the reserved prefixes.
-        from mergeopt import load_checkpoint
-
+    def test_memory_contract_no_base_model_in_state(self):
+        # The state may cache the reference delta but never the base model.
         params, tau = make_problem()
         state = OptimizerState(params, tau_ref=tau, seed=9)
-        path = tmp_path / "state.pset"
-        save_optimizer_state(state, path)
-        container = load_checkpoint(path)
-        allowed = ("__m.", "__v.", "__dc.", "__tau.")
-        assert all(name.startswith(allowed) for name in container.names)
-        assert not any("base" in name or "theta_b" in name for name in container.names)
         attrs = {
             k: v for k, v in vars(state).items() if not k.startswith("_")
         }
@@ -506,5 +480,5 @@ def test_adam_hyper_defaults():
     h = AdamHyper()
     assert (h.learning_rate, h.beta1, h.beta2) == (5e-7, 0.9, 0.999)
     assert (h.epsilon, h.weight_decay, h.bias_correction) == (1e-8, 0.0, True)
-    cfg = OnlineMergeConfig()
+    cfg = OnlineMergeConfig(MergeVariant.ONDARE)
     assert (cfg.alpha, cfg.reserve_rate, cfg.gap_step) == (1e-6, 0.5, 1)

@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergeopt import (
-    DeltaSet,
     FormatError,
     MisalignedSets,
     ParameterSet,
@@ -63,17 +64,8 @@ def test_apply_delta_zero_delta():
 
 def test_apply_delta_inverts_delta_example():
     base = pset(w=[1.0, 1.0])
-    d = DeltaSet([("w", (2,), [2.0, -2.0])])
+    d = pset(w=[2.0, -2.0])
     assert np.array_equal(apply_delta(base, d).flat("w"), [3.0, -1.0])
-
-
-def test_apply_delta_warns_on_foreign_base():
-    a, b = pset(w=[3.0]), pset(w=[1.0])
-    d = delta(a, b)
-    other = pset(w=[5.0])
-    with pytest.warns(UserWarning, match="fingerprint mismatch"):
-        out = apply_delta(other, d)
-    assert np.array_equal(out.flat("w"), [7.0])
 
 
 def _dyadic(rng, size):
@@ -193,6 +185,9 @@ def test_checkpoint_noncontiguous_offsets_rejected(tmp_path):
         {"name": 5, "shape": [1], "offset": 0, "len": 1},
         {"name": "w", "shape": [1], "offset": 0},
         ["w", [1], 0, 1],
+        {"name": "w", "shape": [float("inf")], "offset": 0, "len": 1},
+        {"name": "w", "shape": "1", "offset": 0, "len": 1},
+        {"name": "w", "shape": [1], "offset": False, "len": True},
     ],
 )
 def test_checkpoint_malformed_entry_is_format_error(tmp_path, entry):
@@ -203,6 +198,49 @@ def test_checkpoint_malformed_entry_is_format_error(tmp_path, entry):
     path.write_bytes(b"PSET1\n" + len(header).to_bytes(4, "little") + header + b"\x00" * 8)
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_deeply_nested_header_is_format_error(tmp_path):
+    header = b"[" * 100_000 + b"]" * 100_000
+    path = tmp_path / "deep.pset"
+    path.write_bytes(b"PSET1\n" + len(header).to_bytes(4, "little") + header)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_SCALAR = st.integers(-2, 4) | st.sampled_from(
+    [0.0, 1.5, float("inf"), float("nan"), True, False, None, "", "12", [1]]
+)
+_ENTRY = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=2) | _JSON,
+        "shape": st.lists(_SCALAR, max_size=3) | _JSON,
+        "offset": _SCALAR,
+        "len": _SCALAR,
+    }
+) | _JSON
+_HEADER = st.fixed_dictionaries(
+    {"entries": st.lists(_ENTRY, max_size=3), "dtype": st.just("f64"), "version": st.just(1)}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.binary(max_size=64) | (_HEADER | _JSON).map(lambda h: json.dumps(h).encode()),
+    st.binary(max_size=48),
+)
+def test_any_header_gives_parameter_set_or_format_error(tmp_path_factory, header, payload):
+    path = tmp_path_factory.mktemp("hdr") / "h.pset"
+    path.write_bytes(b"PSET1\n" + len(header).to_bytes(4, "little") + header + payload)
+    try:
+        assert isinstance(load_checkpoint(path), ParameterSet)
+    except FormatError:
+        pass
 
 
 def test_missing_file_raises_oserror(tmp_path):

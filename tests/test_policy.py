@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from mergeopt import (
-    IndexOutOfRange,
     InvalidBeta,
     ParameterSet,
-    PreferencePair,
     ToyPolicy,
     class_loss_and_grad,
     dpo_grad,
     dpo_loss,
     dpo_loss_and_grad,
-    policy_logprob,
 )
 from mergeopt.tasks import PreferenceSet
 
@@ -43,7 +40,7 @@ class TestLogprob:
             ]
         )
         policy = ToyPolicy(params, 3, 2, 4)
-        lp = policy_logprob(policy, np.ones(3), 2)
+        lp = policy.logprobs(np.ones(3))[2]
         assert lp == pytest.approx(math.log(0.25), abs=1e-12)
 
     def test_huge_logits_do_not_overflow(self):
@@ -56,22 +53,15 @@ class TestLogprob:
             ]
         )
         policy = ToyPolicy(params, 1, 1, 2)
-        lp = policy_logprob(policy, np.zeros(1), 0)
+        lp = policy.logprobs(np.zeros(1))[0]
         assert math.isfinite(lp)
         assert lp == pytest.approx(0.0, abs=1e-12)
 
     def test_probabilities_normalize(self):
         policy = make_policy(seed=3)
         x = np.random.default_rng(4).normal(size=3)
-        total = sum(math.exp(policy_logprob(policy, x, y)) for y in range(3))
+        total = sum(math.exp(lp) for lp in policy.logprobs(x))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_response_out_of_range(self):
-        policy = make_policy()
-        with pytest.raises(IndexOutOfRange):
-            policy_logprob(policy, np.zeros(3), 3)
-        with pytest.raises(IndexOutOfRange):
-            policy_logprob(policy, np.zeros(3), -1)
 
 
 class TestDpoLoss:
@@ -117,22 +107,6 @@ class TestDpoLoss:
         with pytest.raises(InvalidBeta):
             dpo_loss(policy, policy, make_batch(policy), beta=0.0)
 
-    def test_accepts_pair_sequences(self):
-        policy = make_policy(seed=6)
-        batch = make_batch(policy, n=4, seed=2)
-        pairs = [
-            PreferencePair(batch.x[i], int(batch.chosen[i]), int(batch.rejected[i]))
-            for i in range(4)
-        ]
-        l1, m1 = dpo_loss(policy, policy, batch, 0.1)
-        l2, m2 = dpo_loss(policy, policy, pairs, 0.1)
-        assert l1 == l2
-        assert np.array_equal(m1, m2)
-
-    def test_pair_validation(self):
-        with pytest.raises(ValueError):
-            PreferencePair(np.zeros(3), 1, 1)
-
 
 class TestDpoGrad:
     def test_matches_central_finite_differences(self):
@@ -173,7 +147,7 @@ class TestDpoGrad:
         batch = make_batch(policy, n=16, seed=12)
         loss0, _, grad = dpo_loss_and_grad(policy, reference, batch, 0.1)
         step = 1e-4
-        moved = policy.params.zip_map(grad, lambda a, g: a - step * g)
+        moved = policy.params.with_vector(policy.params.vector() - step * grad.vector())
         loss1, _ = dpo_loss(policy.with_params(moved), reference, batch, 0.1)
         assert loss1 < loss0
 

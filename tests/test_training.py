@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeopt import InvalidConfig, NonFiniteLoss, delta
 from mergeopt.training import (
@@ -58,6 +60,36 @@ class TestRunConfig:
         assert cfg.dpo.beta == 0.1
         assert cfg.dpo.steps == 500
         assert cfg.dpo.eval_every == 10
+
+
+def _field_paths(cls, prefix=()):
+    """Every key path RunConfig.from_dict reads, sections included."""
+    for f in dataclasses.fields(cls):
+        path = prefix + (f.name,)
+        yield path
+        default = f.default_factory() if callable(f.default_factory) else f.default
+        if dataclasses.is_dataclass(default):
+            yield from _field_paths(type(default), path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(_field_paths(RunConfig))), _JSON)
+def test_any_json_value_in_any_field_gives_config_or_invalid_config(path, value):
+    # Construction only: nothing is trained, so huge sizes allocate nothing.
+    raw = value
+    for key in reversed(path):
+        raw = {key: raw}
+    try:
+        assert isinstance(RunConfig.from_dict(raw), RunConfig)
+    except InvalidConfig:
+        pass
 
 
 class TestTrainRun:
