@@ -1,5 +1,7 @@
 """Golden pins: each optimizer's final parameters and metrics bytes on a fast
-configuration, recorded before the step engine was rewritten.
+configuration, recorded before the step engine was rewritten, and offline
+merge results and checkpoint bytes, recorded before every ParameterSet was
+backed by one flat vector.
 
 A refactor of the step path must reproduce these exactly: every operation is
 elementwise, so no reordering of tensors or batching of the arithmetic may
@@ -8,8 +10,11 @@ change a single bit. Re-record only for a deliberate change of behaviour.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from mergeopt.kernels import MergeMethod, MergeSpec, offline_merge
+from mergeopt.params import ParameterSet, save_checkpoint
 from mergeopt.tasks import SuiteSizes
 from mergeopt.training import (
     AdamSettings,
@@ -62,3 +67,49 @@ def test_golden_run(label):
     res = train_run(make_suite(cfg), cfg)
     metrics_hash = hashlib.blake2b(res.metrics.to_csv_bytes(), digest_size=16).hexdigest()
     assert (res.theta_final.fingerprint(), metrics_hash) == GOLDEN[label]
+
+
+def _merge_inputs():
+    """A seeded base with three tensors and three fine-tuned models of it."""
+    rng = np.random.default_rng(20240528)
+    shapes = (("embed", (6, 5)), ("layer0.w", (4, 4)), ("layer0.b", (7,)))
+    base = ParameterSet((n, s, rng.normal(size=s)) for n, s in shapes)
+    models = [
+        ParameterSet((n, s, x + 0.1 * rng.normal(size=x.size)) for n, s, x in base)
+        for _ in range(3)
+    ]
+    return base, models
+
+
+MERGES = {
+    "linear": MergeSpec(MergeMethod.LINEAR, weights=(0.5, 0.3, 0.2)),
+    "dare": MergeSpec(MergeMethod.DARE, reserve_rate=0.4, weights=(0.5, 0.3, 0.2), seed=7),
+    "dare-norescale": MergeSpec(
+        MergeMethod.DARE, reserve_rate=0.4, weights=(0.5, 0.3, 0.2), rescale=False, seed=7
+    ),
+    "ties": MergeSpec(MergeMethod.TIES, reserve_rate=0.6, weights=(0.5, 0.3, 0.2)),
+}
+
+# label -> fingerprint of the offline_merge result
+GOLDEN_MERGES = {
+    "linear": "6375ff8d9a3e26a4bd0e690731186f8e",
+    "dare": "18a3cdf1e1a062e885a3b363b5131a8e",
+    "dare-norescale": "c6ad2e352d82e533eb10eda1a5206744",
+    "ties": "8b70b49d8849426c0f05ad0229fb3560",
+}
+
+# blake2b-128 of the bytes save_checkpoint writes for the base set
+GOLDEN_CHECKPOINT = "d6b26daa668df25d555a6950d31a20fe"
+
+
+@pytest.mark.parametrize("label", list(MERGES))
+def test_golden_offline_merge(label):
+    base, models = _merge_inputs()
+    assert offline_merge(base, models, MERGES[label]).fingerprint() == GOLDEN_MERGES[label]
+
+
+def test_golden_checkpoint_bytes(tmp_path):
+    base, _ = _merge_inputs()
+    save_checkpoint(base, tmp_path / "base.pset")
+    data = (tmp_path / "base.pset").read_bytes()
+    assert hashlib.blake2b(data, digest_size=16).hexdigest() == GOLDEN_CHECKPOINT
