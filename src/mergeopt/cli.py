@@ -28,7 +28,7 @@ from .errors import (
     NonFiniteLoss,
 )
 from .kernels import MergeMethod, MergeSpec, offline_merge
-from .params import load_checkpoint, save_checkpoint
+from .params import check_aligned, load_checkpoint, save_checkpoint
 from .tasks import SuiteSizes, gen_task_suite, save_suite
 from .training import RunConfig, make_suite, train_run
 
@@ -244,6 +244,7 @@ def cmd_inspect(args) -> int:
         print(f"{name:<24}{str(shape):<16}{float(np.linalg.norm(arr)):.6g}")
     if args.diff:
         q = load_checkpoint(args.diff)
+        check_aligned(p, q)
         print(f"\ndelta norms vs {args.diff}:")
         total = 0.0
         for name, _, arr in p:
@@ -324,6 +325,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

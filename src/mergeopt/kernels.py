@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidProbability, MisalignedSets
 from .masks import MaskKey, bernoulli_mask
-from .params import ParameterSet, check_aligned, delta
+from .params import ParameterSet, check_aligned
+from .params import delta  # noqa: F401  (not called; bench/tracer.py wraps it here)
 
 
 class MergeMethod(Enum):
@@ -151,11 +152,12 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
         )
     for m in models:
         check_aligned(base, m)
-    taus = [delta(m, base) for m in models]
 
-    merged_entries = []
-    for name, shape, base_arr in base:
-        tau_arrays = [t.flat(name) for t in taus]
+    # Each model's delta one tensor at a time, so no whole-model delta is held.
+    out = np.empty(base.total_elements())
+    for name, sl in base.slices():
+        base_arr = base.flat(name)
+        tau_arrays = [m.flat(name) - base_arr for m in models]
         if spec.method is MergeMethod.TIES:
             merged = _ties_combine(tau_arrays, spec.weights, spec.reserve_rate)
         else:
@@ -170,5 +172,5 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
                     for i, arr in enumerate(tau_arrays)
                 ]
             merged = linear_combine(list(zip(spec.weights, tau_arrays)))
-        merged_entries.append((name, shape, base_arr + merged))
-    return ParameterSet(merged_entries)
+        np.add(base_arr, merged, out=out[sl])
+    return base.with_vector(out)

@@ -20,24 +20,18 @@ from .errors import FormatError, MisalignedSets
 MAGIC = b"PSET1\n"
 
 
-def _flat_f64(data) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64, copy=True, order="C").reshape(-1)
-    arr.setflags(write=False)
-    return arr
-
-
 class ParameterSet:
-    """Ordered collection of named, shaped, flat float64 tensors.
+    """Ordered collection of named, shaped float64 tensors.
 
-    A set built from entries holds one array per tensor. A set made by
-    with_vector is backed by one contiguous read-only vector, and its
-    tensors are views of their slices; optimizer steps produce such sets.
+    Every set is backed by one read-only flat float64 vector in entry order,
+    and each tensor is a view of its slice. A set built from entries
+    copies them once into a new vector; with_vector shares a set's layout.
 
     Equality is bit-exact over names, shapes, and raw float bytes, so it
     distinguishes -0.0 from 0.0 and treats equal NaN payloads as equal.
     """
 
-    __slots__ = ("_names", "_shapes", "_arrays", "_pos", "_slices", "_vector")
+    __slots__ = ("_names", "_shapes", "_pos", "_slices", "_vector")
 
     def __init__(self, entries: Iterable[tuple]):
         names: list[str] = []
@@ -53,7 +47,7 @@ class ParameterSet:
             shape = tuple(int(s) for s in shape)
             if any(s < 1 for s in shape):
                 raise ValueError(f"{name}: shape {shape} has a nonpositive dimension")
-            arr = _flat_f64(data)
+            arr = np.asarray(data, dtype=np.float64).reshape(-1)
             expected = math.prod(shape)
             if arr.size != expected:
                 raise ValueError(
@@ -65,12 +59,13 @@ class ParameterSet:
             arrays.append(arr)
             start = slices[-1].stop if slices else 0
             slices.append(slice(start, start + arr.size))
+        vector = np.concatenate(arrays) if arrays else np.zeros(0)
+        vector.setflags(write=False)
         self._names = tuple(names)
         self._shapes = tuple(shapes)
-        self._arrays = tuple(arrays)
         self._pos = pos
         self._slices = tuple(slices)
-        self._vector = None
+        self._vector = vector
 
     def with_vector(self, vector: np.ndarray) -> "ParameterSet":
         """A plain ParameterSet with this set's names, shapes and order,
@@ -86,7 +81,6 @@ class ParameterSet:
         out._names, out._shapes, out._pos, out._slices = (
             self._names, self._shapes, self._pos, self._slices
         )
-        out._arrays = tuple(vector[s] for s in self._slices)
         out._vector = vector
         return out
 
@@ -101,16 +95,12 @@ class ParameterSet:
         return name in self._pos
 
     def __iter__(self) -> Iterator[tuple[str, tuple[int, ...], np.ndarray]]:
-        return iter(zip(self._names, self._shapes, self._arrays))
+        v = self._vector
+        return ((n, s, v[sl]) for n, s, sl in zip(self._names, self._shapes, self._slices))
 
     def vector(self) -> np.ndarray:
-        """The whole set as one read-only flat vector in entry order: free for
-        a set backed by one vector, otherwise a concatenated copy."""
-        if self._vector is not None:
-            return self._vector
-        out = np.concatenate(self._arrays) if self._arrays else np.zeros(0)
-        out.setflags(write=False)
-        return out
+        """The whole set as its read-only flat vector in entry order (not a copy)."""
+        return self._vector
 
     def slices(self) -> tuple[tuple[str, slice], ...]:
         """(name, slice of the flat vector) for each entry, in order."""
@@ -121,21 +111,19 @@ class ParameterSet:
 
     def flat(self, name: str) -> np.ndarray:
         """Read-only flat view of one tensor."""
-        return self._arrays[self._pos[name]]
+        return self._vector[self._slices[self._pos[name]]]
 
     def tensor(self, name: str) -> np.ndarray:
         """Read-only view reshaped to the entry's declared shape."""
         i = self._pos[name]
-        return self._arrays[i].reshape(self._shapes[i])
+        return self._vector[self._slices[i]].reshape(self._shapes[i])
 
     def total_elements(self) -> int:
         return self._slices[-1].stop if self._slices else 0
 
     def map(self, fn) -> "ParameterSet":
         """New set with fn applied to each flat array; shapes are kept."""
-        return ParameterSet(
-            (n, s, fn(a)) for n, s, a in zip(self._names, self._shapes, self._arrays)
-        )
+        return ParameterSet((n, s, fn(a)) for n, s, a in self)
 
     def fingerprint(self) -> str:
         """Content hash covering names, shapes, order, and raw float bytes."""
@@ -152,7 +140,7 @@ class ParameterSet:
             return NotImplemented
         if self._names != other._names or self._shapes != other._shapes:
             return False
-        return all(a.tobytes() == b.tobytes() for a, b in zip(self._arrays, other._arrays))
+        return self._vector.tobytes() == other._vector.tobytes()
 
     __hash__ = None
 
@@ -180,30 +168,23 @@ def check_aligned(a: ParameterSet, b: ParameterSet) -> None:
 def delta(a: ParameterSet, b: ParameterSet) -> ParameterSet:
     """Elementwise a - b with exact name/shape/order alignment."""
     check_aligned(a, b)
-    # All differences first, then the set: interleaving each large temporary
-    # with its copy (a generator) raised the peak RSS of a three-model 25 MB
-    # offline merge by 5-8 MB through heap fragmentation.
-    entries = [(n, s, x - b.flat(n)) for n, s, x in a]
-    return ParameterSet(entries)
+    return a.with_vector(a.vector() - b.vector())
 
 
 def apply_delta(base: ParameterSet, d: ParameterSet) -> ParameterSet:
     """Elementwise base + d. The delta need not come from this base: relaxed
     online merging applies deltas to the current policy."""
     check_aligned(base, d)
-    return ParameterSet((n, s, x + d.flat(n)) for n, s, x in base)
+    return base.with_vector(base.vector() + d.vector())
 
 
 def save_checkpoint(p: ParameterSet, path) -> None:
     """Write the PSET1 binary format: magic, u32 header length, JSON header,
     then contiguous little-endian float64 payload in entry order."""
-    entries = []
-    offset = 0
-    chunks = []
-    for name, shape, arr in p:
-        entries.append({"name": name, "shape": list(shape), "offset": offset, "len": arr.size})
-        offset += arr.size
-        chunks.append(arr.astype("<f8", copy=False).tobytes())
+    entries = [
+        {"name": name, "shape": list(p.shape(name)), "offset": sl.start, "len": sl.stop - sl.start}
+        for name, sl in p.slices()
+    ]
     header = json.dumps(
         {"entries": entries, "dtype": "f64", "version": 1},
         separators=(",", ":"),
@@ -212,8 +193,7 @@ def save_checkpoint(p: ParameterSet, path) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        for chunk in chunks:
-            f.write(chunk)
+        f.write(np.ascontiguousarray(p.vector(), dtype="<f8"))
 
 
 def load_checkpoint(path) -> ParameterSet:
@@ -235,7 +215,7 @@ def load_checkpoint(path) -> ParameterSet:
     raw_entries = header.get("entries")
     if not isinstance(raw_entries, list):
         raise FormatError(f"{path}: header has no entry list")
-    payload = buf[body_start + hlen :]
+    payload = memoryview(buf)[body_start + hlen :]
     running = 0
     entries = []
     for i, e in enumerate(raw_entries):

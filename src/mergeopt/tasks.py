@@ -31,6 +31,14 @@ def is_count(value, least: int) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
+def check_rows(where: str, rows: int, input_dim: int) -> None:
+    """Raise InvalidConfig if numpy cannot address a rows x input_dim float64 array."""
+    if rows * input_dim * 8 > np.iinfo(np.intp).max:
+        raise InvalidConfig(
+            f"{where} ({rows}) x input_dim ({input_dim}) exceeds numpy's maximum array size"
+        )
+
+
 def is_real(value) -> bool:
     """A finite real number that is not a bool."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
@@ -158,6 +166,8 @@ def check_data(input_dim, hidden_dim, num_responses, sizes: SuiteSizes, preferen
     if not (is_real(preference_noise) and 0.0 <= preference_noise < 0.5):
         raise InvalidConfig(f"preference_noise must be in [0, 0.5), got {preference_noise!r}")
     sizes.validate()
+    for name, rows in asdict(sizes).items():
+        check_rows(f"size {name}", rows, input_dim)
 
 
 def gen_task_suite(

@@ -32,7 +32,7 @@ from .optim import (
 )
 from .params import ParameterSet, delta
 from .policy import ToyPolicy, class_loss_and_grad, dpo_loss, dpo_loss_and_grad
-from .tasks import SuiteSizes, TaskSuite, check_data, gen_task_suite, is_count, is_real
+from .tasks import SuiteSizes, TaskSuite, check_data, check_rows, gen_task_suite, is_count, is_real
 
 OPTIMIZER_NAMES = (
     "adam",
@@ -197,6 +197,7 @@ class RunConfig:
             raise InvalidConfig(f"ema_coefficient must be in (0, 1), got {self.ema_coefficient}")
         d = self.data
         check_data(d.input_dim, d.hidden_dim, d.num_responses, d.sizes, d.preference_noise)
+        check_rows("dpo.batch_size", self.dpo.batch_size, d.input_dim)
         try:
             a.to_hyper()
             AdamHyper(learning_rate=self.phases.learning_rate)

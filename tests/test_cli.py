@@ -191,6 +191,8 @@ INVALID_CONFIGS = {
     "size string": {"data": {"sizes": {"pretrain_train": "x"}}},
     "size 2.5": {"data": {"sizes": {"pretrain_train": 2.5}}},
     "bias_correction string": {"adam": {"bias_correction": "no"}},
+    "size 2**62": {"data": {"sizes": {"pretrain_train": 2**62}}},
+    "dpo batch_size 2**62": {"dpo": {"batch_size": 2**62}},
 }
 
 
@@ -213,6 +215,18 @@ def test_invalid_config_exits_two_before_training(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
     assert not out.exists()
     assert not list(tmp_path.rglob("*.pset"))
+
+
+def test_out_of_memory_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    def no_memory(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_suite", no_memory)
+    cfg_path = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "out of memory" in err
+    assert "Traceback" not in err
 
 
 class TestSweep:
@@ -321,6 +335,19 @@ class TestGendataInspect:
             b"PSET1\n" + len(header).to_bytes(4, "little") + header + b"\x00" * payload_len
         )
         assert main(["inspect", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"w": np.ones(3)}, {"v": np.ones(2), "b": np.ones(1)}],
+        ids=["shape differs", "name differs"],
+    )
+    def test_inspect_diff_misaligned_exit_one(self, tmp_path, capsys, other):
+        path = checkpoint(tmp_path, "p.pset", {"w": np.ones(2), "b": np.ones(1)})
+        diff = checkpoint(tmp_path, "q.pset", other)
+        assert main(["inspect", str(path), "--diff", str(diff)]) == 1
         err = capsys.readouterr().err
         assert "error" in err
         assert "Traceback" not in err

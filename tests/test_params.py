@@ -14,6 +14,7 @@ from mergeopt import (
     load_checkpoint,
     save_checkpoint,
 )
+from mergeopt.kernels import MergeMethod, MergeSpec, offline_merge
 
 
 def pset(**named):
@@ -105,6 +106,42 @@ def test_arrays_are_immutable():
     p = pset(w=[1.0, 2.0])
     with pytest.raises(ValueError):
         p.flat("w")[0] = 9.0
+
+
+def _two_tensors(arrays):
+    return ParameterSet([("w", (2, 3), arrays[0]), ("b", (4,), arrays[1])])
+
+
+def _loaded(arrays, tmp_path):
+    save_checkpoint(_two_tensors(arrays), tmp_path / "s.pset")
+    return load_checkpoint(tmp_path / "s.pset")
+
+
+LAYOUTS = {
+    "entries": lambda a, c, tmp_path: _two_tensors(a),
+    "loaded": lambda a, c, tmp_path: _loaded(a, tmp_path),
+    "delta": lambda a, c, tmp_path: delta(_two_tensors(a), _two_tensors(c)),
+    "apply_delta": lambda a, c, tmp_path: apply_delta(_two_tensors(a), _two_tensors(c)),
+    "offline_merge": lambda a, c, tmp_path: offline_merge(
+        _two_tensors(a), [_two_tensors(c)], MergeSpec(MergeMethod.LINEAR)
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(LAYOUTS))
+def test_every_set_is_one_read_only_vector(tmp_path, label):
+    rng = np.random.default_rng(3)
+    a = [rng.normal(size=(2, 3)), rng.normal(size=4)]
+    c = [rng.normal(size=(2, 3)), rng.normal(size=4)]
+    p = LAYOUTS[label](a, c, tmp_path)
+    v = p.vector()
+    assert p.vector() is v
+    assert not v.flags.writeable
+    assert all(np.shares_memory(p.flat(n), v) and np.shares_memory(p.tensor(n), v) for n in p.names)
+    before = v.copy()
+    for arr in a + c:
+        arr[...] = 9.0
+    assert np.array_equal(p.vector(), before)
 
 
 def test_checkpoint_roundtrip_empty_set(tmp_path):
