@@ -349,5 +349,5 @@ class TestGendataInspect:
         diff = checkpoint(tmp_path, "q.pset", other)
         assert main(["inspect", str(path), "--diff", str(diff)]) == 1
         err = capsys.readouterr().err
-        assert "error" in err
+        assert err.startswith("error: entry 0")
         assert "Traceback" not in err
