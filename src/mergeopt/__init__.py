@@ -15,7 +15,6 @@ from .errors import (
 from .kernels import (
     MergeMethod,
     MergeSpec,
-    linear_combine,
     offline_merge,
     sign_consensus,
     sparsify_random,
@@ -58,9 +57,7 @@ from .tasks import (
     SuiteSizes,
     TaskSuite,
     gen_task_suite,
-    load_suite,
     oracle_pretrain_accuracy,
-    save_suite,
 )
 from .training import (
     MetricsRecord,

@@ -1,4 +1,4 @@
-"""Command-line surface: merge, train, sweep, gendata, inspect.
+"""Command-line surface: merge, train, sweep, inspect.
 
 Exit codes: 0 success, 1 runtime or numeric failure, 2 usage/config error.
 Every command is deterministic given identical inputs and seed.
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .kernels import MergeMethod, MergeSpec, offline_merge
 from .params import check_aligned, load_checkpoint, save_checkpoint
-from .tasks import SuiteSizes, gen_task_suite, save_suite
 from .training import RunConfig, make_suite, train_run
 
 
@@ -56,14 +55,10 @@ def _write_run_outputs(out_dir: Path, cfg: RunConfig, result=None, metrics=None)
 
 
 def cmd_merge(args) -> int:
-    base = load_checkpoint(args.base)
-    models = [load_checkpoint(p) for p in args.models]
-    weights = args.weights if args.weights else [1.0 / len(models)] * len(models)
-    if len(weights) != len(models):
-        print(
-            f"error: {len(weights)} weights for {len(models)} models", file=sys.stderr
-        )
-        return 2
+    n = len(args.models)
+    weights = args.weights if args.weights else [1.0 / n] * n
+    if len(weights) != n:
+        raise InvalidConfig(f"{len(weights)} weights for {n} models")
     spec = MergeSpec(
         method=MergeMethod(args.method),
         reserve_rate=args.density,
@@ -71,6 +66,8 @@ def cmd_merge(args) -> int:
         rescale=args.rescale,
         seed=args.seed,
     )
+    base = load_checkpoint(args.base)
+    models = [load_checkpoint(p) for p in args.models]
     merged = offline_merge(base, models, spec)
     save_checkpoint(merged, args.out)
     print(f"merged {len(models)} models into {args.out} ({args.method})")
@@ -214,28 +211,6 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def cmd_gendata(args) -> int:
-    sizes = SuiteSizes(
-        pretrain_train=args.pretrain_train,
-        pretrain_eval=args.pretrain_eval,
-        sft_train=args.sft_train,
-        sft_eval=args.sft_eval,
-        pref_train=args.pref_train,
-        pref_eval=args.pref_eval,
-    )
-    suite = gen_task_suite(
-        seed=args.seed,
-        input_dim=args.input_dim,
-        hidden_dim=args.hidden_dim,
-        num_responses=args.num_responses,
-        sizes=sizes,
-        preference_noise=args.noise,
-    )
-    save_suite(suite, args.out)
-    print(f"suite written to {args.out} (seed {args.seed})")
-    return 0
-
-
 def cmd_inspect(args) -> int:
     p = load_checkpoint(args.path)
     print(f"{args.path}: {len(p)} tensors, {p.total_elements()} elements")
@@ -288,21 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, nargs="+")
     p.add_argument("--seeds", type=int, nargs="+")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("gendata", help="generate and archive a task suite")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--input-dim", type=int, default=6)
-    p.add_argument("--hidden-dim", type=int, default=16)
-    p.add_argument("--num-responses", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--pretrain-train", type=int, default=2000)
-    p.add_argument("--pretrain-eval", type=int, default=500)
-    p.add_argument("--sft-train", type=int, default=2000)
-    p.add_argument("--sft-eval", type=int, default=500)
-    p.add_argument("--pref-train", type=int, default=2000)
-    p.add_argument("--pref-eval", type=int, default=500)
-    p.set_defaults(func=cmd_gendata)
 
     p = sub.add_parser("inspect", help="print checkpoint header, tensors, and norms")
     p.add_argument("path", help="PSET1 checkpoint")

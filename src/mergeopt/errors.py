@@ -10,7 +10,7 @@ class MisalignedSets(MergeOptError):
 
 
 class FormatError(MergeOptError):
-    """Malformed checkpoint or archive file."""
+    """Malformed checkpoint file."""
 
 
 class InvalidProbability(MergeOptError, ValueError):

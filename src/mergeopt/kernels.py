@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidProbability, MisalignedSets
+from .errors import EmptyInput, InvalidConfig, InvalidProbability
 from .masks import MaskKey, bernoulli_mask
 from .params import ParameterSet, check_aligned
 from .params import delta  # noqa: F401  (not called; bench/tracer.py wraps it here)
@@ -38,7 +38,9 @@ class MergeSpec:
         validate_probability(self.reserve_rate)
         ws = tuple(float(w) for w in self.weights)
         if any(not math.isfinite(w) or w < 0 for w in ws):
-            raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
+            raise InvalidConfig(f"weights must be finite and nonnegative, got {self.weights}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "weights", ws)
 
 
@@ -100,34 +102,22 @@ def sign_consensus(a, b):
     return out
 
 
-def linear_combine(terms) -> np.ndarray:
-    """Weighted elementwise sum, accumulated in the given term order."""
-    terms = list(terms)
-    if not terms:
-        raise EmptyInput("linear_combine needs at least one term")
-    arrays = [np.asarray(arr, dtype=np.float64).reshape(-1) for _, arr in terms]
-    n = arrays[0].size
-    for i, arr in enumerate(arrays):
-        if arr.size != n:
-            raise MisalignedSets(f"term {i}: length {arr.size} vs {n}")
-    acc = np.zeros(n, dtype=np.float64)
-    for (w, _), arr in zip(terms, arrays):
-        acc += float(w) * arr
-    return acc
-
-
-def _ties_combine(taus: list[np.ndarray], weights, p: float) -> np.ndarray:
+def _ties_combine(taus, weights, p: float) -> np.ndarray:
     """Trim each delta to its top-p magnitudes, elect the elementwise majority
     sign from the weighted trimmed mass, drop disagreeing entries, and average
-    the survivors by their weight sum."""
+    the survivors by their weight sum. Each delta is trimmed as taus yields it,
+    so untrimmed deltas are never held together."""
     trimmed = [sparsify_top_p(t, p) for t in taus]
-    elected = np.sign(linear_combine(list(zip(weights, trimmed))))
+    elected = np.zeros_like(trimmed[0])
+    for w, t in zip(weights, trimmed):
+        elected += w * t
+    np.sign(elected, out=elected)
     num = np.zeros_like(trimmed[0])
     den = np.zeros_like(trimmed[0])
     for w, t in zip(weights, trimmed):
         survives = (t != 0.0) & (np.sign(t) == elected)
-        num += np.where(survives, float(w) * t, 0.0)
-        den += np.where(survives, float(w), 0.0)
+        num += np.where(survives, w * t, 0.0)
+        den += np.where(survives, w, 0.0)
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
@@ -153,24 +143,28 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
     for m in models:
         check_aligned(base, m)
 
-    # Each model's delta one tensor at a time, so no whole-model delta is held.
+    # One tensor at a time, each merged straight into its slice of the output;
+    # linear and DARE hold one model delta at a time.
     out = np.empty(base.total_elements())
     for name, sl in base.slices():
         base_arr = base.flat(name)
-        tau_arrays = [m.flat(name) - base_arr for m in models]
+        taus = (m.flat(name) - base_arr for m in models)
+        acc = out[sl]
         if spec.method is MergeMethod.TIES:
-            merged = _ties_combine(tau_arrays, spec.weights, spec.reserve_rate)
+            acc[:] = _ties_combine(taus, spec.weights, spec.reserve_rate)
         else:
             if spec.method is MergeMethod.DARE:
-                tau_arrays = [
+                taus = (
                     sparsify_random(
-                        arr,
+                        tau,
                         spec.reserve_rate,
                         MaskKey(spec.seed, name, step=i, stream="offline-dare"),
                         rescale=spec.rescale,
                     )
-                    for i, arr in enumerate(tau_arrays)
-                ]
-            merged = linear_combine(list(zip(spec.weights, tau_arrays)))
-        np.add(base_arr, merged, out=out[sl])
+                    for i, tau in enumerate(taus)
+                )
+            acc.fill(0.0)
+            for w, tau in zip(spec.weights, taus):
+                acc += w * tau
+        acc += base_arr
     return base.with_vector(out)

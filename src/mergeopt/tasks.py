@@ -8,16 +8,13 @@ desk-scale stand-in for the reward-vs-forgetting trade-off.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidConfig
-from .params import ParameterSet, load_checkpoint, save_checkpoint
 
 _CLUSTER_NOISE = 0.5
 _CENTER_SCALE = 3.0
@@ -232,79 +229,3 @@ def oracle_pretrain_accuracy(suite: TaskSuite) -> float:
     x, y = suite.pretrain_eval.x, suite.pretrain_eval.y
     d2 = ((x[:, None, :] - suite.centers_pretrain[None, :, :]) ** 2).sum(axis=2)
     return float(np.mean(np.argmin(d2, axis=1) == y))
-
-
-def save_suite(suite: TaskSuite, out_dir) -> None:
-    """Archive as suite.pset (arrays) + suite.json (meta); byte-deterministic."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-
-    def add(name, arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        entries.append((name, arr.shape if arr.shape else (1,), arr))
-
-    for split in ("pretrain_train", "pretrain_eval", "sft_train", "sft_eval"):
-        ls: LabeledSet = getattr(suite, split)
-        add(split + ".x", ls.x)
-        add(split + ".y", ls.y)
-    for split in ("pref_train", "pref_eval"):
-        ps: PreferenceSet = getattr(suite, split)
-        add(split + ".x", ps.x)
-        add(split + ".chosen", ps.chosen)
-        add(split + ".rejected", ps.rejected)
-    add("centers_pretrain", suite.centers_pretrain)
-    add("centers_sft", suite.centers_sft)
-    add("utility.w", suite.utility_w)
-    add("utility.b", suite.utility_b)
-    save_checkpoint(ParameterSet(entries), out / "suite.pset")
-    meta = {
-        "seed": suite.seed,
-        "input_dim": suite.input_dim,
-        "hidden_dim": suite.hidden_dim,
-        "num_responses": suite.num_responses,
-        "preference_noise": suite.preference_noise,
-        "sizes": asdict(suite.sizes),
-    }
-    with open(out / "suite.json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_suite(in_dir) -> TaskSuite:
-    src = Path(in_dir)
-    with open(src / "suite.json", "r", encoding="utf-8") as f:
-        meta = json.load(f)
-    box = load_checkpoint(src / "suite.pset")
-
-    def arr(name):
-        return box.tensor(name)
-
-    def labeled(split):
-        return LabeledSet(arr(split + ".x"), arr(split + ".y").astype(int))
-
-    def prefs(split):
-        return PreferenceSet(
-            arr(split + ".x"),
-            arr(split + ".chosen").astype(int),
-            arr(split + ".rejected").astype(int),
-        )
-
-    return TaskSuite(
-        pretrain_train=labeled("pretrain_train"),
-        pretrain_eval=labeled("pretrain_eval"),
-        sft_train=labeled("sft_train"),
-        sft_eval=labeled("sft_eval"),
-        pref_train=prefs("pref_train"),
-        pref_eval=prefs("pref_eval"),
-        centers_pretrain=arr("centers_pretrain"),
-        centers_sft=arr("centers_sft"),
-        utility_w=arr("utility.w"),
-        utility_b=arr("utility.b"),
-        input_dim=int(meta["input_dim"]),
-        hidden_dim=int(meta["hidden_dim"]),
-        num_responses=int(meta["num_responses"]),
-        seed=int(meta["seed"]),
-        sizes=SuiteSizes(**meta["sizes"]),
-        preference_noise=float(meta["preference_noise"]),
-    )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -95,6 +96,28 @@ class TestMerge:
         base.write_bytes(b"garbage")
         code = main(["merge", str(base), "--base", str(base), "--out", str(tmp_path / "o.pset")])
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--weights", "-1", "1"],
+        ["--weights", "nan", "1"],
+        ["--weights", "1"],
+        ["--method", "dare", "--seed", "-1"],
+        ["--seed", str(2**64)],
+    ],
+    ids=["weight -1", "weight nan", "weight count", "dare seed -1", "seed 2**64"],
+)
+def test_bad_merge_arguments_exit_two_before_loading(tmp_path, capsys, extra):
+    # The checkpoints do not exist: the arguments must fail before any is read.
+    missing = [str(tmp_path / n) for n in ("m1.pset", "m2.pset")]
+    args = ["merge", *missing, "--base", str(tmp_path / "base.pset"),
+            "--out", str(tmp_path / "o.pset"), *extra]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
 
 
 class TestTrain:
@@ -284,18 +307,6 @@ class TestSweep:
 
 
 class TestGendataInspect:
-    def test_gendata_deterministic(self, tmp_path):
-        for tag in ("a", "b"):
-            assert main(
-                ["gendata", "--seed", "5", "--out", str(tmp_path / tag),
-                 "--pretrain-train", "100", "--pretrain-eval", "50",
-                 "--sft-train", "100", "--sft-eval", "50",
-                 "--pref-train", "100", "--pref-eval", "50"]
-            ) == 0
-        assert (tmp_path / "a" / "suite.pset").read_bytes() == (
-            tmp_path / "b" / "suite.pset"
-        ).read_bytes()
-
     def test_inspect_lists_tensors_in_order(self, tmp_path, capsys):
         path = checkpoint(
             tmp_path, "x.pset", {"zeta": np.ones(3), "alpha": np.zeros((2, 2))}
@@ -351,3 +362,11 @@ class TestGendataInspect:
         err = capsys.readouterr().err
         assert err.startswith("error: entry 0")
         assert "Traceback" not in err
+
+
+def test_readme_cli_block_names_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("mergeopt ")}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)

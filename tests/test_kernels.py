@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import strategies as st
 
 from mergeopt import (
     EmptyInput,
+    InvalidConfig,
     InvalidProbability,
     MaskKey,
     MergeMethod,
     MergeSpec,
     MisalignedSets,
     ParameterSet,
-    linear_combine,
     offline_merge,
     sign_consensus,
     sparsify_random,
@@ -137,22 +138,6 @@ class TestSignConsensus:
             assert out[i] == sign_consensus(float(a[i]), float(b[i]))
 
 
-class TestLinearCombine:
-    def test_identity(self):
-        assert np.array_equal(linear_combine([(1.0, [5.0, -3.0])]), [5.0, -3.0])
-
-    def test_midpoint(self):
-        out = linear_combine([(0.5, [1.0, 0.0]), (0.5, [0.0, 1.0])])
-        assert np.array_equal(out, [0.5, 0.5])
-
-    def test_cancellation(self):
-        assert np.array_equal(linear_combine([(1.0, [1.0]), (-1.0, [1.0])]), [0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(MisalignedSets):
-            linear_combine([(1.0, [1.0]), (1.0, [1.0, 2.0])])
-
-
 class TestOfflineMerge:
     def test_linear_hand_example(self):
         base = pset(w=[0.0, 0.0])
@@ -247,6 +232,25 @@ class TestOfflineMerge:
                 pset(w=[1.0]), [pset(w=[2.0])], MergeSpec(MergeMethod.LINEAR, weights=(1.0, 1.0))
             )
 
+    @pytest.mark.parametrize(
+        "method, bound",
+        [(MergeMethod.LINEAR, 5.5), (MergeMethod.DARE, 5.5), (MergeMethod.TIES, 10.0)],
+    )
+    def test_peak_memory_in_tensor_sizes(self, method, bound):
+        # Linear and DARE hold one model delta at a time, TIES its trimmed deltas.
+        n = 2**18
+        rng = np.random.default_rng(3)
+        base = pset(w=rng.normal(size=n))
+        models = [pset(w=rng.normal(size=n)) for _ in range(3)]
+        spec = MergeSpec(method, weights=(0.5, 0.3, 0.2))
+        tracemalloc.start()
+        try:
+            offline_merge(base, models, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * 8) <= bound
+
 
 def test_merge_spec_validation():
     with pytest.raises(InvalidProbability):
@@ -255,3 +259,8 @@ def test_merge_spec_validation():
         MergeSpec(MergeMethod.LINEAR, weights=(-1.0,))
     with pytest.raises(ValueError):
         MergeSpec(MergeMethod.LINEAR, weights=(float("inf"),))
+    with pytest.raises(InvalidConfig):
+        MergeSpec(MergeMethod.LINEAR, weights=(float("nan"),))
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidConfig):
+            MergeSpec(MergeMethod.DARE, weights=(1.0,), seed=seed)

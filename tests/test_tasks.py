@@ -5,9 +5,7 @@ from mergeopt import (
     InvalidConfig,
     SuiteSizes,
     gen_task_suite,
-    load_suite,
     oracle_pretrain_accuracy,
-    save_suite,
 )
 
 SMALL = SuiteSizes(200, 100, 200, 100, 200, 100)
@@ -86,28 +84,3 @@ def test_sft_task_is_rotated_and_shifted():
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(InvalidConfig):
         gen_task_suite(seed=1, **kwargs)
-
-
-def test_archive_roundtrip(tmp_path):
-    suite = gen_task_suite(seed=11, sizes=SMALL)
-    save_suite(suite, tmp_path)
-    loaded = load_suite(tmp_path)
-    assert loaded.seed == suite.seed
-    assert loaded.sizes == suite.sizes
-    assert np.array_equal(loaded.pretrain_train.x, suite.pretrain_train.x)
-    assert np.array_equal(loaded.pretrain_train.y, suite.pretrain_train.y)
-    assert np.array_equal(loaded.pref_eval.chosen, suite.pref_eval.chosen)
-    assert np.array_equal(loaded.utility_w, suite.utility_w)
-    assert loaded.preference_noise == suite.preference_noise
-
-
-def test_archive_bytes_deterministic(tmp_path):
-    suite = gen_task_suite(seed=11, sizes=SMALL)
-    save_suite(suite, tmp_path / "a")
-    save_suite(suite, tmp_path / "b")
-    assert (tmp_path / "a" / "suite.pset").read_bytes() == (
-        tmp_path / "b" / "suite.pset"
-    ).read_bytes()
-    assert (tmp_path / "a" / "suite.json").read_bytes() == (
-        tmp_path / "b" / "suite.json"
-    ).read_bytes()
