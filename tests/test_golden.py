@@ -1,7 +1,8 @@
 """Golden pins: each optimizer's final parameters and metrics bytes on a fast
 configuration, recorded before the step engine was rewritten, and offline
 merge results and checkpoint bytes, recorded before every ParameterSet was
-backed by one flat vector.
+backed by one flat vector. The wide pins (tensors of 256 elements and more)
+were recorded while top-p selection still ran a stable argsort at every size.
 
 A refactor of the step path must reproduce these exactly: every operation is
 elementwise, so no reordering of tensors or batching of the arithmetic may
@@ -9,6 +10,7 @@ change a single bit. Re-record only for a deliberate change of behaviour.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,18 +57,35 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("label", list(RUNS))
-def test_golden_run(label):
+# The top-p optimizers at hidden 64, where w1 has 384 elements and w2 256.
+WIDE_RUNS = ("onties", "stepk-onties")
+GOLDEN_WIDE = {
+    "onties": ("065a3c5cdad98d4876ce0266db287f3f", "3b8dc03b7c43768683cdc42a0de15cb3"),
+    "stepk-onties": ("32c7477a882131bc6da3cd6580190655", "fdb72955b5d8680357b9824a63aa1f00"),
+}
+
+
+def _run_hashes(label, data):
     cfg = RunConfig(
         seed=1,
-        data=FAST_DATA,
+        data=data,
         dpo=DpoSettings(steps=60, eval_every=20),
         phases=PhaseSettings(pretrain_steps=100, sft_steps=100),
         **RUNS[label],
     )
     res = train_run(make_suite(cfg), cfg)
     metrics_hash = hashlib.blake2b(res.metrics.to_csv_bytes(), digest_size=16).hexdigest()
-    assert (res.theta_final.fingerprint(), metrics_hash) == GOLDEN[label]
+    return res.theta_final.fingerprint(), metrics_hash
+
+
+@pytest.mark.parametrize("label", list(RUNS))
+def test_golden_run(label):
+    assert _run_hashes(label, FAST_DATA) == GOLDEN[label]
+
+
+@pytest.mark.parametrize("label", WIDE_RUNS)
+def test_golden_run_wide(label):
+    assert _run_hashes(label, replace(FAST_DATA, hidden_dim=64)) == GOLDEN_WIDE[label]
 
 
 def _merge_inputs():
@@ -113,3 +132,30 @@ def test_golden_checkpoint_bytes(tmp_path):
     save_checkpoint(base, tmp_path / "base.pset")
     data = (tmp_path / "base.pset").read_bytes()
     assert hashlib.blake2b(data, digest_size=16).hexdigest() == GOLDEN_CHECKPOINT
+
+
+def _wide_merge_inputs():
+    """Tensors of 1,000 and 4,096 elements in quarter steps, so every delta
+    has long runs of equal magnitudes and the top-p cut lands inside one."""
+    rng = np.random.default_rng(20261018)
+    shapes = (("embed", (40, 25)), ("layer0.w", (64, 64)), ("layer0.b", (7,)))
+    base = ParameterSet((n, s, np.round(4 * rng.normal(size=s)) / 4) for n, s in shapes)
+    models = [
+        ParameterSet((n, s, x + np.round(4 * rng.normal(size=x.size)) / 4) for n, s, x in base)
+        for _ in range(3)
+    ]
+    return base, models
+
+
+# reserve rate -> fingerprint of the TIES merge of the wide inputs
+GOLDEN_WIDE_TIES = {
+    0.3: "0a0d2dc34635c6b64b177f32e54d487b",
+    0.6: "1a9d6869cabdde152f7e286d19dcea43",
+}
+
+
+@pytest.mark.parametrize("p", list(GOLDEN_WIDE_TIES))
+def test_golden_ties_merge_wide(p):
+    base, models = _wide_merge_inputs()
+    spec = MergeSpec(MergeMethod.TIES, reserve_rate=p, weights=(0.5, 0.3, 0.2))
+    assert offline_merge(base, models, spec).fingerprint() == GOLDEN_WIDE_TIES[p]
