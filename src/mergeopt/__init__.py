@@ -11,6 +11,7 @@ from .errors import (
     MissingBaseModel,
     NonFiniteGradient,
     NonFiniteLoss,
+    NonFiniteResult,
 )
 from .kernels import (
     MergeMethod,

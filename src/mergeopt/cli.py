@@ -26,6 +26,7 @@ from .errors import (
     MergeOptError,
     MisalignedSets,
     NonFiniteLoss,
+    NonFiniteResult,
 )
 from .kernels import MergeMethod, MergeSpec, offline_merge
 from .params import check_aligned, load_checkpoint, save_checkpoint
@@ -68,7 +69,9 @@ def cmd_merge(args) -> int:
     )
     base = load_checkpoint(args.base)
     models = [load_checkpoint(p) for p in args.models]
-    merged = offline_merge(base, models, spec)
+    # Overflow is reported as the merge's NonFiniteResult, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        merged = offline_merge(base, models, spec)
     save_checkpoint(merged, args.out)
     print(f"merged {len(models)} models into {args.out} ({args.method})")
     print(f"{'tensor':<24}{'shape':<16}{'delta nnz':<12}density")
@@ -280,7 +283,7 @@ def main(argv=None) -> int:
     except (InvalidConfig, InvalidProbability, InvalidBeta, EmptyInput) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (MisalignedSets, FormatError, NonFiniteLoss) as e:
+    except (MisalignedSets, FormatError, NonFiniteLoss, NonFiniteResult) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

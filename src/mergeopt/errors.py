@@ -29,6 +29,10 @@ class NonFiniteGradient(MergeOptError, FloatingPointError):
     """A gradient contained NaN or infinity; the step is aborted."""
 
 
+class NonFiniteResult(MergeOptError, FloatingPointError):
+    """An offline merge produced NaN or infinity; nothing is written."""
+
+
 class NonFiniteLoss(MergeOptError, FloatingPointError):
     """Training loss went non-finite; carries the last good step and metrics."""
 

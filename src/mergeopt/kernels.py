@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, InvalidProbability
+from .errors import EmptyInput, InvalidConfig, InvalidProbability, NonFiniteResult
 from .masks import MaskKey, bernoulli_mask
 from .params import ParameterSet, check_aligned
 from .params import delta  # noqa: F401  (not called; bench/tracer.py wraps it here)
@@ -67,11 +67,20 @@ def sparsify_random(x, p: float, key: MaskKey, rescale: bool = False) -> np.ndar
     return out
 
 
+# Below this many elements a stable argsort beats partition-based selection;
+# the online top-p steps at small widths call it on tensors that small.
+_ARGSORT_BELOW = 256
+
+
 def sparsify_top_p(x, p: float) -> np.ndarray:
     """Keep the ceil(p * n) largest-magnitude elements, zero the rest.
 
     Magnitude ties are broken toward lower indices, so the output is fully
-    deterministic. At least one element always survives.
+    deterministic. At least one element always survives. NaNs rank below
+    every number. Selection is linear-time: a partition finds the k-th
+    largest magnitude, every element above it is kept, and the remaining
+    slots go to the lowest-index elements equal to it, which is exactly the
+    selection of a stable sort.
     """
     p = validate_probability(p)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -79,10 +88,21 @@ def sparsify_top_p(x, p: float) -> np.ndarray:
         raise EmptyInput("sparsify_top_p needs at least one element")
     k = int(math.ceil(p * x.size))
     k = min(max(k, 1), x.size)
-    order = np.argsort(-np.abs(x), kind="stable")
-    out = np.zeros_like(x)
-    keep = order[:k]
-    out[keep] = x[keep]
+    key = -np.abs(x)  # ascending key; sort and partition both put NaNs last
+    if x.size < _ARGSORT_BELOW:
+        keep = np.argsort(key, kind="stable")[:k]
+        out = np.zeros_like(x)
+        out[keep] = x[keep]
+        return out
+    kth = np.partition(key, k - 1)[k - 1]
+    if math.isnan(kth):
+        tied = np.isnan(key)
+        above = ~tied
+    else:
+        above, tied = key < kth, key == kth
+    out = np.where(above, x, 0.0)
+    fill = np.flatnonzero(tied)[: k - np.count_nonzero(above)]
+    out[fill] = x[fill]
     return out
 
 
@@ -102,23 +122,31 @@ def sign_consensus(a, b):
     return out
 
 
-def _ties_combine(taus, weights, p: float) -> np.ndarray:
+def _ties_combine(taus, weights, p: float, out: np.ndarray) -> None:
     """Trim each delta to its top-p magnitudes, elect the elementwise majority
-    sign from the weighted trimmed mass, drop disagreeing entries, and average
-    the survivors by their weight sum. Each delta is trimmed as taus yields it,
-    so untrimmed deltas are never held together."""
+    sign from the weighted trimmed mass, drop disagreeing entries, and write
+    the average of the survivors by their weight sum into out. Each delta is
+    trimmed as taus yields it, so untrimmed deltas are never held together."""
     trimmed = [sparsify_top_p(t, p) for t in taus]
-    elected = np.zeros_like(trimmed[0])
+    tmp = np.empty_like(out)
+    elected = np.zeros_like(out)
     for w, t in zip(weights, trimmed):
-        elected += w * t
+        elected += np.multiply(w, t, out=tmp)
     np.sign(elected, out=elected)
-    num = np.zeros_like(trimmed[0])
-    den = np.zeros_like(trimmed[0])
+    # out accumulates the numerator; masked-out entries add exactly +0.0.
+    out.fill(0.0)
+    den = np.zeros_like(out)
+    survives = np.empty(out.shape, dtype=bool)
     for w, t in zip(weights, trimmed):
-        survives = (t != 0.0) & (np.sign(t) == elected)
-        num += np.where(survives, w * t, 0.0)
-        den += np.where(survives, w, 0.0)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+        # Nonzero with the elected sign: t * sign > 0, which NaNs fail.
+        np.greater(np.multiply(t, elected, out=tmp), 0.0, out=survives)
+        np.multiply(w, t, out=tmp)
+        np.copyto(tmp, 0.0, where=~survives)
+        out += tmp
+        den += np.multiply(survives, w, out=tmp)
+    # Where den is 0 every survivor has weight 0 and is finite (0 * inf would
+    # have made the elected sign NaN), so the numerator there is +0.0.
+    np.divide(out, den, out=out, where=den > 0.0)
 
 
 def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
@@ -131,7 +159,7 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
       TIES:   top-p trim, majority-sign election, surviving-weight average
 
     The mask for model i derives from (spec.seed, tensor name, i), so merges
-    are reproducible.
+    are reproducible. A result holding NaN or infinity raises NonFiniteResult.
     """
     models = list(models)
     if not models:
@@ -151,7 +179,7 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
         taus = (m.flat(name) - base_arr for m in models)
         acc = out[sl]
         if spec.method is MergeMethod.TIES:
-            acc[:] = _ties_combine(taus, spec.weights, spec.reserve_rate)
+            _ties_combine(taus, spec.weights, spec.reserve_rate, acc)
         else:
             if spec.method is MergeMethod.DARE:
                 taus = (
@@ -167,4 +195,6 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
             for w, tau in zip(spec.weights, taus):
                 acc += w * tau
         acc += base_arr
+    if not np.isfinite(out).all():
+        raise NonFiniteResult(f"{spec.method.value} merge result contains NaN or infinity")
     return base.with_vector(out)

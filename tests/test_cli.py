@@ -97,6 +97,19 @@ class TestMerge:
         code = main(["merge", str(base), "--base", str(base), "--out", str(tmp_path / "o.pset")])
         assert code == 1
 
+    @pytest.mark.parametrize("method", ["linear", "dare", "ties"])
+    def test_nonfinite_merge_exit_one_without_output(self, tmp_path, capsys, method):
+        # Finite weights whose weighted sum overflows to infinity.
+        base = checkpoint(tmp_path, "base.pset", {"w": np.zeros(2)})
+        model = checkpoint(tmp_path, "m.pset", {"w": np.ones(2)})
+        out = tmp_path / "o.pset"
+        code = main(["merge", str(model), str(model), "--base", str(base), "--out", str(out),
+                     "--method", method, "--weights", "1e308", "1e308"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "NaN or infinity" in err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "extra",

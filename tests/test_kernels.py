@@ -14,6 +14,7 @@ from mergeopt import (
     MergeMethod,
     MergeSpec,
     MisalignedSets,
+    NonFiniteResult,
     ParameterSet,
     offline_merge,
     sign_consensus,
@@ -24,6 +25,29 @@ from mergeopt import (
 
 def pset(**named):
     return ParameterSet((k, np.shape(v), v) for k, v in named.items())
+
+
+def top_p_by_stable_sort(x, p):
+    """Reference top-p: a stable argsort of -|x| (NaNs last), first k kept."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    k = min(max(math.ceil(p * x.size), 1), x.size)
+    keep = np.argsort(-np.abs(x), kind="stable")[:k]
+    out = np.zeros_like(x)
+    out[keep] = x[keep]
+    return out
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+
+
+def tied_input(n, seed, special_share):
+    """Values in half steps, so magnitudes tie often, with a share of
+    elements replaced by signed zeros, infinities and NaNs."""
+    rng = np.random.default_rng(seed)
+    x = np.round(2.0 * rng.normal(size=n)) / 2.0
+    special = rng.random(n) < special_share
+    x[special] = rng.choice(SPECIALS, size=int(special.sum()))
+    return x
 
 
 class TestSparsifyRandom:
@@ -97,6 +121,37 @@ class TestSparsifyTopP:
         assert np.count_nonzero(kept) == k
         if k < n:
             assert np.min(np.abs(x[kept])) >= np.max(np.abs(x[~kept]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 4096), st.integers(250, 262)),
+        st.floats(1e-6, 1.0),
+        st.integers(0, 2**31),
+        st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+    )
+    def test_matches_stable_argsort(self, n, p, seed, special_share):
+        x = tied_input(n, seed, special_share)
+        assert sparsify_top_p(x, p).tobytes() == top_p_by_stable_sort(x, p).tobytes()
+
+    @pytest.mark.parametrize(
+        "x, p",
+        [
+            (np.tile([1.0, -1.0], 200), 0.5),  # k inside one run of equal magnitudes
+            (np.tile([2.0, -1.0, 1.0, 0.0], 300), 0.6),  # cut between the 1.0 ties
+            (np.r_[np.full(300, np.nan), np.arange(100.0)], 0.6),  # k inside the NaNs
+            (np.r_[[np.nan, -np.nan], tied_input(4094, 1, 0.3)], 0.9),
+            (np.full(1000, np.nan), 0.3),
+            (np.tile([0.0, -0.0], 300), 0.5),  # +0.0 and -0.0 are one magnitude
+            (np.r_[np.tile([np.inf, -np.inf], 50), np.ones(300)], 0.1),  # k among the infs
+            (tied_input(256, 2, 0.02), 0.5),
+            (tied_input(255, 3, 0.02), 0.5),
+            (tied_input(4096, 4, 0.0), 1e-6),
+            (tied_input(4096, 5, 0.3), 1.0),
+            (np.linspace(-1.0, 1.0, 1001), 0.5),
+        ],
+    )
+    def test_table_matches_stable_argsort(self, x, p):
+        assert sparsify_top_p(x, p).tobytes() == top_p_by_stable_sort(x, p).tobytes()
 
 
 class TestSignConsensus:
@@ -190,6 +245,35 @@ class TestOfflineMerge:
         )
         # (1*2 + 3*4) / (1 + 3) = 3.5
         assert np.array_equal(out.flat("w"), [3.5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 600),
+        st.lists(st.sampled_from([0.0, 1e-320, 0.3, 0.5, 1.0, 2.0]), min_size=1, max_size=3),
+        st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+        st.sampled_from([0.0, 0.002, 0.01, 0.05]),
+        st.integers(0, 2**31),
+    )
+    def test_ties_matches_reference(self, n, weights, p, special_share, seed):
+        # Deltas with ties, signed zeros, infinities and NaNs, some weights 0.
+        base = tied_input(n, seed, 0.0)
+        models = [tied_input(n, seed + i + 1, special_share) for i in range(len(weights))]
+        with np.errstate(all="ignore"):
+            trimmed = [top_p_by_stable_sort(m - base, p) for m in models]
+            elected = np.sign(sum(w * t for w, t in zip(weights, trimmed)))
+            num, den = np.zeros(n), np.zeros(n)
+            for w, t in zip(weights, trimmed):
+                survives = (t != 0.0) & (np.sign(t) == elected)
+                num += np.where(survives, w * t, 0.0)
+                den += np.where(survives, w, 0.0)
+            want = base + np.divide(num, den, out=np.zeros(n), where=den > 0.0)
+            spec = MergeSpec(MergeMethod.TIES, reserve_rate=p, weights=tuple(weights))
+            args = (pset(w=base), [pset(w=m) for m in models], spec)
+            if np.isfinite(want).all():
+                assert offline_merge(*args).flat("w").tobytes() == want.tobytes()
+            else:
+                with pytest.raises(NonFiniteResult):
+                    offline_merge(*args)
 
     def test_dare_unbiased_without_weights_distortion(self):
         # With rescale, a single-model DARE merge is an unbiased estimator of
