@@ -9,11 +9,12 @@ that BENCHMARK.json gates, pair i runs
 
     python3 bench/run.py --workload W --seed SEED0+i --seconds S --trace 0
 
-once on each side, the parent first in even pairs and the change first in
-odd ones. The file holds the metadata, every run's result, and for each
-workload and end-to-end metric both sides' median and quartiles, the
-change's wins and losses over the pairs (ties count for neither), and
-whether the change's median is within the metric's bound of the parent's.
+once on each side, S being the benchmark's run_seconds, the parent first
+in even pairs and the change first in odd ones. The file holds the
+metadata, every run's result, and for each workload and end-to-end metric
+both sides' median and quartiles, the change's wins and losses over the
+pairs (ties count for neither), and whether the change's median is within
+the metric's bound of the parent's.
 """
 
 from __future__ import annotations
@@ -105,11 +106,11 @@ def main(argv=None) -> int:
     p.add_argument("--pr", required=True, type=int, help="number in the output file name")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=601, help="pair i runs seed SEED0+i on both sides")
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    p.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
 
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
@@ -119,11 +120,11 @@ def main(argv=None) -> int:
         for s in SIDES:
             checkouts[s] = tmp / s
             export(revs[s], checkouts[s])
-        for w in args.workloads:
+        for w in workloads:
             for i in range(args.pairs):
                 seed = args.seed0 + i
                 for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    r = run_once(checkouts[s], w, seed, args.seconds)
+                    r = run_once(checkouts[s], w, seed, seconds)
                     runs.append({"workload": w, "pair": i, "side": s, "seed": seed, **r})
                     status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
                     print(f"{w} pair {i} {s}: {status}", file=sys.stderr, flush=True)
@@ -131,7 +132,7 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     summary = {}
-    for w in args.workloads:
+    for w in workloads:
         wr = [r for r in runs if r["workload"] == w]
         summary[w] = {
             "runs_correct": sum(r["correct"] for r in wr), "runs": len(wr),
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
     meta = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "revs": revs, "pairs": args.pairs, "seeds": [args.seed0, args.seed0 + args.pairs - 1],
-        "seconds": args.seconds, "workloads": args.workloads,
+        "seconds": seconds, "workloads": workloads,
         "command": "python3 bench/run.py --workload W --seed N --seconds S --trace 0",
         "order": "parent first in even pairs, change first in odd pairs",
         "python": platform.python_version(), "machine": platform.machine(),
