@@ -1,13 +1,13 @@
-"""Paired benchmark runs of a parent commit and a change, written to BENCH_<pr>.json.
+"""Paired benchmark runs of a parent commit and HEAD, written to BENCH_<pr>.json.
 
-    python3 scripts/bench_pairs.py --parent REV [--change REV] --pr N [--pairs 10]
+    python3 scripts/bench_pairs.py --parent REV --pr N [--pairs 10]
 
-Both commits are exported with `git archive` into fresh temporary
-directories, so each side runs exactly its committed files, from its own
-`bench/`, and leaves nothing behind in the repository. For each workload
+The parent and HEAD (the change) are exported with `git archive` into fresh
+temporary directories, so each side runs exactly its committed files, from
+its own `bench/`, and leaves nothing behind in the repository. For each workload
 that BENCHMARK.json gates, pair i runs
 
-    python3 bench/run.py --workload W --seed SEED0+i --seconds S --trace 0
+    python3 bench/run.py --workload W --seed 601+i --seconds S --trace 0
 
 once on each side, S being the benchmark's run_seconds, the parent first
 in even pairs and the change first in odd ones. The file holds the
@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+SEED0 = 601
 
 
 def git(*args) -> str:
@@ -102,17 +103,15 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="commit measured as the baseline")
-    p.add_argument("--change", default="HEAD", help="commit measured against it (default HEAD)")
     p.add_argument("--pr", required=True, type=int, help="number in the output file name")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed0", type=int, default=601, help="pair i runs seed SEED0+i on both sides")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
 
-    revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     runs = []
     try:
@@ -122,7 +121,7 @@ def main(argv=None) -> int:
             export(revs[s], checkouts[s])
         for w in workloads:
             for i in range(args.pairs):
-                seed = args.seed0 + i
+                seed = SEED0 + i
                 for s in SIDES if i % 2 == 0 else SIDES[::-1]:
                     r = run_once(checkouts[s], w, seed, seconds)
                     runs.append({"workload": w, "pair": i, "side": s, "seed": seed, **r})
@@ -142,7 +141,7 @@ def main(argv=None) -> int:
         }
     meta = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "revs": revs, "pairs": args.pairs, "seeds": [args.seed0, args.seed0 + args.pairs - 1],
+        "revs": revs, "pairs": args.pairs, "seeds": [SEED0, SEED0 + args.pairs - 1],
         "seconds": seconds, "workloads": workloads,
         "command": "python3 bench/run.py --workload W --seed N --seconds S --trace 0",
         "order": "parent first in even pairs, change first in odd pairs",

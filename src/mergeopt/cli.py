@@ -69,9 +69,7 @@ def cmd_merge(args) -> int:
     )
     base = load_checkpoint(args.base)
     models = [load_checkpoint(p) for p in args.models]
-    # Overflow is reported as the merge's NonFiniteResult, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        merged = offline_merge(base, models, spec)
+    merged = offline_merge(base, models, spec)
     save_checkpoint(merged, args.out)
     print(f"merged {len(models)} models into {args.out} ({args.method})")
     print(f"{'tensor':<24}{'shape':<16}{'delta nnz':<12}density")

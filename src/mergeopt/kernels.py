@@ -67,11 +67,6 @@ def sparsify_random(x, p: float, key: MaskKey, rescale: bool = False) -> np.ndar
     return out
 
 
-# Below this many elements a stable argsort beats partition-based selection;
-# the online top-p steps at small widths call it on tensors that small.
-_ARGSORT_BELOW = 256
-
-
 def sparsify_top_p(x, p: float) -> np.ndarray:
     """Keep the ceil(p * n) largest-magnitude elements, zero the rest.
 
@@ -88,12 +83,7 @@ def sparsify_top_p(x, p: float) -> np.ndarray:
         raise EmptyInput("sparsify_top_p needs at least one element")
     k = int(math.ceil(p * x.size))
     k = min(max(k, 1), x.size)
-    key = -np.abs(x)  # ascending key; sort and partition both put NaNs last
-    if x.size < _ARGSORT_BELOW:
-        keep = np.argsort(key, kind="stable")[:k]
-        out = np.zeros_like(x)
-        out[keep] = x[keep]
-        return out
+    key = -np.abs(x)  # ascending key; partition puts NaNs last, as a sort does
     kth = np.partition(key, k - 1)[k - 1]
     if math.isnan(kth):
         tied = np.isnan(key)

@@ -97,6 +97,7 @@ class TestMerge:
         code = main(["merge", str(base), "--base", str(base), "--out", str(tmp_path / "o.pset")])
         assert code == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", ["linear", "dare", "ties"])
     def test_nonfinite_merge_exit_one_without_output(self, tmp_path, capsys, method):
         # Finite weights whose weighted sum overflows to infinity.
