@@ -46,10 +46,8 @@ from .params import (
 from .policy import (
     ToyPolicy,
     class_loss_and_grad,
-    dpo_grad,
     dpo_loss,
     dpo_loss_and_grad,
-    dpo_margins,
     log_softmax,
 )
 from .tasks import (

@@ -15,6 +15,13 @@ import numpy as np
 _U64 = 1 << 64
 
 
+def _u64(value: int, what: str) -> bytes:
+    """value as the 8 little-endian bytes a key hashes; ValueError outside u64."""
+    if not 0 <= int(value) < _U64:
+        raise ValueError(f"{what} must fit in u64, got {value}")
+    return int(value).to_bytes(8, "little")
+
+
 @dataclass(frozen=True)
 class MaskKey:
     """Identifies one deterministic mask stream.
@@ -30,10 +37,8 @@ class MaskKey:
     stream: str = ""
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < _U64:
-            raise ValueError(f"seed must fit in u64, got {self.seed}")
-        if not 0 <= int(self.step) < _U64:
-            raise ValueError(f"step must fit in u64, got {self.step}")
+        _u64(self.seed, "seed")
+        _u64(self.step, "step")
 
     def material(self) -> int:
         """128-bit key for the counter-based generator."""
@@ -44,6 +49,37 @@ class MaskKey:
         h.update(b"\x00")
         h.update(self.stream.encode("utf-8"))
         return int.from_bytes(h.digest(), "little")
+
+
+class LayoutKeys:
+    """Key material of MaskKey(seed, name, step, stream) for one seed and a
+    fixed list of tensor names, without building a MaskKey per draw.
+
+    It holds a hasher already fed the seed and, per stream, each tensor's
+    suffix (its name, a zero byte, the stream): a draw copies the hasher and
+    adds the step bytes and the suffix, the bytes MaskKey.material() hashes
+    in the same order.
+    """
+
+    def __init__(self, seed: int, names):
+        self._seeded = hashlib.blake2b(_u64(seed, "seed"), digest_size=16)
+        self._names = tuple(names)
+        self._suffixes: dict[str, list[bytes]] = {}
+
+    def materials(self, step: int, stream: str) -> list[int]:
+        """material() of each tensor's key at (step, stream), in name order."""
+        step_bytes = _u64(step, "step")
+        suffixes = self._suffixes.get(stream)
+        if suffixes is None:
+            tag = b"\x00" + stream.encode("utf-8")
+            suffixes = self._suffixes[stream] = [n.encode("utf-8") + tag for n in self._names]
+        out = []
+        for suffix in suffixes:
+            h = self._seeded.copy()
+            h.update(step_bytes)
+            h.update(suffix)
+            out.append(int.from_bytes(h.digest(), "little"))
+        return out
 
 
 class MaskGenerator:
@@ -62,19 +98,24 @@ class MaskGenerator:
         # Counter zero and an empty output buffer: the state of any new Philox.
         self._fresh = self._bits.state
 
-    def uniforms(self, key: MaskKey, n: int) -> np.ndarray:
-        material = key.material()
+    def uniforms(self, key: MaskKey | int, n: int) -> np.ndarray:
+        """n uniforms from a MaskKey's stream, or from the stream of a
+        material() value (as LayoutKeys gives)."""
+        material = key if isinstance(key, int) else key.material()
         self._fresh["state"]["key"] = np.array([material & (_U64 - 1), material >> 64], np.uint64)
         self._bits.state = self._fresh
         return self._gen.random(n)
 
 
-def mask_uniforms(key: MaskKey, n: int, gen: MaskGenerator | None = None) -> np.ndarray:
+def mask_uniforms(key: MaskKey | int, n: int, gen: MaskGenerator | None = None) -> np.ndarray:
     """n uniforms in [0, 1) from the key's Philox counter stream, drawn with
     gen when given, else with a generator made for this one draw."""
     return (gen or MaskGenerator()).uniforms(key, n)
 
 
-def bernoulli_mask(key: MaskKey, n: int, p: float, gen: MaskGenerator | None = None) -> np.ndarray:
-    """Boolean keep-mask where each element is independently kept with probability p."""
-    return mask_uniforms(key, n, gen) < p
+def bernoulli_mask(
+    key: MaskKey | int, n: int, p: float, gen: MaskGenerator | None = None, out=None
+) -> np.ndarray:
+    """Boolean keep-mask where each element is independently kept with
+    probability p; written into out (n booleans) when given."""
+    return np.less(mask_uniforms(key, n, gen), p, out=out)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MissingBaseModel, NonFiniteGradient
 from .kernels import sign_consensus, sparsify_top_p, validate_probability
 from .kernels import sparsify_random  # noqa: F401  (not called; bench/tracer.py wraps it here)
-from .masks import MaskGenerator, MaskKey, bernoulli_mask
+from .masks import LayoutKeys, MaskGenerator, bernoulli_mask
 from .params import ParameterSet, check_aligned
 
 MASK_STREAM_UPDATE = "update"
@@ -113,6 +113,7 @@ class OptimizerState:
         self.tau_ref = None if tau_ref is None else tau_ref.vector()
         self.seed = int(seed)
         self.ema = params.vector().copy() if track_ema else None
+        self._keys = LayoutKeys(self.seed, params.names)
         self._masks = MaskGenerator()
         self._onties_ref: dict = {}
 
@@ -162,10 +163,10 @@ def _step(params, grads, state, hyper, rule=None, cfg=None, grad_rate=None) -> P
 def _keep_mask(state: OptimizerState, stream: str, p: float) -> np.ndarray:
     """Flat keep-mask whose slice for each tensor is drawn from that tensor's
     own (seed, name, step, stream) key."""
-    return np.concatenate([
-        bernoulli_mask(MaskKey(state.seed, name, state.t, stream), s.stop - s.start, p, state._masks)
-        for name, s in state._slices
-    ])
+    mask = np.empty(state.m.size, bool)
+    for material, (_, s) in zip(state._keys.materials(state.t, stream), state._slices):
+        bernoulli_mask(material, s.stop - s.start, p, state._masks, out=mask[s])
+    return mask
 
 
 def _ondare_merge(state, cfg, x) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from typing import Iterable, Iterator
 
@@ -34,36 +35,31 @@ class ParameterSet:
     __slots__ = ("_names", "_shapes", "_pos", "_slices", "_vector")
 
     def __init__(self, entries: Iterable[tuple]):
-        names: list[str] = []
-        shapes: list[tuple[int, ...]] = []
+        layout: dict[str, tuple[int, ...]] = {}
         arrays: list[np.ndarray] = []
-        pos: dict[str, int] = {}
-        slices: list[slice] = []
         for name, shape, data in entries:
-            if not isinstance(name, str) or not name:
-                raise ValueError(f"tensor name must be a nonempty string, got {name!r}")
-            if name in pos:
-                raise ValueError(f"duplicate tensor name {name!r}")
-            shape = tuple(int(s) for s in shape)
-            if any(s < 1 for s in shape):
-                raise ValueError(f"{name}: shape {shape} has a nonpositive dimension")
+            shape = _entry_shape(name, shape, layout)
             arr = np.asarray(data, dtype=np.float64).reshape(-1)
             expected = math.prod(shape)
             if arr.size != expected:
                 raise ValueError(
                     f"{name}: shape {shape} needs {expected} elements, data has {arr.size}"
                 )
-            pos[name] = len(names)
-            names.append(name)
-            shapes.append(shape)
+            layout[name] = shape
             arrays.append(arr)
-            start = slices[-1].stop if slices else 0
-            slices.append(slice(start, start + arr.size))
-        vector = np.concatenate(arrays) if arrays else np.zeros(0)
+        self._fill(layout, np.concatenate(arrays) if arrays else np.zeros(0))
+
+    def _fill(self, layout: dict, vector: np.ndarray) -> None:
+        """Set the slots from validated {name: shape} entries in order and the
+        flat vector they lay out, which the set takes over read-only."""
         vector.setflags(write=False)
-        self._names = tuple(names)
-        self._shapes = tuple(shapes)
-        self._pos = pos
+        self._names = tuple(layout)
+        self._shapes = tuple(layout.values())
+        self._pos = {name: i for i, name in enumerate(self._names)}
+        slices, start = [], 0
+        for shape in self._shapes:
+            slices.append(slice(start, start + math.prod(shape)))
+            start = slices[-1].stop
         self._slices = tuple(slices)
         self._vector = vector
 
@@ -148,6 +144,19 @@ class ParameterSet:
         return f"ParameterSet({len(self)} tensors, {self.total_elements()} elements)"
 
 
+def _entry_shape(name, shape, layout: dict) -> tuple[int, ...]:
+    """The shape of a new entry as a tuple, after checking that name is a
+    nonempty string not yet in layout and that no dimension is below 1."""
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"tensor name must be a nonempty string, got {name!r}")
+    if name in layout:
+        raise ValueError(f"duplicate tensor name {name!r}")
+    shape = tuple(int(s) for s in shape)
+    if any(s < 1 for s in shape):
+        raise ValueError(f"{name}: shape {shape} has a nonpositive dimension")
+    return shape
+
+
 def check_aligned(a: ParameterSet, b: ParameterSet) -> None:
     """Raise MisalignedSets at the first entry where names, shapes, or order differ."""
     if a._names == b._names and a._shapes == b._shapes:
@@ -197,52 +206,57 @@ def save_checkpoint(p: ParameterSet, path) -> None:
 
 
 def load_checkpoint(path) -> ParameterSet:
-    """Read a PSET1 file; bit-exact inverse of save_checkpoint."""
+    """Read a PSET1 file; bit-exact inverse of save_checkpoint.
+
+    The header is read and checked first, the payload size against the file
+    size before anything is allocated, and the payload then goes straight
+    into the set's flat vector: a load holds one copy of it."""
     with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < len(MAGIC) + 4 or buf[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: bad magic bytes")
-    (hlen,) = struct.unpack_from("<I", buf, len(MAGIC))
-    body_start = len(MAGIC) + 4
-    if body_start + hlen > len(buf):
-        raise FormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(buf[body_start : body_start + hlen].decode("utf-8"))
-    except (ValueError, RecursionError) as e:
-        raise FormatError(f"{path}: invalid header JSON ({e})") from e
-    if not isinstance(header, dict) or header.get("dtype") != "f64" or header.get("version") != 1:
-        raise FormatError(f"{path}: unsupported header (need dtype f64, version 1)")
-    raw_entries = header.get("entries")
-    if not isinstance(raw_entries, list):
-        raise FormatError(f"{path}: header has no entry list")
-    payload = memoryview(buf)[body_start + hlen :]
-    running = 0
-    entries = []
-    for i, e in enumerate(raw_entries):
-        # Nonnegative JSON integers (type is int: not floats or bools), so the
-        # payload length check below bounds every count passed to numpy.
-        if not (
-            isinstance(e, dict)
-            and isinstance(e.get("name"), str)
-            and isinstance(e.get("shape"), list)
-            and all(type(v) is int and v >= 0 for v in [*e["shape"], e.get("offset"), e.get("len")])
-        ):
-            raise FormatError(f"{path}: malformed entry record {i}")
-        name, shape, offset, length = e["name"], tuple(e["shape"]), e["offset"], e["len"]
-        if offset != running:
-            raise FormatError(f"{path}: entry {name!r} offset {offset}, expected {running}")
-        if length != math.prod(shape):
-            raise FormatError(f"{path}: entry {name!r} len {length} does not match shape {shape}")
-        running += length
-        entries.append((name, shape, offset, length))
-    if len(payload) != running * 8:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header declares {running * 8}"
-        )
-    try:
-        return ParameterSet(
-            (name, shape, np.frombuffer(payload, dtype="<f8", count=length, offset=offset * 8))
-            for name, shape, offset, length in entries
-        )
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"{path}: {e}") from e
+        file_size = os.fstat(f.fileno()).st_size
+        body_start = len(MAGIC) + 4
+        head = f.read(body_start)
+        if len(head) < body_start or head[: len(MAGIC)] != MAGIC:
+            raise FormatError(f"{path}: bad magic bytes")
+        (hlen,) = struct.unpack_from("<I", head, len(MAGIC))
+        if body_start + hlen > file_size:
+            raise FormatError(f"{path}: truncated header")
+        try:
+            header = json.loads(f.read(hlen).decode("utf-8"))
+        except (ValueError, RecursionError) as e:
+            raise FormatError(f"{path}: invalid header JSON ({e})") from e
+        if not isinstance(header, dict) or header.get("dtype") != "f64" or header.get("version") != 1:
+            raise FormatError(f"{path}: unsupported header (need dtype f64, version 1)")
+        raw_entries = header.get("entries")
+        if not isinstance(raw_entries, list):
+            raise FormatError(f"{path}: header has no entry list")
+        running = 0
+        layout: dict[str, tuple[int, ...]] = {}
+        for i, e in enumerate(raw_entries):
+            # Nonnegative JSON integers (type is int: not floats or bools), so the
+            # payload length check below bounds every count passed to numpy.
+            if not (
+                isinstance(e, dict)
+                and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(type(v) is int and v >= 0 for v in [*e["shape"], e.get("offset"), e.get("len")])
+            ):
+                raise FormatError(f"{path}: malformed entry record {i}")
+            name, shape, offset, length = e["name"], tuple(e["shape"]), e["offset"], e["len"]
+            if offset != running:
+                raise FormatError(f"{path}: entry {name!r} offset {offset}, expected {running}")
+            if length != math.prod(shape):
+                raise FormatError(f"{path}: entry {name!r} len {length} does not match shape {shape}")
+            try:
+                layout[name] = _entry_shape(name, shape, layout)
+            except ValueError as err:
+                raise FormatError(f"{path}: {err}") from err
+            running += length
+        payload = file_size - body_start - hlen
+        if payload != running * 8:
+            raise FormatError(f"{path}: payload is {payload} bytes, header declares {running * 8}")
+        vector = np.empty(running, dtype="<f8")
+        if f.readinto(memoryview(vector).cast("B")) != payload:
+            raise FormatError(f"{path}: payload ended before its {payload} bytes")
+    out = ParameterSet.__new__(ParameterSet)
+    out._fill(layout, vector.astype(np.float64, copy=False))
+    return out

@@ -85,6 +85,23 @@ class ToyPolicy:
     def logprobs(self, x: np.ndarray) -> np.ndarray:
         return log_softmax(self.logits(x))
 
+    def block_logprobs(self, x: np.ndarray, block_rows: int) -> np.ndarray:
+        """logprobs of every row of the 2-D x, computed block_rows rows at a
+        time with the last block zero-padded.
+
+        Every forward then has the shape of a block_rows-row batch, and each
+        row gets the bits a forward over such a batch gives it. One forward
+        over all rows does not: BLAS picks its kernel by the row count, and
+        at larger widths a different kernel changes the last bits.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        n = len(x)
+        padded = np.zeros((-(-n // block_rows) * block_rows, x.shape[1]))
+        padded[:n] = x
+        # One stacked matmul: numpy calls BLAS once per block_rows-row block.
+        stacked = self.logprobs(padded.reshape(-1, block_rows, x.shape[1]))
+        return stacked.reshape(-1, self.num_responses)[:n]
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=-1)
 
@@ -92,77 +109,72 @@ class ToyPolicy:
         return float(np.mean(self.predict(x) == np.asarray(labels)))
 
 
-def _pair_arrays(batch):
-    """A PreferenceSet-like batch as (x rows, chosen, rejected) arrays."""
-    x = np.atleast_2d(np.asarray(batch.x, dtype=np.float64))
-    return x, np.asarray(batch.chosen, int), np.asarray(batch.rejected, int)
+def _forward_margins(policy: ToyPolicy, ref_logprobs, batch, beta: float):
+    """The policy forward over a PreferenceSet-like batch and the per-pair
+    margins beta * (logratio_chosen - logratio_rejected), where
+    logratio_y = log pi(y|x) - ref_logprobs[row, y]: the reference model's
+    log-probabilities over the batch's rows, one row per pair.
 
-
-def dpo_margins(policy: ToyPolicy, reference: ToyPolicy, batch, beta: float) -> np.ndarray:
-    """Per-pair beta * (logratio_chosen - logratio_rejected) where
-    logratio_y = log pi(y|x) - log pi_ref(y|x)."""
+    Returns (x, hidden, logits, rows, chosen, rejected, margins)."""
     beta = float(beta)
     if not beta > 0:
         raise InvalidBeta(f"beta must be positive, got {beta}")
-    x, chosen, rejected = _pair_arrays(batch)
-    if len(x) == 0:
-        return np.zeros(0)
+    x = np.atleast_2d(np.asarray(batch.x, dtype=np.float64))
+    chosen, rejected = np.asarray(batch.chosen, int), np.asarray(batch.rejected, int)
+    ref = np.asarray(ref_logprobs, dtype=np.float64)
+    if ref.shape != (len(x), policy.num_responses):
+        raise ValueError(
+            f"reference log-probs have shape {ref.shape}, the batch needs "
+            f"{(len(x), policy.num_responses)}"
+        )
+    x, hidden, logits = policy._forward(x)
+    lp = log_softmax(logits)
     rows = np.arange(len(x))
-    lp = log_softmax(policy._forward(x)[2])
-    lp_ref = log_softmax(reference._forward(x)[2])
-    logratio_c = lp[rows, chosen] - lp_ref[rows, chosen]
-    logratio_r = lp[rows, rejected] - lp_ref[rows, rejected]
-    return beta * (logratio_c - logratio_r)
+    margins = beta * (
+        (lp[rows, chosen] - ref[rows, chosen]) - (lp[rows, rejected] - ref[rows, rejected])
+    )
+    return x, hidden, logits, rows, chosen, rejected, margins
 
 
-def dpo_loss(policy: ToyPolicy, reference: ToyPolicy, batch, beta: float):
+def dpo_loss(policy: ToyPolicy, ref_logprobs, batch, beta: float):
     """Mean -log sigmoid(margin) over the batch, plus the per-pair margins.
 
-    An empty batch yields loss 0.0 by the empty-mean convention.
+    ref_logprobs holds the reference model's log-probabilities over the
+    batch's rows (ToyPolicy.logprobs of the reference). An empty batch yields
+    loss 0.0 by the empty-mean convention.
     """
-    margins = dpo_margins(policy, reference, batch, beta)
+    margins = _forward_margins(policy, ref_logprobs, batch, beta)[-1]
     if margins.size == 0:
         return 0.0, margins
     loss = float(np.mean(np.logaddexp(0.0, -margins)))
     return loss, margins
 
 
-def dpo_loss_and_grad(policy: ToyPolicy, reference: ToyPolicy, batch, beta: float):
+def dpo_loss_and_grad(policy: ToyPolicy, ref_logprobs, batch, beta: float):
     """One fused forward/backward: returns (loss, margins, gradient ParameterSet).
 
     The gradient is exact reverse-mode differentiation of the loss with
-    respect to the policy parameters; the reference gets no gradient. The
-    softmax terms of the two log-probabilities cancel, leaving per-pair logit
-    gradients -beta * sigmoid(-margin) * (onehot_chosen - onehot_rejected) / n.
+    respect to the policy parameters; the reference log-probabilities are
+    constants. The softmax terms of the two log-probabilities cancel, leaving
+    per-pair logit gradients -beta * sigmoid(-margin) * (onehot_chosen -
+    onehot_rejected) / n.
     """
-    beta = float(beta)
-    if not beta > 0:
-        raise InvalidBeta(f"beta must be positive, got {beta}")
-    x, chosen, rejected = _pair_arrays(batch)
+    x, hidden, logits, rows, chosen, rejected, margins = _forward_margins(
+        policy, ref_logprobs, batch, beta
+    )
     if len(x) == 0:
         zero = policy.params.map(np.zeros_like)
-        return 0.0, np.zeros(0), zero
-
-    x, hidden, logits = policy._forward(x)
-    lp = log_softmax(logits)
-    lp_ref = log_softmax(reference._forward(x)[2])
-    rows = np.arange(len(x))
-    margins = beta * (
-        (lp[rows, chosen] - lp_ref[rows, chosen]) - (lp[rows, rejected] - lp_ref[rows, rejected])
-    )
+        return 0.0, margins, zero
     loss = float(np.mean(np.logaddexp(0.0, -margins)))
 
-    coeff = -beta * _sigmoid(-margins) / len(x)
+    coeff = -float(beta) * _sigmoid(-margins) / len(x)
     g_logits = np.zeros_like(logits)
-    np.add.at(g_logits, (rows, chosen), coeff)
-    np.add.at(g_logits, (rows, rejected), -coeff)
+    # Each statement hits every row once, so nothing accumulates within one:
+    # the same bits as np.add.at, also where chosen == rejected.
+    g_logits[rows, chosen] += coeff
+    g_logits[rows, rejected] += -coeff
     grad = _backprop(policy, x, hidden, g_logits)
     return loss, margins, grad
-
-
-def dpo_grad(policy: ToyPolicy, reference: ToyPolicy, batch, beta: float) -> ParameterSet:
-    """Gradient of dpo_loss with respect to the policy parameters."""
-    return dpo_loss_and_grad(policy, reference, batch, beta)[2]
 
 
 def _backprop(policy: ToyPolicy, x, hidden, g_logits) -> ParameterSet:

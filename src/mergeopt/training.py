@@ -289,8 +289,8 @@ def _build_optimizer(cfg: RunConfig, theta_base: ParameterSet):
     ))
 
 
-def _evaluate(policy: ToyPolicy, reference: ToyPolicy, suite: TaskSuite, beta, step) -> MetricsRecord:
-    loss, margins = dpo_loss(policy, reference, suite.pref_eval, beta)
+def _evaluate(policy: ToyPolicy, ref_eval: np.ndarray, suite: TaskSuite, beta, step) -> MetricsRecord:
+    loss, margins = dpo_loss(policy, ref_eval, suite.pref_eval, beta)
     return MetricsRecord(
         step=step,
         dpo_loss=loss,
@@ -328,7 +328,12 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
         cfg.seed, cfg.phases.batch_size,
     )
     theta_ref = policy.params
+    # The reference is frozen, so its log-probabilities are computed once:
+    # over pref_train in blocks shaped like a training batch (see
+    # block_logprobs), over pref_eval by the same call an evaluation makes.
     reference = policy.with_params(theta_ref)
+    ref_train = reference.block_logprobs(suite.pref_train.x, cfg.dpo.batch_size)
+    ref_eval = reference.logprobs(suite.pref_eval.x)
 
     tau_ref = delta(theta_ref, theta_base)
     state = OptimizerState(
@@ -348,7 +353,7 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
         return policy.with_params(params)
 
     params = theta_ref
-    metrics.append(_evaluate(eval_policy(params), reference, suite, cfg.dpo.beta, step=0))
+    metrics.append(_evaluate(eval_policy(params), ref_eval, suite, cfg.dpo.beta, step=0))
 
     dpo_rng = np.random.default_rng([cfg.seed, 3])
     n_train = len(suite.pref_train)
@@ -358,7 +363,7 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
         batch = suite.pref_train.take(idx)
         try:
             loss, _, grad = dpo_loss_and_grad(
-                policy.with_params(params), reference, batch, cfg.dpo.beta
+                policy.with_params(params), ref_train[idx], batch, cfg.dpo.beta
             )
             if not math.isfinite(loss):
                 raise NonFiniteLoss(
@@ -377,7 +382,7 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
             ema_update(state, params, cfg.ema_coefficient)
         last_good = step
         if step % cfg.dpo.eval_every == 0 or step == cfg.dpo.steps:
-            rec = _evaluate(eval_policy(params), reference, suite, cfg.dpo.beta, step)
+            rec = _evaluate(eval_policy(params), ref_eval, suite, cfg.dpo.beta, step)
             if not all(
                 math.isfinite(v)
                 for v in (rec.dpo_loss, rec.reward_margin, rec.pref_accuracy,

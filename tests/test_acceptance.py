@@ -21,8 +21,8 @@ from mergeopt import (
     MergeMethod,
     MergeSpec,
     ParameterSet,
-    dpo_grad,
     dpo_loss,
+    dpo_loss_and_grad,
     load_checkpoint,
     offline_merge,
     save_checkpoint,
@@ -218,7 +218,7 @@ def test_criterion_5_dpo_correctness():
         first = brng.integers(0, 3, size=8)
         second = (first + 1 + brng.integers(0, 2, size=8)) % 3
         batch = PreferenceSet(x, first, second)
-        loss, _ = dpo_loss(policy, policy, batch, 0.1)
+        loss, _ = dpo_loss(policy, policy.logprobs(batch.x), batch, 0.1)
         if abs(loss - math.log(2.0)) >= 1e-12:
             failures.append(f"log2 at seed {seed}: {loss}")
 
@@ -227,7 +227,8 @@ def test_criterion_5_dpo_correctness():
         np.array([0, 1, 2, 0, 1, 2, 0, 1]),
         np.array([1, 2, 0, 2, 0, 1, 2, 0]),
     )
-    grad = dpo_grad(policy, reference, batch, 0.1)
+    ref_lp = reference.logprobs(batch.x)
+    grad = dpo_loss_and_grad(policy, ref_lp, batch, 0.1)[2]
     eps, worst = 1e-6, 0.0
     for name, _, arr in policy.params:
         for i in range(arr.size):
@@ -238,13 +239,13 @@ def test_criterion_5_dpo_correctness():
                 policy.with_params(
                     ParameterSet((n, s, plus if n == name else a) for n, s, a in policy.params)
                 ),
-                reference, batch, 0.1,
+                ref_lp, batch, 0.1,
             )[0]
             lm = dpo_loss(
                 policy.with_params(
                     ParameterSet((n, s, minus if n == name else a) for n, s, a in policy.params)
                 ),
-                reference, batch, 0.1,
+                ref_lp, batch, 0.1,
             )[0]
             numeric = (lp - lm) / (2 * eps)
             analytic = grad.flat(name)[i]

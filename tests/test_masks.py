@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mergeopt import MaskKey, bernoulli_mask, mask_uniforms
-from mergeopt.masks import MaskGenerator
+from mergeopt.masks import LayoutKeys, MaskGenerator
 
 
 def test_equal_keys_give_identical_masks():
@@ -56,6 +56,11 @@ def test_seed_range_validated():
         MaskKey(-1, "w")
     with pytest.raises(ValueError):
         MaskKey(1 << 64, "w")
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed must fit in u64"):
+            LayoutKeys(bad, ("w",))
+    with pytest.raises(ValueError, match="step must fit in u64"):
+        LayoutKeys(0, ("w",)).materials(1 << 64, "update")
 
 
 def test_mask_rate_tracks_probability():
@@ -71,12 +76,23 @@ def _fresh(key, n):
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 def test_reused_generator_matches_fresh_philox(seed):
     gen = MaskGenerator()
-    for name in ("w1", "b2", "layer.\u00fc"):
-        for step in (0, 1, 2**64 - 1):
-            for stream in ("update", "ref", "grad"):
+    names = ("w1", "b2", "layer.\u00fc")
+    layout = LayoutKeys(seed, names)
+    for step in (0, 1, 2, 12345, 2**64 - 1):
+        for stream in ("update", "ref", "grad"):
+            for name in names:
                 key = MaskKey(seed, name, step, stream)
                 for n in (0, 1, 3, 257):
                     assert gen.uniforms(key, n).tobytes() == _fresh(key, n).tobytes()
+            # The optimizer's path: key material from LayoutKeys, each
+            # tensor's mask written into its slice of one buffer.
+            sizes = (1, 3, 257)
+            mask = np.empty(sum(sizes), bool)
+            bounds = np.cumsum((0,) + sizes)
+            for material, n, lo in zip(layout.materials(step, stream), sizes, bounds):
+                bernoulli_mask(material, n, 0.3, gen, out=mask[lo : lo + n])
+            oracle = [_fresh(MaskKey(seed, name, step, stream), n) < 0.3 for name, n in zip(names, sizes)]
+            assert mask.tobytes() == np.concatenate(oracle).tobytes()
     big = MaskKey(seed, "w1", 5, "update")
     assert gen.uniforms(big, 262_144).tobytes() == _fresh(big, 262_144).tobytes()
 

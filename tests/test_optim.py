@@ -125,14 +125,16 @@ class TestOnDare:
         d = -0.2 * 0.1 / math.sqrt(0.001 + 1e-8)
         assert out.flat("x")[0] == pytest.approx(1.0 + 0.5 * d + 0.5 * 0.4, abs=1e-15)
 
-    def test_sparsity_locality_both_masks_dropped(self):
+    @pytest.mark.parametrize("step", [1, 12345])
+    def test_sparsity_locality_both_masks_dropped(self, step):
         params, tau = make_problem(n=4000)
         cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.3, reserve_rate=0.4)
         state = OptimizerState(params, tau_ref=tau, seed=11)
+        state.t = step - 1
         out = ondare_step(params, grad_stream(2, 1, params), state, HYP, cfg)
         for name, _, arr in params:
-            keep_u = bernoulli_mask(MaskKey(11, name, 1, MASK_STREAM_UPDATE), arr.size, 0.4)
-            keep_r = bernoulli_mask(MaskKey(11, name, 1, MASK_STREAM_REF), arr.size, 0.4)
+            keep_u = bernoulli_mask(MaskKey(11, name, step, MASK_STREAM_UPDATE), arr.size, 0.4)
+            keep_r = bernoulli_mask(MaskKey(11, name, step, MASK_STREAM_REF), arr.size, 0.4)
             untouched = ~keep_u & ~keep_r
             assert untouched.any()
             assert np.array_equal(out.flat(name)[untouched], arr[untouched])
@@ -447,6 +449,17 @@ class TestStateInvariants:
         for t in range(1, 10):
             p = ondare_step(p, grad_stream(7, t, params), state, HYP, cfg)
         assert state.tau_ref.tobytes() == before
+
+    def test_mask_key_ranges_checked(self):
+        params, tau = make_problem()
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must fit in u64"):
+                OptimizerState(params, tau_ref=tau, seed=bad)
+        state = OptimizerState(params, tau_ref=tau, seed=2**64 - 1)
+        state.t = 2**64 - 1
+        with pytest.raises(ValueError, match="step must fit in u64"):
+            ondare_step(params, grad_stream(1, 1, params), state, HYP,
+                        OnlineMergeConfig(MergeVariant.ONDARE))
 
     def test_memory_contract_no_base_model_in_state(self):
         # The state may cache the reference delta but never the base model.

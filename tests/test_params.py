@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,9 +185,24 @@ def test_checkpoint_payload_length_mismatch(tmp_path):
     path = tmp_path / "short.pset"
     save_checkpoint(pset(w=[1.0, 2.0]), path)
     data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(FormatError, match="payload"):
-        load_checkpoint(path)
+    for wrong in (data[:-8], data[:-1], data + b"\x00", data + b"\x00" * 8):
+        path.write_bytes(wrong)
+        with pytest.raises(FormatError, match="payload"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_load_holds_one_copy_of_the_payload(tmp_path):
+    n = 2**18
+    path = tmp_path / "big.pset"
+    save_checkpoint(pset(w=np.random.default_rng(0).normal(size=n)), path)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.total_elements() == n
+    assert peak <= 1.3 * n * 8
 
 
 def test_checkpoint_bad_header_json(tmp_path):

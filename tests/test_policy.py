@@ -8,10 +8,10 @@ from mergeopt import (
     ParameterSet,
     ToyPolicy,
     class_loss_and_grad,
-    dpo_grad,
     dpo_loss,
     dpo_loss_and_grad,
 )
+from mergeopt.policy import _backprop, _sigmoid, log_softmax
 from mergeopt.tasks import PreferenceSet
 
 
@@ -69,7 +69,7 @@ class TestDpoLoss:
         policy = make_policy(seed=5)
         for seed in range(4):
             batch = make_batch(policy, n=16, seed=seed)
-            loss, margins = dpo_loss(policy, policy, batch, beta=0.1)
+            loss, margins = dpo_loss(policy, policy.logprobs(batch.x), batch, beta=0.1)
             assert loss == pytest.approx(math.log(2.0), abs=1e-12)
             assert np.all(margins == 0.0)
 
@@ -93,7 +93,7 @@ class TestDpoLoss:
         # logratio_chosen - logratio_rejected = (lp0 - ref0) - (lp1 - ref1);
         # with symmetric logits (+1, -1) the log-softmax shifts cancel and
         # the difference is exactly 2.
-        loss, margins = dpo_loss(policy, reference, batch, beta=0.1)
+        loss, margins = dpo_loss(policy, reference.logprobs(batch.x), batch, beta=0.1)
         assert margins[0] == pytest.approx(0.2, abs=1e-12)
         assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -104,8 +104,19 @@ class TestDpoLoss:
 
     def test_invalid_beta(self):
         policy = make_policy()
+        batch = make_batch(policy)
         with pytest.raises(InvalidBeta):
-            dpo_loss(policy, policy, make_batch(policy), beta=0.0)
+            dpo_loss(policy, policy.logprobs(batch.x), batch, beta=0.0)
+
+    def test_reference_rows_must_match_the_batch(self):
+        policy = make_policy()
+        batch = make_batch(policy, n=8)
+        ref = policy.logprobs(batch.x)
+        for bad in (ref[:7], ref[:, :2], ref[0]):
+            with pytest.raises(ValueError, match="reference log-probs"):
+                dpo_loss(policy, bad, batch, 0.1)
+            with pytest.raises(ValueError, match="reference log-probs"):
+                dpo_loss_and_grad(policy, bad, batch, 0.1)
 
 
 class TestDpoGrad:
@@ -115,8 +126,9 @@ class TestDpoGrad:
         policy = make_policy(d=3, h=4, c=3, seed=7)
         reference = make_policy(d=3, h=4, c=3, seed=8)
         batch = make_batch(policy, n=8, seed=9)
+        ref_lp = reference.logprobs(batch.x)
         beta = 0.1
-        grad = dpo_grad(policy, reference, batch, beta)
+        grad = dpo_loss_and_grad(policy, ref_lp, batch, beta)[2]
 
         eps = 1e-6
         worst = 0.0
@@ -133,8 +145,8 @@ class TestDpoGrad:
                     p_minus = ParameterSet(
                         (n, s, minus if n == name else a) for n, s, a in policy.params
                     )
-                    l_plus, _ = dpo_loss(policy.with_params(p_plus), reference, batch, beta)
-                    l_minus, _ = dpo_loss(policy.with_params(p_minus), reference, batch, beta)
+                    l_plus, _ = dpo_loss(policy.with_params(p_plus), ref_lp, batch, beta)
+                    l_minus, _ = dpo_loss(policy.with_params(p_minus), ref_lp, batch, beta)
                     numeric = (l_plus - l_minus) / (2 * eps)
                     analytic = grad.flat(name)[i]
                     denom = max(abs(numeric), abs(analytic), 1e-8)
@@ -145,17 +157,18 @@ class TestDpoGrad:
         policy = make_policy(seed=11)
         reference = make_policy(seed=11)
         batch = make_batch(policy, n=16, seed=12)
-        loss0, _, grad = dpo_loss_and_grad(policy, reference, batch, 0.1)
+        ref_lp = reference.logprobs(batch.x)
+        loss0, _, grad = dpo_loss_and_grad(policy, ref_lp, batch, 0.1)
         step = 1e-4
         moved = policy.params.with_vector(policy.params.vector() - step * grad.vector())
-        loss1, _ = dpo_loss(policy.with_params(moved), reference, batch, 0.1)
+        loss1, _ = dpo_loss(policy.with_params(moved), ref_lp, batch, 0.1)
         assert loss1 < loss0
 
     def test_empty_batch_gives_zero_gradient(self):
         policy = make_policy(seed=13)
         reference = make_policy(seed=14)
         empty = PreferenceSet(np.zeros((0, 3)), np.zeros(0, int), np.zeros(0, int))
-        loss, margins, grad = dpo_loss_and_grad(policy, reference, empty, 0.1)
+        loss, margins, grad = dpo_loss_and_grad(policy, reference.logprobs(empty.x), empty, 0.1)
         assert loss == 0.0
         assert margins.size == 0
         assert all(np.all(a == 0.0) for _, _, a in grad)
@@ -163,9 +176,59 @@ class TestDpoGrad:
     def test_reference_receives_no_gradient(self):
         policy = make_policy(seed=15)
         reference = make_policy(seed=16)
-        before = reference.params.fingerprint()
-        dpo_grad(policy, reference, make_batch(policy, n=8, seed=17), 0.1)
-        assert reference.params.fingerprint() == before
+        batch = make_batch(policy, n=8, seed=17)
+        ref_lp = reference.logprobs(batch.x)
+        before = ref_lp.tobytes()
+        dpo_loss_and_grad(policy, ref_lp, batch, 0.1)
+        assert ref_lp.tobytes() == before
+
+    def test_logit_scatter_matches_add_at(self):
+        # Oracle: the gradient with the logit scatter done by np.add.at, which
+        # accumulates repeated indices. Rows 0-1 have chosen == rejected; a
+        # -inf reference entry makes a margin +inf (coefficient -0.0) and a NaN
+        # entry makes it NaN.
+        policy = make_policy(d=3, h=4, c=3, seed=18)
+        batch = make_batch(policy, n=8, seed=19)
+        chosen, rejected = batch.chosen.copy(), batch.rejected.copy()
+        rejected[:2] = chosen[:2]
+        batch = PreferenceSet(batch.x, chosen, rejected)
+        ref_lp = make_policy(d=3, h=4, c=3, seed=20).logprobs(batch.x)
+        ref_lp[2, chosen[2]] = -np.inf
+        ref_lp[3, chosen[3]] = np.nan
+        beta = 0.1
+
+        x, hidden, logits = policy._forward(batch.x)
+        lp = log_softmax(logits)
+        rows = np.arange(len(x))
+        margins = beta * (
+            (lp[rows, chosen] - ref_lp[rows, chosen]) - (lp[rows, rejected] - ref_lp[rows, rejected])
+        )
+        coeff = -beta * _sigmoid(-margins) / len(x)
+        assert np.signbit(coeff[2]) and coeff[2] == 0.0 and np.isnan(coeff[3])
+        g_logits = np.zeros_like(logits)
+        np.add.at(g_logits, (rows, chosen), coeff)
+        np.add.at(g_logits, (rows, rejected), -coeff)
+        expected = _backprop(policy, x, hidden, g_logits)
+
+        with np.errstate(invalid="ignore"):  # the NaN row's loss term
+            _, got_margins, grad = dpo_loss_and_grad(policy, ref_lp, batch, beta)
+        assert got_margins.tobytes() == margins.tobytes()
+        assert grad.vector().tobytes() == expected.vector().tobytes()
+
+
+class TestBlockLogprobs:
+    @pytest.mark.parametrize("hidden", [4, 16, 64, 256])
+    def test_equal_to_a_forward_per_batch(self, hidden):
+        # 203 rows: not a multiple of 7 or 32, and fewer than 256.
+        rng = np.random.default_rng(hidden)
+        reference = make_policy(d=6, h=hidden, c=4, seed=hidden)
+        x = rng.normal(size=(203, 6))
+        for batch_size in (1, 7, 32, 256):
+            table = reference.block_logprobs(x, batch_size)
+            assert table.shape == (203, 4)
+            for _ in range(20):
+                idx = rng.integers(0, len(x), size=batch_size)
+                assert table[idx].tobytes() == reference.logprobs(x[idx]).tobytes()
 
 
 class TestClassificationLoss:
