@@ -96,13 +96,17 @@ class MaskGenerator:
         self._bits = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bits)
         # Counter zero and an empty output buffer: the state of any new Philox.
+        # The state setter copies the key out of this array, so each draw
+        # writes its key into it in place.
         self._fresh = self._bits.state
+        self._key = self._fresh["state"]["key"]
 
     def uniforms(self, key: MaskKey | int, n: int) -> np.ndarray:
         """n uniforms from a MaskKey's stream, or from the stream of a
         material() value (as LayoutKeys gives)."""
         material = key if isinstance(key, int) else key.material()
-        self._fresh["state"]["key"] = np.array([material & (_U64 - 1), material >> 64], np.uint64)
+        self._key[0] = material & (_U64 - 1)
+        self._key[1] = material >> 64
         self._bits.state = self._fresh
         return self._gen.random(n)
 

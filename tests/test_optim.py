@@ -125,19 +125,19 @@ class TestOnDare:
         d = -0.2 * 0.1 / math.sqrt(0.001 + 1e-8)
         assert out.flat("x")[0] == pytest.approx(1.0 + 0.5 * d + 0.5 * 0.4, abs=1e-15)
 
-    @pytest.mark.parametrize("step", [1, 12345])
-    def test_sparsity_locality_both_masks_dropped(self, step):
+    def test_sparsity_locality_both_masks_dropped(self):
         params, tau = make_problem(n=4000)
         cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.3, reserve_rate=0.4)
-        state = OptimizerState(params, tau_ref=tau, seed=11)
-        state.t = step - 1
-        out = ondare_step(params, grad_stream(2, 1, params), state, HYP, cfg)
-        for name, _, arr in params:
-            keep_u = bernoulli_mask(MaskKey(11, name, step, MASK_STREAM_UPDATE), arr.size, 0.4)
-            keep_r = bernoulli_mask(MaskKey(11, name, step, MASK_STREAM_REF), arr.size, 0.4)
-            untouched = ~keep_u & ~keep_r
-            assert untouched.any()
-            assert np.array_equal(out.flat(name)[untouched], arr[untouched])
+        for step in (1, 12345):
+            state = OptimizerState(params, tau_ref=tau, seed=11)
+            state.t = step - 1
+            out = ondare_step(params, grad_stream(2, 1, params), state, HYP, cfg)
+            for name, _, arr in params:
+                keep_u = bernoulli_mask(MaskKey(11, name, step, MASK_STREAM_UPDATE), arr.size, 0.4)
+                keep_r = bernoulli_mask(MaskKey(11, name, step, MASK_STREAM_REF), arr.size, 0.4)
+                untouched = ~keep_u & ~keep_r
+                assert untouched.any()
+                assert np.array_equal(out.flat(name)[untouched], arr[untouched])
 
     def test_update_and_reference_masks_are_independent_streams(self):
         params, tau = make_problem(n=5000)
