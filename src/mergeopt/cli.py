@@ -144,6 +144,8 @@ def _run_sweep_point(payload: dict) -> dict:
             final_reward_margin=last.reward_margin,
         )
     except MergeOptError as e:
+        if isinstance(e, NonFiniteLoss):
+            _write_run_outputs(Path(cfg.out_dir), cfg, metrics=e.metrics)
         row.update(
             status=f"failed: {type(e).__name__}",
             final_pref_accuracy="",

@@ -56,9 +56,9 @@ class LayoutKeys:
     fixed list of tensor names, without building a MaskKey per draw.
 
     It holds a hasher already fed the seed and, per stream, each tensor's
-    suffix (its name, a zero byte, the stream): a draw copies the hasher and
-    adds the step bytes and the suffix, the bytes MaskKey.material() hashes
-    in the same order.
+    suffix (its name, a zero byte, the stream): materials() copies the hasher
+    and adds the step bytes, then each tensor's key copies that and adds the
+    suffix, the bytes MaskKey.material() hashes in the same order.
     """
 
     def __init__(self, seed: int, names):
@@ -68,15 +68,15 @@ class LayoutKeys:
 
     def materials(self, step: int, stream: str) -> list[int]:
         """material() of each tensor's key at (step, stream), in name order."""
-        step_bytes = _u64(step, "step")
         suffixes = self._suffixes.get(stream)
         if suffixes is None:
             tag = b"\x00" + stream.encode("utf-8")
             suffixes = self._suffixes[stream] = [n.encode("utf-8") + tag for n in self._names]
+        stepped = self._seeded.copy()
+        stepped.update(_u64(step, "step"))
         out = []
         for suffix in suffixes:
-            h = self._seeded.copy()
-            h.update(step_bytes)
+            h = stepped.copy()
             h.update(suffix)
             out.append(int.from_bytes(h.digest(), "little"))
         return out
@@ -95,10 +95,13 @@ class MaskGenerator:
     def __init__(self):
         self._bits = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bits)
-        # Counter zero and an empty output buffer: the state of any new Philox.
-        # The state setter copies the key out of this array, so each draw
-        # writes its key into it in place.
+        # Counter zero and an empty output buffer: the state of any new Philox,
+        # with its arrays as lists of Python ints, which the state setter reads
+        # element by element faster than numpy scalars. The setter copies the
+        # key out of the list, so each draw writes its key into it in place.
         self._fresh = self._bits.state
+        self._fresh["state"] = {k: a.tolist() for k, a in self._fresh["state"].items()}
+        self._fresh["buffer"] = self._fresh["buffer"].tolist()
         self._key = self._fresh["state"]["key"]
 
     def uniforms(self, key: MaskKey | int, n: int) -> np.ndarray:
@@ -122,4 +125,4 @@ def bernoulli_mask(
 ) -> np.ndarray:
     """Boolean keep-mask where each element is independently kept with
     probability p; written into out (n booleans) when given."""
-    return np.less(mask_uniforms(key, n, gen), p, out=out)
+    return np.less((gen or MaskGenerator()).uniforms(key, n), p, out=out)

@@ -92,7 +92,8 @@ class OptimizerState:
     made for: the Adam moments m and v, the step-K accumulator delta_cache,
     the EMA shadow ema (None while there is none) and the read-only reference
     delta tau_ref (None without one); plus the step counter, the mask
-    generator and alpha * top-p(tau_ref) per (alpha, reserve rate) for OnTIES.
+    generator, the merges' constant reference sides (alpha * tau_ref for
+    OnDARE, alpha * top-p(tau_ref) for OnTIES) and reused work buffers.
     The base model is deliberately not part of the state: the relaxed online
     merge needs only tau_ref, never mutated."""
 
@@ -115,7 +116,11 @@ class OptimizerState:
         self.ema = params.vector().copy() if track_ema else None
         self._keys = LayoutKeys(self.seed, params.names)
         self._masks = MaskGenerator()
-        self._onties_ref: dict = {}
+        self._ref_sides: dict = {}
+        # Adam's update delta and its second buffer, and per mask stream a
+        # keep-mask with each tensor's (length, slice view) of it.
+        self._delta, self._work = np.empty(size), np.empty(size)
+        self._mask_slots: dict = {}
 
     def ema_parameters(self) -> Optional[ParameterSet]:
         if self.ema is None:
@@ -123,19 +128,25 @@ class OptimizerState:
         return self._layout.with_vector(self.ema.copy())
 
 
-def _adam(m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, hyper: AdamHyper) -> np.ndarray:
+def _adam(state: OptimizerState, g: np.ndarray, hyper: AdamHyper) -> np.ndarray:
     """Advance the moments m and v in place with gradient g at step t and
-    return the raw update delta -lr * mhat / sqrt(vhat + eps)."""
+    return the raw update delta -lr * mhat / sqrt(vhat + eps), computed in the
+    state's delta buffer (valid until the next step)."""
+    m, v, d, work = state.m, state.v, state._delta, state._work
     m *= hyper.beta1
-    m += (1.0 - hyper.beta1) * g
+    m += np.multiply(1.0 - hyper.beta1, g, out=work)
     v *= hyper.beta2
-    v += (1.0 - hyper.beta2) * np.square(g)
+    v += np.multiply(1.0 - hyper.beta2, np.square(g, out=work), out=work)
     if hyper.bias_correction:
-        mhat = m / (1.0 - hyper.beta1**t)
-        vhat = v / (1.0 - hyper.beta2**t)
+        np.divide(m, 1.0 - hyper.beta1**state.t, out=d)
+        np.divide(v, 1.0 - hyper.beta2**state.t, out=work)
+        work += hyper.epsilon
     else:
-        mhat, vhat = m, v
-    return -hyper.learning_rate * mhat / np.sqrt(vhat + hyper.epsilon)
+        d[:] = m
+        np.add(v, hyper.epsilon, out=work)
+    d *= -hyper.learning_rate
+    d /= np.sqrt(work, out=work)
+    return d
 
 
 def _step(params, grads, state, hyper, rule=None, cfg=None, grad_rate=None) -> ParameterSet:
@@ -154,45 +165,62 @@ def _step(params, grads, state, hyper, rule=None, cfg=None, grad_rate=None) -> P
         bad = next(n for n, s in state._slices if not np.isfinite(g[s]).all())
         raise NonFiniteGradient(f"{bad}: gradient contains NaN or infinity")
     theta = params.vector()
-    d = _adam(state.m, state.v, g, state.t, hyper)
+    d = _adam(state, g, hyper)
     if hyper.weight_decay != 0.0:
-        d = d - hyper.learning_rate * hyper.weight_decay * theta
+        d -= np.multiply(hyper.learning_rate * hyper.weight_decay, theta, out=state._work)
     return params.with_vector(theta + d if rule is None else rule(state, cfg, theta, d))
 
 
 def _keep_mask(state: OptimizerState, stream: str, p: float) -> np.ndarray:
     """Flat keep-mask whose slice for each tensor is drawn from that tensor's
-    own (seed, name, step, stream) key."""
-    mask = np.empty(state.m.size, bool)
-    for material, (_, s) in zip(state._keys.materials(state.t, stream), state._slices):
-        bernoulli_mask(material, s.stop - s.start, p, state._masks, out=mask[s])
+    own (seed, name, step, stream) key, in the stream's reused buffer (valid
+    until the stream's next draw)."""
+    slots = state._mask_slots.get(stream)
+    if slots is None:
+        mask = np.empty(state.m.size, bool)
+        views = [(s.stop - s.start, mask[s]) for _, s in state._slices]
+        slots = state._mask_slots[stream] = (mask, views)
+    mask, views = slots
+    for material, (n, out) in zip(state._keys.materials(state.t, stream), views):
+        bernoulli_mask(material, n, p, state._masks, out=out)
     return mask
+
+
+def _ref_side(state, key, make) -> np.ndarray:
+    """The constant reference side of a merge, made once per key. Keys carry
+    alpha's sign because -0.0 == 0.0 but scales tau_ref to zeros of the
+    other sign."""
+    ref = state._ref_sides.get(key)
+    if ref is None:
+        ref = state._ref_sides[key] = make()
+    return ref
 
 
 def _ondare_merge(state, cfg, x) -> np.ndarray:
     """(1 - alpha) * F(x) + alpha * F(tau_ref), F a random keep-mask on
     independent streams. Neither side is rescaled: rescaling is essential
-    offline but destabilizes multi-step optimization."""
-    p = cfg.reserve_rate
-    kept_x = np.where(_keep_mask(state, MASK_STREAM_UPDATE, p), x, 0.0)
-    kept_tau = np.where(_keep_mask(state, MASK_STREAM_REF, p), state.tau_ref, 0.0)
-    return (1.0 - cfg.alpha) * kept_x + cfg.alpha * kept_tau
+    offline but destabilizes multi-step optimization. Masked-out elements are
+    (1 - alpha) * 0.0 and alpha * 0.0, so the reference side's zeros carry
+    alpha's sign."""
+    a, p = cfg.alpha, cfg.reserve_rate
+    ref = _ref_side(state, ("ondare", a, math.copysign(1.0, a)), lambda: a * state.tau_ref)
+    out = np.where(_keep_mask(state, MASK_STREAM_UPDATE, p), (1.0 - a) * x, 0.0)
+    out += np.where(_keep_mask(state, MASK_STREAM_REF, p), ref, a * 0.0)
+    return out
 
 
 def _onties_merge(state, cfg, x) -> np.ndarray:
     """Sign consensus of (1 - alpha) * top-p(x) and alpha * top-p(tau_ref),
-    top-p taken within each tensor. The reference side is constant, so it is
-    computed once per (alpha, reserve rate); the key carries alpha's sign
-    because -0.0 == 0.0 but scales tau_ref to zeros of the other sign."""
+    top-p taken within each tensor; the reference side is made once per
+    (alpha, reserve rate)."""
 
     def top_p(v):
         return np.concatenate([sparsify_top_p(v[s], cfg.reserve_rate) for _, s in state._slices])
 
-    key = (cfg.alpha, math.copysign(1.0, cfg.alpha), cfg.reserve_rate)
-    ref = state._onties_ref.get(key)
-    if ref is None:
-        ref = state._onties_ref[key] = cfg.alpha * top_p(state.tau_ref)
-    return sign_consensus((1.0 - cfg.alpha) * top_p(x), ref)
+    a = cfg.alpha
+    key = ("onties", a, math.copysign(1.0, a), cfg.reserve_rate)
+    ref = _ref_side(state, key, lambda: a * top_p(state.tau_ref))
+    return sign_consensus((1.0 - a) * top_p(x), ref)
 
 
 _MERGES = {MergeVariant.ONDARE: _ondare_merge, MergeVariant.ONTIES: _onties_merge}

@@ -102,6 +102,10 @@ class ParameterSet:
         """(name, slice of the flat vector) for each entry, in order."""
         return tuple(zip(self._names, self._slices))
 
+    def same_layout(self, other: "ParameterSet") -> bool:
+        """Whether other has this set's names, shapes and order."""
+        return self._names == other._names and self._shapes == other._shapes
+
     def shape(self, name: str) -> tuple[int, ...]:
         return self._shapes[self._pos[name]]
 
@@ -159,7 +163,7 @@ def _entry_shape(name, shape, layout: dict) -> tuple[int, ...]:
 
 def check_aligned(a: ParameterSet, b: ParameterSet) -> None:
     """Raise MisalignedSets at the first entry where names, shapes, or order differ."""
-    if a._names == b._names and a._shapes == b._shapes:
+    if a.same_layout(b):
         return
     for i in range(min(len(a), len(b))):
         na, nb = a.names[i], b.names[i]

@@ -16,19 +16,17 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp only of -|x| <= 0, so it never overflows: 1 / (1 + e^-x) for
+    # x >= 0 and e^x / (1 + e^x) below.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log softmax with max subtraction; safe for huge logits."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 class ToyPolicy:
@@ -50,6 +48,7 @@ class ToyPolicy:
         self.input_dim = int(input_dim)
         self.hidden_dim = int(hidden_dim)
         self.num_responses = int(num_responses)
+        self._slices = tuple(s for _, s in params.slices())
 
     @classmethod
     def random_init(cls, input_dim: int, hidden_dim: int, num_responses: int, rng) -> "ToyPolicy":
@@ -66,16 +65,33 @@ class ToyPolicy:
         return cls(params, input_dim, hidden_dim, num_responses)
 
     def with_params(self, params: ParameterSet) -> "ToyPolicy":
-        return ToyPolicy(params, self.input_dim, self.hidden_dim, self.num_responses)
+        """This policy's shapes over params; a set with this policy's layout
+        (as ParameterSet.with_vector makes) is not validated again."""
+        if not params.same_layout(self.params):
+            return ToyPolicy(params, self.input_dim, self.hidden_dim, self.num_responses)
+        out = object.__new__(ToyPolicy)
+        out.__dict__.update(self.__dict__)
+        out.params = params
+        return out
+
+    def _views(self, v: np.ndarray):
+        """w1, b1, w2, b2 as views of a flat vector in this policy's layout."""
+        s_w1, s_b1, s_w2, s_b2 = self._slices
+        return (
+            v[s_w1].reshape(self.hidden_dim, self.input_dim),
+            v[s_b1],
+            v[s_w2].reshape(self.num_responses, self.hidden_dim),
+            v[s_b2],
+        )
 
     def _forward(self, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        w1 = self.params.tensor("w1")
-        b1 = self.params.tensor("b1")
-        w2 = self.params.tensor("w2")
-        b2 = self.params.tensor("b2")
-        hidden = np.tanh(x @ w1.T + b1)
-        logits = hidden @ w2.T + b2
+        w1, b1, w2, b2 = self._views(self.params.vector())
+        hidden = x @ w1.T
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ w2.T
+        logits += b2
         return x, hidden, logits
 
     def logits(self, x: np.ndarray) -> np.ndarray:
@@ -119,20 +135,16 @@ def _forward_margins(policy: ToyPolicy, ref_logprobs, batch, beta: float):
     beta = float(beta)
     if not beta > 0:
         raise InvalidBeta(f"beta must be positive, got {beta}")
-    x = np.atleast_2d(np.asarray(batch.x, dtype=np.float64))
+    x, hidden, logits = policy._forward(batch.x)
     chosen, rejected = np.asarray(batch.chosen, int), np.asarray(batch.rejected, int)
     ref = np.asarray(ref_logprobs, dtype=np.float64)
-    if ref.shape != (len(x), policy.num_responses):
+    if ref.shape != logits.shape:
         raise ValueError(
-            f"reference log-probs have shape {ref.shape}, the batch needs "
-            f"{(len(x), policy.num_responses)}"
+            f"reference log-probs have shape {ref.shape}, the batch needs {logits.shape}"
         )
-    x, hidden, logits = policy._forward(x)
-    lp = log_softmax(logits)
     rows = np.arange(len(x))
-    margins = beta * (
-        (lp[rows, chosen] - ref[rows, chosen]) - (lp[rows, rejected] - ref[rows, rejected])
-    )
+    ratio = log_softmax(logits) - ref
+    margins = beta * (ratio[rows, chosen] - ratio[rows, rejected])
     return x, hidden, logits, rows, chosen, rejected, margins
 
 
@@ -146,8 +158,7 @@ def dpo_loss(policy: ToyPolicy, ref_logprobs, batch, beta: float):
     margins = _forward_margins(policy, ref_logprobs, batch, beta)[-1]
     if margins.size == 0:
         return 0.0, margins
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
-    return loss, margins
+    return float(np.logaddexp(0.0, -margins).sum() / margins.size), margins
 
 
 def dpo_loss_and_grad(policy: ToyPolicy, ref_logprobs, batch, beta: float):
@@ -162,42 +173,46 @@ def dpo_loss_and_grad(policy: ToyPolicy, ref_logprobs, batch, beta: float):
     x, hidden, logits, rows, chosen, rejected, margins = _forward_margins(
         policy, ref_logprobs, batch, beta
     )
-    if len(x) == 0:
+    n = len(x)
+    if n == 0:
         zero = policy.params.map(np.zeros_like)
         return 0.0, margins, zero
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+    neg = -margins
+    loss = float(np.logaddexp(0.0, neg).sum() / n)
 
-    coeff = -float(beta) * _sigmoid(-margins) / len(x)
-    g_logits = np.zeros_like(logits)
+    coeff = -float(beta) * _sigmoid(neg) / n
+    g_logits = np.zeros(logits.shape)
     # Each statement hits every row once, so nothing accumulates within one:
-    # the same bits as np.add.at, also where chosen == rejected.
-    g_logits[rows, chosen] += coeff
+    # the same bits as np.add.at onto zeros, also where chosen == rejected.
+    # The first writes 0.0 + coeff, which turns a -0.0 coefficient into 0.0.
+    g_logits[rows, chosen] = coeff + 0.0
     g_logits[rows, rejected] += -coeff
     grad = _backprop(policy, x, hidden, g_logits)
     return loss, margins, grad
 
 
 def _backprop(policy: ToyPolicy, x, hidden, g_logits) -> ParameterSet:
-    w2 = policy.params.tensor("w2")
-    g_w2 = g_logits.T @ hidden
-    g_b2 = g_logits.sum(axis=0)
-    g_hidden = g_logits @ w2
-    g_z1 = g_hidden * (1.0 - hidden**2)
-    g_w1 = g_z1.T @ x
-    g_b1 = g_z1.sum(axis=0)
-    blocks = (g_w1.ravel(), g_b1, g_w2.ravel(), g_b2)
-    return policy.params.with_vector(np.concatenate(blocks))
+    """The gradient set from the logit gradients, each block computed into
+    its slice of one flat vector."""
+    grad = np.empty(policy.params.total_elements())
+    g_w1, g_b1, g_w2, g_b2 = policy._views(grad)
+    np.matmul(g_logits.T, hidden, out=g_w2)
+    g_logits.sum(axis=0, out=g_b2)
+    g_z1 = g_logits @ policy.params.tensor("w2")
+    g_z1 *= 1.0 - hidden**2
+    np.matmul(g_z1.T, x, out=g_w1)
+    g_z1.sum(axis=0, out=g_b1)
+    return policy.params.with_vector(grad)
 
 
 def class_loss_and_grad(policy: ToyPolicy, x: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy on class labels and its exact gradient; used by the
     supervised pretrain and SFT phases."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=int)
     x, hidden, logits = policy._forward(x)
     lp = log_softmax(logits)
     rows = np.arange(len(x))
-    loss = float(-np.mean(lp[rows, labels]))
+    loss = float(-(lp[rows, labels].sum() / len(x)))
     g_logits = np.exp(lp)
     g_logits[rows, labels] -= 1.0
     g_logits /= len(x)

@@ -257,8 +257,9 @@ def make_suite(cfg: RunConfig) -> TaskSuite:
 def _supervised_phase(policy: ToyPolicy, data, steps, hyper, rng, seed, batch_size) -> ToyPolicy:
     state = OptimizerState(policy.params, seed=seed)
     params = policy.params
+    rows, size = len(data), min(len(data), batch_size)
     for _ in range(steps):
-        idx = rng.integers(0, len(data), size=min(len(data), batch_size))
+        idx = rng.integers(0, rows, size=size)
         loss, grad = class_loss_and_grad(policy.with_params(params), data.x[idx], data.y[idx])
         if not math.isfinite(loss):
             raise NonFiniteLoss(f"supervised phase loss went non-finite ({loss})")
@@ -356,14 +357,15 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     metrics.append(_evaluate(eval_policy(params), ref_eval, suite, cfg.dpo.beta, step=0))
 
     dpo_rng = np.random.default_rng([cfg.seed, 3])
-    n_train = len(suite.pref_train)
+    pref_train, n_train = suite.pref_train, len(suite.pref_train)
+    beta, steps, eval_every = cfg.dpo.beta, cfg.dpo.steps, cfg.dpo.eval_every
     last_good = 0
-    for step in range(1, cfg.dpo.steps + 1):
+    for step in range(1, steps + 1):
         idx = dpo_rng.integers(0, n_train, size=cfg.dpo.batch_size)
-        batch = suite.pref_train.take(idx)
+        batch = pref_train.take(idx)
         try:
             loss, _, grad = dpo_loss_and_grad(
-                policy.with_params(params), ref_train[idx], batch, cfg.dpo.beta
+                policy.with_params(params), ref_train[idx], batch, beta
             )
             if not math.isfinite(loss):
                 raise NonFiniteLoss(
@@ -381,8 +383,8 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
         if cfg.ema_coefficient is not None:
             ema_update(state, params, cfg.ema_coefficient)
         last_good = step
-        if step % cfg.dpo.eval_every == 0 or step == cfg.dpo.steps:
-            rec = _evaluate(eval_policy(params), ref_eval, suite, cfg.dpo.beta, step)
+        if step % eval_every == 0 or step == steps:
+            rec = _evaluate(eval_policy(params), ref_eval, suite, beta, step)
             if not all(
                 math.isfinite(v)
                 for v in (rec.dpo_loss, rec.reward_margin, rec.pref_accuracy,

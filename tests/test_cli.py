@@ -302,6 +302,15 @@ class TestSweep:
         rows = (sweep_dir / "sweep_summary.csv").read_text().splitlines()
         assert len(rows) == 3
         assert all("failed" in r for r in rows[1:])
+        # Each failed point leaves what `mergeopt train` leaves for its config:
+        # config.json and the partial metrics.csv, byte for byte.
+        points = sorted(p for p in sweep_dir.iterdir() if p.is_dir())
+        assert len(points) == 2
+        for point in points:
+            assert sorted(f.name for f in point.iterdir()) == ["config.json", "metrics.csv"]
+            alone = tmp_path / f"train-{point.name}"
+            assert main(["train", "--config", str(point / "config.json"), "--out", str(alone)]) == 1
+            assert (point / "metrics.csv").read_bytes() == (alone / "metrics.csv").read_bytes()
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, optimizer="ondare")

@@ -57,6 +57,14 @@ class TestLogprob:
         assert math.isfinite(lp)
         assert lp == pytest.approx(0.0, abs=1e-12)
 
+    def test_with_params_checks_a_new_layout(self):
+        policy = make_policy(d=3, h=4, c=3, seed=5)
+        moved = policy.params.with_vector(policy.params.vector() + 1.0)
+        assert policy.with_params(moved).params is moved
+        other = make_policy(d=3, h=5, c=3, seed=5).params
+        with pytest.raises(ValueError, match="expected shape"):
+            policy.with_params(other)
+
     def test_probabilities_normalize(self):
         policy = make_policy(seed=3)
         x = np.random.default_rng(4).normal(size=3)

@@ -17,3 +17,41 @@ def test_tracer_installs_and_restores_every_span():
     with tracer.Tracer():
         assert all(ns.__dict__[attr] is not fn for (ns, attr), fn in zip(targets, before))
     assert all(ns.__dict__[attr] is fn for (ns, attr), fn in zip(targets, before))
+
+
+def test_traced_call_counts_of_a_short_run():
+    """Every span the benchmark reads fires once per unit of work: per
+    preference step one batch, one forward/backward and one optimizer step,
+    and one mask draw per tensor and stream; per supervised step one
+    forward/backward and one Adam step; one dpo_loss per evaluation row."""
+    from mergeopt.training import RunConfig, make_suite, train_run
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    cfg = RunConfig.from_dict({
+        "optimizer": "ondare",
+        "data": {"hidden_dim": 4, "sizes": dict(
+            pretrain_train=100, pretrain_eval=50, sft_train=100, sft_eval=50,
+            pref_train=100, pref_eval=50,
+        )},
+        "phases": {"pretrain_steps": 5, "sft_steps": 5},
+        "dpo": {"steps": 20, "eval_every": 10},
+    })
+    suite = make_suite(cfg)
+    with tracer.Tracer() as t:
+        result = train_run(suite, cfg)
+    counts = {n: list(t.name).count(i) for i, n in enumerate(t.names)}
+    assert len(result.metrics.rows) == 3
+    assert {n: c for n, c in counts.items() if c} == {
+        "tasks.PreferenceSet.take": 20,
+        "policy.dpo_loss_and_grad": 20,
+        "optim.ondare_step": 20,
+        "masks.bernoulli_mask": 2 * 4 * 20,
+        "policy.class_loss_and_grad": 10,
+        "optim.adam_step": 10,
+        "policy.dpo_loss": 3,
+        "policy.ToyPolicy.accuracy": 2 * 3,
+        "params.ParameterSet.init": 1,
+        "params.delta": 1,
+    }
