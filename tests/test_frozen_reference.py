@@ -74,8 +74,8 @@ def ref_dpo_loss_and_grad(params, ref_logprobs, batch, beta):
     loss = float(np.mean(np.logaddexp(0.0, -margins)))
     coeff = -float(beta) * ref_sigmoid(-margins) / len(x)
     g_logits = np.zeros_like(logits)
-    np.add.at(g_logits, (rows, chosen), coeff)
-    np.add.at(g_logits, (rows, rejected), -coeff)
+    g_logits[rows, chosen] += coeff
+    g_logits[rows, rejected] += -coeff
     return loss, margins, ref_backprop(params, x, hidden, g_logits)
 
 
