@@ -74,8 +74,9 @@ def cmd_merge(args) -> int:
     print(f"merged {len(models)} models into {args.out} ({args.method})")
     print(f"{'tensor':<24}{'shape':<16}{'delta nnz':<12}density")
     for name, shape, arr in merged:
-        tau = arr - base.flat(name)
-        nnz = int(np.count_nonzero(tau))
+        # Both sets are finite here, and for finite doubles a - b == 0 exactly
+        # when a == b, so this counts the nonzero entries of the delta.
+        nnz = int(np.count_nonzero(arr != base.flat(name)))
         print(f"{name:<24}{str(shape):<16}{nnz:<12}{nnz / max(arr.size, 1):.4f}")
     return 0
 

@@ -13,9 +13,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyInput, InvalidConfig, InvalidProbability, NonFiniteResult
-from .masks import MaskKey, bernoulli_mask
+from .masks import MaskGenerator, MaskKey, bernoulli_mask
 from .params import ParameterSet, check_aligned
 from .params import delta  # noqa: F401  (not called; bench/tracer.py wraps it here)
+from .tasks import is_count, is_real
+
+BLOCK = 1 << 15  # elements an offline merge works on at a time: 256 KiB of float64
+_LEAST_POSITIVE = 5e-324  # the least positive (subnormal) double
 
 
 class MergeMethod(Enum):
@@ -35,13 +39,22 @@ class MergeSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.method, MergeMethod):
+            raise InvalidConfig(f"method must be a MergeMethod, got {self.method!r}")
+        if not is_real(self.reserve_rate):
+            raise InvalidConfig(f"reserve rate must be a real number, got {self.reserve_rate!r}")
         validate_probability(self.reserve_rate)
-        ws = tuple(float(w) for w in self.weights)
-        if any(not math.isfinite(w) or w < 0 for w in ws):
-            raise InvalidConfig(f"weights must be finite and nonnegative, got {self.weights}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
-        object.__setattr__(self, "weights", ws)
+        try:
+            ws = tuple(self.weights)
+        except TypeError:
+            raise InvalidConfig(f"weights must be a sequence, got {self.weights!r}") from None
+        if any(not is_real(w) or w < 0 for w in ws):
+            raise InvalidConfig(f"weights must be finite and nonnegative, got {self.weights!r}")
+        if not isinstance(self.rescale, bool):
+            raise InvalidConfig(f"rescale must be a bool, got {self.rescale!r}")
+        if not is_count(self.seed, 0) or self.seed >= 2**64:
+            raise InvalidConfig(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "weights", tuple(float(w) for w in ws))
 
 
 def validate_probability(p: float) -> float:
@@ -67,33 +80,61 @@ def sparsify_random(x, p: float, key: MaskKey, rescale: bool = False) -> np.ndar
     return out
 
 
+def _top_p_cut(x: np.ndarray, p: float, key: np.ndarray | None = None) -> tuple[float, int]:
+    """The top-p selection of the flat values x: the ceil(p * n) largest
+    magnitudes, NaNs ranking below every number, ties going to lower
+    indices, at least one element kept.
+
+    Returns (c, limit): element i is kept when |x[i]| > c, or when |x[i]| is
+    tied with c (equal to it, or both NaN) and i < limit. A partition finds
+    the k-th largest magnitude c in linear time; that is exactly the selection
+    of a stable sort. key is scratch of x's size (made when None).
+    """
+    n = x.size
+    k = min(max(int(math.ceil(p * n)), 1), n)
+    key = np.copysign(x, -1.0, out=key)  # -|x| ascending; partition puts NaNs last, as a sort does
+    key.partition(k - 1)
+    kth = key[k - 1]
+    if math.isnan(kth):  # fewer than k numbers: all are kept, then the first NaNs
+        tied = np.isnan(x)
+        need = k - (n - np.count_nonzero(tied))
+    elif (key[k:] == kth).any():  # some elements tied with the k-th are not kept
+        need = k - np.count_nonzero(key[: k - 1] < kth)
+        tied = np.abs(x, out=key) == -kth
+    else:
+        return -kth, n
+    return -kth, int(np.flatnonzero(tied)[need - 1]) + 1
+
+
+def _top_p_keep(mag: np.ndarray, cut: tuple[float, int], lo: int, out: np.ndarray) -> np.ndarray:
+    """Write into out whether each element is kept by cut, for mag the
+    magnitudes of elements lo, lo + 1, ... of the tensor the cut is of."""
+    c, limit = cut
+    j = min(max(limit - lo, 0), mag.size)
+    if math.isnan(c):
+        out[:j] = True
+        np.greater(mag[j:], -1.0, out=out[j:])  # every number
+    elif j == mag.size:
+        np.greater_equal(mag, c, out=out)
+    else:
+        np.greater_equal(mag[:j], c, out=out[:j])
+        np.greater(mag[j:], c, out=out[j:])
+    return out
+
+
 def sparsify_top_p(x, p: float) -> np.ndarray:
     """Keep the ceil(p * n) largest-magnitude elements, zero the rest.
 
     Magnitude ties are broken toward lower indices, so the output is fully
     deterministic. At least one element always survives. NaNs rank below
-    every number. Selection is linear-time: a partition finds the k-th
-    largest magnitude, every element above it is kept, and the remaining
-    slots go to the lowest-index elements equal to it, which is exactly the
-    selection of a stable sort.
+    every number. Selection is linear-time (see _top_p_cut).
     """
     p = validate_probability(p)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size == 0:
         raise EmptyInput("sparsify_top_p needs at least one element")
-    k = int(math.ceil(p * x.size))
-    k = min(max(k, 1), x.size)
-    key = -np.abs(x)  # ascending key; partition puts NaNs last, as a sort does
-    kth = np.partition(key, k - 1)[k - 1]
-    if math.isnan(kth):
-        tied = np.isnan(key)
-        above = ~tied
-    else:
-        above, tied = key < kth, key == kth
-    out = np.where(above, x, 0.0)
-    fill = np.flatnonzero(tied)[: k - np.count_nonzero(above)]
-    out[fill] = x[fill]
-    return out
+    keep = _top_p_keep(np.abs(x), _top_p_cut(x, p), 0, np.empty(x.size, dtype=bool))
+    return np.where(keep, x, 0.0)
 
 
 def sign_consensus(a, b):
@@ -112,31 +153,90 @@ def sign_consensus(a, b):
     return out
 
 
-def _ties_combine(taus, weights, p: float, out: np.ndarray) -> None:
-    """Trim each delta to its top-p magnitudes, elect the elementwise majority
-    sign from the weighted trimmed mass, drop disagreeing entries, and write
-    the average of the survivors by their weight sum into out. Each delta is
-    trimmed as taus yields it, so untrimmed deltas are never held together."""
-    trimmed = [sparsify_top_p(t, p) for t in taus]
-    tmp = np.empty_like(out)
-    elected = np.zeros_like(out)
-    for w, t in zip(weights, trimmed):
-        elected += np.multiply(w, t, out=tmp)
-    np.sign(elected, out=elected)
-    # out accumulates the numerator; masked-out entries add exactly +0.0.
-    out.fill(0.0)
-    den = np.zeros_like(out)
-    survives = np.empty(out.shape, dtype=bool)
-    for w, t in zip(weights, trimmed):
-        # Nonzero with the elected sign: t * sign > 0, which NaNs fail.
-        np.greater(np.multiply(t, elected, out=tmp), 0.0, out=survives)
-        np.multiply(w, t, out=tmp)
-        np.copyto(tmp, 0.0, where=~survives)
-        out += tmp
-        den += np.multiply(survives, w, out=tmp)
-    # Where den is 0 every survivor has weight 0 and is finite (0 * inf would
-    # have made the elected sign NaN), so the numerator there is +0.0.
-    np.divide(out, den, out=out, where=den > 0.0)
+def _zero_unless(bits: np.ndarray, keep: np.ndarray, mask: np.ndarray) -> None:
+    """Zero the float64 elements whose uint64 view is bits where keep is off,
+    bit for bit as where(keep, x, 0.0), by ANDing each with an all-ones or
+    all-zeros word made in mask. A masked ufunc or np.where takes about 20
+    times as long on a random mask."""
+    np.bitwise_and(bits, np.negative(keep, dtype=np.uint64, out=mask), out=bits)
+
+
+def _linear_blocks(base, models, spec, out, largest) -> None:
+    """LINEAR and DARE: per block, acc = 0.0, then per model t = m - base,
+    for DARE zeroed where its keep-mask is off and divided by p when
+    rescaling, then t *= w and acc += t; base is added last. Each model's
+    mask is one keyed uniform stream per tensor, drawn block after block."""
+    dare, p = spec.method is MergeMethod.DARE, spec.reserve_rate
+    vecs, bv = [m.vector() for m in models], base.vector()
+    blk = min(BLOCK, largest)
+    work, keep, mask = np.empty((2, blk)), np.empty(blk, dtype=bool), np.empty(blk, dtype=np.uint64)
+    gens = [MaskGenerator() for _ in models] if dare else []
+    for name, sl in base.slices():
+        streams = [
+            g.stream(MaskKey(spec.seed, name, step=i, stream="offline-dare"))
+            for i, g in enumerate(gens)
+        ]
+        for lo in range(sl.start, sl.stop, BLOCK):
+            hi = min(lo + BLOCK, sl.stop)
+            acc, b, (t, u) = out[lo:hi], bv[lo:hi], work[:, : hi - lo]
+            acc.fill(0.0)
+            for i, (w, v) in enumerate(zip(spec.weights, vecs)):
+                np.subtract(v[lo:hi], b, out=t)
+                if dare:
+                    k = np.less(streams[i].random(out=u), p, out=keep[: hi - lo])
+                    _zero_unless(t.view(np.uint64), k, mask[: hi - lo])
+                    if spec.rescale:
+                        np.divide(t, p, out=t)
+                acc += np.multiply(t, w, out=t)
+            acc += b
+
+
+def _ties_blocks(base, models, spec, out, largest) -> None:
+    """TIES: per tensor, one pass finds each model's top-p cut of its delta;
+    then per block each delta is recomputed and trimmed, the elementwise
+    majority sign elected from the weighted trimmed mass, and the weighted
+    average of the entries with that sign written over base. Only the cuts
+    are held across models."""
+    weights, vecs, bv = spec.weights, [m.vector() for m in models], base.vector()
+    blk = min(BLOCK, largest)
+    key = np.empty(largest)
+    deltas, work = np.empty((2, len(vecs), blk)), np.empty((4, blk))
+    keep, mask = np.empty(blk, dtype=bool), np.empty(blk, dtype=np.uint64)
+    w_bits = [np.float64(w).view(np.uint64) for w in weights]
+    for _, sl in base.slices():
+        # The tensor's output slice holds each delta while its cut is found.
+        size = sl.stop - sl.start
+        cuts = [
+            _top_p_cut(np.subtract(v[sl], bv[sl], out=out[sl]), spec.reserve_rate, key[:size])
+            for v in vecs
+        ]
+        for lo in range(sl.start, sl.stop, BLOCK):
+            hi = min(lo + BLOCK, sl.stop)
+            b, k, m = bv[lo:hi], keep[: hi - lo], mask[: hi - lo]
+            (trimmed, weighted), (sign, num, den, x) = deltas[:, :, : hi - lo], work[:, : hi - lo]
+            bits, x_bits = trimmed.view(np.uint64), x.view(np.uint64)
+            num.fill(0.0)  # first the elected mass, whose sign goes to sign
+            for t, t_bits, wt, w, v, cut in zip(trimmed, bits, weighted, weights, vecs, cuts):
+                np.subtract(v[lo:hi], b, out=t)
+                _zero_unless(t_bits, _top_p_keep(np.abs(t, out=x), cut, lo - sl.start, k), m)
+                num += np.multiply(w, t, out=wt)
+            np.sign(num, out=sign)
+            # Survivors are nonzero with the elected sign: t * sign > 0, which
+            # NaNs fail. num sums their w * t, den their weights.
+            num.fill(0.0)
+            den.fill(0.0)
+            for t, wt_bits, wb in zip(trimmed, weighted.view(np.uint64), w_bits):
+                np.negative(np.greater(np.multiply(t, sign, out=x), 0.0, out=k), dtype=np.uint64, out=m)
+                np.bitwise_and(wt_bits, m, out=x_bits)
+                num += x
+                np.bitwise_and(m, wb, out=x_bits)
+                den += x
+            # Where den is 0 every survivor has weight 0 and is finite (0 * inf
+            # would have made the elected sign NaN), so num there is +0.0, and
+            # dividing it by the least positive double keeps it: that is num
+            # divided by den where den > 0, and num elsewhere.
+            np.maximum(den, _LEAST_POSITIVE, out=den)
+            np.add(np.divide(num, den, out=num), b, out=out[lo:hi])
 
 
 def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
@@ -150,6 +250,8 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
 
     The mask for model i derives from (spec.seed, tensor name, i), so merges
     are reproducible. A result holding NaN or infinity raises NonFiniteResult.
+    Every method works over each tensor in blocks of BLOCK elements, in a few
+    buffers made once per merge.
     """
     models = list(models)
     if not models:
@@ -161,30 +263,10 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
     for m in models:
         check_aligned(base, m)
 
-    # One tensor at a time, each merged straight into its slice of the output;
-    # linear and DARE hold one model delta at a time.
     out = np.empty(base.total_elements())
-    for name, sl in base.slices():
-        base_arr = base.flat(name)
-        taus = (m.flat(name) - base_arr for m in models)
-        acc = out[sl]
-        if spec.method is MergeMethod.TIES:
-            _ties_combine(taus, spec.weights, spec.reserve_rate, acc)
-        else:
-            if spec.method is MergeMethod.DARE:
-                taus = (
-                    sparsify_random(
-                        tau,
-                        spec.reserve_rate,
-                        MaskKey(spec.seed, name, step=i, stream="offline-dare"),
-                        rescale=spec.rescale,
-                    )
-                    for i, tau in enumerate(taus)
-                )
-            acc.fill(0.0)
-            for w, tau in zip(spec.weights, taus):
-                acc += w * tau
-        acc += base_arr
+    largest = max((sl.stop - sl.start for _, sl in base.slices()), default=0)
+    merge = _ties_blocks if spec.method is MergeMethod.TIES else _linear_blocks
+    merge(base, models, spec, out, largest)
     if not np.isfinite(out).all():
         raise NonFiniteResult(f"{spec.method.value} merge result contains NaN or infinity")
     return base.with_vector(out)

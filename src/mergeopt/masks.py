@@ -104,14 +104,20 @@ class MaskGenerator:
         self._fresh["buffer"] = self._fresh["buffer"].tolist()
         self._key = self._fresh["state"]["key"]
 
-    def uniforms(self, key: MaskKey | int, n: int) -> np.ndarray:
-        """n uniforms from a MaskKey's stream, or from the stream of a
-        material() value (as LayoutKeys gives)."""
+    def stream(self, key: MaskKey | int) -> np.random.Generator:
+        """The generator at the start of a MaskKey's stream, or of the stream
+        of a material() value (as LayoutKeys gives). Its successive draws
+        continue that stream: random(out=) calls for the blocks of an array
+        fill it with the bytes of one random() call for the whole."""
         material = key if isinstance(key, int) else key.material()
         self._key[0] = material & (_U64 - 1)
         self._key[1] = material >> 64
         self._bits.state = self._fresh
-        return self._gen.random(n)
+        return self._gen
+
+    def uniforms(self, key: MaskKey | int, n: int) -> np.ndarray:
+        """The first n uniforms of the key's stream."""
+        return self.stream(key).random(n)
 
 
 def mask_uniforms(key: MaskKey | int, n: int, gen: MaskGenerator | None = None) -> np.ndarray:
@@ -125,4 +131,4 @@ def bernoulli_mask(
 ) -> np.ndarray:
     """Boolean keep-mask where each element is independently kept with
     probability p; written into out (n booleans) when given."""
-    return np.less((gen or MaskGenerator()).uniforms(key, n), p, out=out)
+    return np.less((gen or MaskGenerator()).stream(key).random(n), p, out=out)

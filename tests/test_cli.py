@@ -97,6 +97,26 @@ class TestMerge:
         code = main(["merge", str(base), "--base", str(base), "--out", str(tmp_path / "o.pset")])
         assert code == 1
 
+    def test_report_counts_entries_that_differ_from_base(self, tmp_path, capsys):
+        # One entry moves by the least subnormal, one from -0.0 to 0.0 (equal,
+        # so not counted), one by 0.5; the text is the one the report printed
+        # when it counted the nonzero entries of merged - base.
+        base = checkpoint(tmp_path, "base.pset",
+                          {"w": np.array([[0.0, -0.0], [1.0, 2.0]]), "b": np.ones(3)})
+        model = checkpoint(tmp_path, "m.pset",
+                           {"w": np.array([[5e-324, 0.0], [1.0, 2.5]]), "b": np.ones(3)})
+        out = tmp_path / "o.pset"
+        assert main(["merge", str(model), "--base", str(base), "--out", str(out),
+                     "--weights", "1.0"]) == 0
+        merged = load_checkpoint(out).flat("w")
+        assert merged.tobytes() == np.array([5e-324, 0.0, 1.0, 2.5]).tobytes()
+        assert capsys.readouterr().out == (
+            f"merged 1 models into {out} (linear)\n"
+            "tensor                  shape           delta nnz   density\n"
+            "w                       (2, 2)          2           0.5000\n"
+            "b                       (3,)            0           0.0000\n"
+        )
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", ["linear", "dare", "ties"])
     def test_nonfinite_merge_exit_one_without_output(self, tmp_path, capsys, method):
