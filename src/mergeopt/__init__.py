@@ -21,7 +21,7 @@ from .kernels import (
     sparsify_random,
     sparsify_top_p,
 )
-from .masks import MaskKey, bernoulli_mask, mask_uniforms
+from .masks import MaskKey, bernoulli_mask
 from .optim import (
     AdamHyper,
     MergeVariant,

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .kernels import MergeMethod, MergeSpec, offline_merge
 from .params import check_aligned, load_checkpoint, save_checkpoint
-from .training import RunConfig, make_suite, train_run
+from .training import MetricsRecord, RunConfig, make_suite, train_run
 
 
 def _load_config(path) -> RunConfig:
@@ -42,17 +42,35 @@ def _load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _write_run_outputs(out_dir: Path, cfg: RunConfig, result=None, metrics=None) -> None:
+def _run(cfg: RunConfig) -> MetricsRecord:
+    """Train cfg and write its run directory, cfg.out_dir; the only code that
+    writes one. Returns the last metrics row.
+
+    A finished run leaves config.json, the three checkpoints and metrics.csv.
+    A run aborted by NonFiniteLoss leaves config.json and the partial
+    metrics.csv, then re-raises; any other error leaves nothing.
+    """
+    suite = make_suite(cfg)
+    try:
+        result = train_run(suite, cfg)
+    except NonFiniteLoss as e:
+        aborted = e
+    else:
+        aborted = None
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "wb") as f:
         f.write(cfg.to_json_bytes())
-    if result is not None:
-        save_checkpoint(result.theta_base, out_dir / "theta_b.pset")
-        save_checkpoint(result.theta_ref, out_dir / "theta_r.pset")
-        save_checkpoint(result.theta_final, out_dir / "theta_final.pset")
-        result.metrics.write(out_dir / "metrics.csv")
-    elif metrics is not None:
-        metrics.write(out_dir / "metrics.csv")
+    if aborted is not None:
+        # A supervised-phase abort has no metrics yet.
+        if aborted.metrics is not None:
+            aborted.metrics.write(out_dir / "metrics.csv")
+        raise aborted
+    save_checkpoint(result.theta_base, out_dir / "theta_b.pset")
+    save_checkpoint(result.theta_ref, out_dir / "theta_r.pset")
+    save_checkpoint(result.theta_final, out_dir / "theta_final.pset")
+    result.metrics.write(out_dir / "metrics.csv")
+    return result.metrics.last()
 
 
 def cmd_merge(args) -> int:
@@ -85,75 +103,29 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    out_dir = Path(cfg.out_dir)
-    suite = make_suite(cfg)
-    try:
-        result = train_run(suite, cfg)
-    except NonFiniteLoss as e:
-        _write_run_outputs(out_dir, cfg, metrics=e.metrics)
-        print(f"error: {e} (last good step {e.last_good_step})", file=sys.stderr)
-        return 1
-    _write_run_outputs(out_dir, cfg, result=result)
-    last = result.metrics.last()
+    last = _run(cfg)
     print(
         f"run complete: {cfg.dpo.steps} steps, reward_margin {last.reward_margin:.4f}, "
-        f"pretrain_accuracy {last.pretrain_accuracy:.4f} -> {out_dir}"
+        f"pretrain_accuracy {last.pretrain_accuracy:.4f} -> {Path(cfg.out_dir)}"
     )
     return 0
 
 
-def _sweep_grid(args) -> list[dict]:
-    axes = {
-        "alpha": args.alpha or [None],
-        "reserve_rate": args.reserve or [None],
-        "gap_step": args.gap_step or [None],
-        "dpo_beta": args.beta or [None],
-    }
-    points = []
-    for combo in itertools.product(*axes.values()):
-        points.append({k: v for k, v in zip(axes.keys(), combo)})
-    return points
+_SUMMARY_COLUMNS = (
+    "alpha", "reserve_rate", "gap_step", "dpo_beta", "seed", "status",
+    "final_pref_accuracy", "final_pretrain_accuracy", "final_reward_margin",
+)
 
 
-def _sweep_point_config(base_cfg: RunConfig, point: dict, seed: int, out_dir: str) -> RunConfig:
-    merge = base_cfg.merge
-    dpo = base_cfg.dpo
-    if point["alpha"] is not None:
-        merge = replace(merge, alpha=point["alpha"])
-    if point["reserve_rate"] is not None:
-        merge = replace(merge, reserve_rate=point["reserve_rate"])
-    if point["gap_step"] is not None:
-        merge = replace(merge, gap_step=int(point["gap_step"]))
-    if point["dpo_beta"] is not None:
-        dpo = replace(dpo, beta=point["dpo_beta"])
-    return replace(base_cfg, merge=merge, dpo=dpo, seed=seed, out_dir=out_dir)
-
-
-def _run_sweep_point(payload: dict) -> dict:
-    """One grid point as a picklable job: returns the summary row."""
-    cfg = RunConfig.from_dict(payload["config"])
-    row = dict(payload["label"])
+def _run_sweep_point(cfg: RunConfig) -> list:
+    """One sweep point as a picklable job: runs it and returns its
+    sweep_summary.csv row, cells in _SUMMARY_COLUMNS order."""
+    row = [cfg.merge.alpha, cfg.merge.reserve_rate, cfg.merge.gap_step, cfg.dpo.beta, cfg.seed]
     try:
-        suite = make_suite(cfg)
-        result = train_run(suite, cfg)
-        _write_run_outputs(Path(cfg.out_dir), cfg, result=result)
-        last = result.metrics.last()
-        row.update(
-            status="ok",
-            final_pref_accuracy=last.pref_accuracy,
-            final_pretrain_accuracy=last.pretrain_accuracy,
-            final_reward_margin=last.reward_margin,
-        )
+        last = _run(cfg)
     except MergeOptError as e:
-        if isinstance(e, NonFiniteLoss):
-            _write_run_outputs(Path(cfg.out_dir), cfg, metrics=e.metrics)
-        row.update(
-            status=f"failed: {type(e).__name__}",
-            final_pref_accuracy="",
-            final_pretrain_accuracy="",
-            final_reward_margin="",
-        )
-    return row
+        return row + [f"failed: {type(e).__name__}", "", "", ""]
+    return row + ["ok", last.pref_accuracy, last.pretrain_accuracy, last.reward_margin]
 
 
 def _max_workers() -> int:
@@ -168,43 +140,44 @@ def _max_workers() -> int:
 
 
 def cmd_sweep(args) -> int:
-    base_cfg = _load_config(args.config)
-    points = _sweep_grid(args)
-    seeds = args.seeds or [base_cfg.seed]
+    base = _load_config(args.config)
+    seeds = args.seeds or [base.seed]
+    if len(set(seeds)) != len(seeds):
+        raise InvalidConfig(f"--seeds must not repeat a value, got {seeds}")
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-
-    jobs = []
-    for i, point in enumerate(points):
-        for seed in seeds:
-            run_dir = out_root / f"point{i:04d}_seed{seed}"
-            cfg = _sweep_point_config(base_cfg, point, seed, str(run_dir))
-            label = {
-                "alpha": cfg.merge.alpha,
-                "reserve_rate": cfg.merge.reserve_rate,
-                "gap_step": cfg.merge.gap_step,
-                "dpo_beta": cfg.dpo.beta,
-                "seed": seed,
-            }
-            jobs.append({"config": cfg.to_dict(), "label": label})
+    grid = itertools.product(
+        args.alpha or [base.merge.alpha],
+        args.reserve or [base.merge.reserve_rate],
+        args.gap_step or [base.merge.gap_step],
+        args.beta or [base.dpo.beta],
+    )
+    jobs = [
+        replace(
+            base,
+            merge=replace(base.merge, alpha=alpha, reserve_rate=reserve, gap_step=gap),
+            dpo=replace(base.dpo, beta=beta),
+            seed=seed,
+            out_dir=str(out_root / f"point{i:04d}_seed{seed}"),
+        )
+        for i, (alpha, reserve, gap, beta) in enumerate(grid)
+        for seed in seeds
+    ]
 
     workers = _max_workers()
     if workers == 1 or len(jobs) == 1:
-        rows = [_run_sweep_point(j) for j in jobs]
+        rows = [_run_sweep_point(cfg) for cfg in jobs]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))
 
-    columns = [
-        "alpha", "reserve_rate", "gap_step", "dpo_beta", "seed", "status",
-        "final_pref_accuracy", "final_pretrain_accuracy", "final_reward_margin",
-    ]
     summary = out_root / "sweep_summary.csv"
     with open(summary, "w", encoding="utf-8") as f:
-        f.write(",".join(columns) + "\n")
+        f.write(",".join(_SUMMARY_COLUMNS) + "\n")
         for row in rows:
-            f.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")
-    failures = sum(1 for r in rows if r["status"] != "ok")
+            f.write(",".join(_csv_cell(v) for v in row) + "\n")
+    status = _SUMMARY_COLUMNS.index("status")
+    failures = sum(1 for row in rows if row[status] != "ok")
     print(f"sweep complete: {len(rows)} runs, {failures} failed -> {summary}")
     return 0
 
@@ -284,7 +257,10 @@ def main(argv=None) -> int:
     except (InvalidConfig, InvalidProbability, InvalidBeta, EmptyInput) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (MisalignedSets, FormatError, NonFiniteLoss, NonFiniteResult) as e:
+    except NonFiniteLoss as e:
+        print(f"error: {e} (last good step {e.last_good_step})", file=sys.stderr)
+        return 1
+    except (MisalignedSets, FormatError, NonFiniteResult) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -115,16 +115,6 @@ class MaskGenerator:
         self._bits.state = self._fresh
         return self._gen
 
-    def uniforms(self, key: MaskKey | int, n: int) -> np.ndarray:
-        """The first n uniforms of the key's stream."""
-        return self.stream(key).random(n)
-
-
-def mask_uniforms(key: MaskKey | int, n: int, gen: MaskGenerator | None = None) -> np.ndarray:
-    """n uniforms in [0, 1) from the key's Philox counter stream, drawn with
-    gen when given, else with a generator made for this one draw."""
-    return (gen or MaskGenerator()).uniforms(key, n)
-
 
 def bernoulli_mask(
     key: MaskKey | int, n: int, p: float, gen: MaskGenerator | None = None, out=None

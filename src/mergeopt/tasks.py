@@ -28,11 +28,11 @@ def is_count(value, least: int) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
-def check_rows(where: str, rows: int, input_dim: int) -> None:
-    """Raise InvalidConfig if numpy cannot address a rows x input_dim float64 array."""
-    if rows * input_dim * 8 > np.iinfo(np.intp).max:
+def check_rows(where: str, rows: int, width: int) -> None:
+    """Raise InvalidConfig if numpy cannot address a rows x width float64 array."""
+    if rows * width * 8 > np.iinfo(np.intp).max:
         raise InvalidConfig(
-            f"{where} ({rows}) x input_dim ({input_dim}) exceeds numpy's maximum array size"
+            f"{where} ({rows}) x {width} float64 values exceed numpy's maximum array size"
         )
 
 
@@ -165,6 +165,11 @@ def check_data(input_dim, hidden_dim, num_responses, sizes: SuiteSizes, preferen
     sizes.validate()
     for name, rows in asdict(sizes).items():
         check_rows(f"size {name}", rows, input_dim)
+    # The suite draws input_dim x input_dim matrices, and the policy keeps its
+    # h*d + h + C*h + C parameters in one vector.
+    check_rows("input_dim", input_dim, input_dim)
+    h, d, c = hidden_dim, input_dim, num_responses
+    check_rows("policy parameters", h * d + h + c * h + c, 1)
 
 
 def gen_task_suite(

@@ -10,8 +10,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -45,17 +45,21 @@ OPTIMIZER_NAMES = (
     "childtuning",
 )
 
-METRICS_HEADER = "step,dpo_loss,reward_margin,pref_accuracy,pretrain_accuracy,sft_accuracy"
-
-
 @dataclass(frozen=True)
 class MetricsRecord:
+    """One metrics.csv row: its fields, in order, are the CSV's columns."""
+
     step: int
     dpo_loss: float
     reward_margin: float
     pref_accuracy: float
     pretrain_accuracy: float
     sft_accuracy: float
+
+
+def _metric_values(rec: MetricsRecord) -> list:
+    """The record's values after its step, in column order."""
+    return [getattr(rec, f.name) for f in fields(rec)[1:]]
 
 
 class RunMetrics:
@@ -72,13 +76,9 @@ class RunMetrics:
 
     def to_csv_bytes(self) -> bytes:
         buf = io.StringIO()
-        buf.write(METRICS_HEADER + "\n")
+        buf.write(",".join(f.name for f in fields(MetricsRecord)) + "\n")
         for r in self.rows:
-            buf.write(
-                f"{r.step},{float(r.dpo_loss)!r},{float(r.reward_margin)!r},"
-                f"{float(r.pref_accuracy)!r},{float(r.pretrain_accuracy)!r},"
-                f"{float(r.sft_accuracy)!r}\n"
-            )
+            buf.write(",".join([str(r.step), *(repr(float(v)) for v in _metric_values(r))]) + "\n")
         return buf.getvalue().encode("utf-8")
 
     def write(self, path) -> None:
@@ -86,13 +86,26 @@ class RunMetrics:
             f.write(self.to_csv_bytes())
 
 
-def _take(d, allowed: set, where: str) -> dict:
+@cache
+def _sections(cls) -> tuple:
+    """(name, class) of each field of cls whose default is a dataclass."""
+    return tuple((f.name, f.default_factory) for f in fields(cls) if is_dataclass(f.default_factory))
+
+
+def _build(cls, d, where: str, prefix: str = ""):
+    """cls from the JSON object d, which may omit any field. A field whose
+    default is a dataclass is built from its own nested object, the same way."""
     if not isinstance(d, dict):
         raise InvalidConfig(f"{where} must be a JSON object, got {d!r}")
-    unknown = set(d) - allowed
+    unknown = d.keys() - cls.__dataclass_fields__.keys()
     if unknown:
         raise InvalidConfig(f"unknown {where} key(s): {sorted(unknown)}")
-    return dict(d)
+    kwargs = dict(d)
+    for name, section in _sections(cls):
+        if name in kwargs:
+            path = prefix + name
+            kwargs[name] = _build(section, kwargs[name], path, path + ".")
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -207,26 +220,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = _take(
-            d,
-            {"seed", "out_dir", "optimizer", "adam", "merge", "dpo", "phases", "data",
-             "ema_coefficient"},
-            "config",
-        )
-        if "adam" in d:
-            d["adam"] = AdamSettings(**_take(d["adam"], set(AdamSettings.__dataclass_fields__), "adam"))
-        if "merge" in d:
-            d["merge"] = MergeSettings(**_take(d["merge"], set(MergeSettings.__dataclass_fields__), "merge"))
-        if "dpo" in d:
-            d["dpo"] = DpoSettings(**_take(d["dpo"], set(DpoSettings.__dataclass_fields__), "dpo"))
-        if "phases" in d:
-            d["phases"] = PhaseSettings(**_take(d["phases"], set(PhaseSettings.__dataclass_fields__), "phases"))
-        if "data" in d:
-            data = _take(d["data"], set(DataSettings.__dataclass_fields__), "data")
-            if "sizes" in data:
-                data["sizes"] = SuiteSizes(**_take(data["sizes"], set(SuiteSizes.__dataclass_fields__), "data.sizes"))
-            d["data"] = DataSettings(**data)
-        return cls(**d)
+        return _build(cls, d, "config")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -359,7 +353,6 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     dpo_rng = np.random.default_rng([cfg.seed, 3])
     pref_train, n_train = suite.pref_train, len(suite.pref_train)
     beta, steps, eval_every = cfg.dpo.beta, cfg.dpo.steps, cfg.dpo.eval_every
-    last_good = 0
     for step in range(1, steps + 1):
         idx = dpo_rng.integers(0, n_train, size=cfg.dpo.batch_size)
         batch = pref_train.take(idx)
@@ -370,29 +363,24 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
             if not math.isfinite(loss):
                 raise NonFiniteLoss(
                     f"training loss went non-finite at step {step}",
-                    last_good_step=last_good,
+                    last_good_step=step - 1,
                     metrics=metrics,
                 )
             params = step_fn(params, grad, state, hyper)
         except NonFiniteGradient as e:
             raise NonFiniteLoss(
                 f"gradient went non-finite at step {step}: {e}",
-                last_good_step=last_good,
+                last_good_step=step - 1,
                 metrics=metrics,
             ) from e
         if cfg.ema_coefficient is not None:
             ema_update(state, params, cfg.ema_coefficient)
-        last_good = step
         if step % eval_every == 0 or step == steps:
             rec = _evaluate(eval_policy(params), ref_eval, suite, beta, step)
-            if not all(
-                math.isfinite(v)
-                for v in (rec.dpo_loss, rec.reward_margin, rec.pref_accuracy,
-                          rec.pretrain_accuracy, rec.sft_accuracy)
-            ):
+            if not all(map(math.isfinite, _metric_values(rec))):
                 raise NonFiniteLoss(
                     f"evaluation metrics went non-finite at step {step}",
-                    last_good_step=last_good - 1,
+                    last_good_step=step - 1,
                     metrics=metrics,
                 )
             metrics.append(rec)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,19 @@ class TestTrain:
         metrics = tmp_path / "boom" / "metrics.csv"
         assert metrics.exists()
         assert len(metrics.read_text().splitlines()) >= 2
+        err = capsys.readouterr().err
+        assert "last good step" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_supervised_abort_exit_one_with_config_only(self, tmp_path, capsys):
+        # The supervised phases record no metrics, so only config.json is left.
+        cfg_path = write_config(
+            tmp_path, out_dir=str(tmp_path / "boom"), phases={"learning_rate": 1e307}
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert sorted(f.name for f in (tmp_path / "boom").iterdir()) == ["config.json"]
+        assert "supervised phase" in capsys.readouterr().err
 
     def test_config_json_roundtrips(self, tmp_path):
         cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "run"))
@@ -250,6 +264,8 @@ INVALID_CONFIGS = {
     "bias_correction string": {"adam": {"bias_correction": "no"}},
     "size 2**62": {"data": {"sizes": {"pretrain_train": 2**62}}},
     "dpo batch_size 2**62": {"dpo": {"batch_size": 2**62}},
+    "hidden_dim 2**62": {"data": {"hidden_dim": 2**62}},
+    "input_dim 2**40": {"data": {"input_dim": 2**40}},
 }
 
 
@@ -332,6 +348,45 @@ class TestSweep:
             assert main(["train", "--config", str(point / "config.json"), "--out", str(alone)]) == 1
             assert (point / "metrics.csv").read_bytes() == (alone / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_point_directory_is_what_train_writes(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("MERGEOPT_THREADS", threads)
+        cfg_path = write_config(tmp_path, optimizer="ondare")
+        sweep_dir = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", str(cfg_path), "--out", str(sweep_dir),
+             "--alpha", "1e-6", "1e-4", "--seeds", "1"]
+        ) == 0
+        points = sorted(p for p in sweep_dir.iterdir() if p.is_dir())
+        assert len(points) == 2
+        for point in points:
+            written = {f.name: f.read_bytes() for f in point.iterdir()}
+            assert sorted(written) == [
+                "config.json", "metrics.csv", "theta_b.pset", "theta_final.pset", "theta_r.pset"
+            ]
+            # The echoed config names the point directory, so train writes there
+            # again from a copy of it.
+            config = tmp_path / f"{point.name}.json"
+            config.write_bytes(written["config.json"])
+            shutil.rmtree(point)
+            assert main(["train", "--config", str(config), "--out", str(point)]) == 0
+            assert {f.name: f.read_bytes() for f in point.iterdir()} == written
+
+    def test_repeated_seed_exits_two_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_data(cfg):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cli, "make_suite", no_data)
+        monkeypatch.setenv("MERGEOPT_THREADS", "1")
+        cfg_path = write_config(tmp_path)
+        sweep_dir = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", str(cfg_path), "--out", str(sweep_dir), "--seeds", "1", "2", "1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--seeds" in err
+        assert not sweep_dir.exists()
+
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, optimizer="ondare")
         monkeypatch.setenv("MERGEOPT_THREADS", "1")
@@ -349,7 +404,7 @@ class TestSweep:
         ).read_bytes()
 
 
-class TestGendataInspect:
+class TestInspect:
     def test_inspect_lists_tensors_in_order(self, tmp_path, capsys):
         path = checkpoint(
             tmp_path, "x.pset", {"zeta": np.ones(3), "alpha": np.zeros((2, 2))}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mergeopt import MaskKey, bernoulli_mask, mask_uniforms
+from mergeopt import MaskKey, bernoulli_mask
 from mergeopt.masks import LayoutKeys, MaskGenerator
 
 
@@ -21,25 +21,26 @@ def test_equal_keys_give_identical_masks():
     ],
 )
 def test_any_field_change_gives_new_stream(other):
-    base = mask_uniforms(MaskKey(7, "layer.w", 3, "update"), 256)
-    assert not np.array_equal(base, mask_uniforms(other, 256))
+    base = MaskGenerator().stream(MaskKey(7, "layer.w", 3, "update")).random(256)
+    assert not np.array_equal(base, MaskGenerator().stream(other).random(256))
 
 
 def test_prefix_stability_elementwise():
     # Element i depends only on (key, i), so a longer draw extends the shorter.
     key = MaskKey(42, "w", 0)
-    assert np.array_equal(mask_uniforms(key, 10), mask_uniforms(key, 100)[:10])
+    short = MaskGenerator().stream(key).random(10)
+    assert np.array_equal(short, MaskGenerator().stream(key).random(100)[:10])
 
 
 def test_name_stream_separator_prevents_collisions():
-    a = mask_uniforms(MaskKey(1, "ab", 0, "c"), 64)
-    b = mask_uniforms(MaskKey(1, "a", 0, "bc"), 64)
+    a = MaskGenerator().stream(MaskKey(1, "ab", 0, "c")).random(64)
+    b = MaskGenerator().stream(MaskKey(1, "a", 0, "bc")).random(64)
     assert not np.array_equal(a, b)
 
 
 def test_golden_stream_is_frozen():
     # Regression pin: if these bytes change, every trained artifact changes.
-    u = mask_uniforms(MaskKey(7, "layer.w", 3, "update"), 6)
+    u = MaskGenerator().stream(MaskKey(7, "layer.w", 3, "update")).random(6)
     expected = [
         0.3844793343199636,
         0.500886032542232,
@@ -83,7 +84,7 @@ def test_reused_generator_matches_fresh_philox(seed):
             for name in names:
                 key = MaskKey(seed, name, step, stream)
                 for n in (0, 1, 3, 257):
-                    assert gen.uniforms(key, n).tobytes() == _fresh(key, n).tobytes()
+                    assert gen.stream(key).random(n).tobytes() == _fresh(key, n).tobytes()
             # The optimizer's path: key material from LayoutKeys, each
             # tensor's mask written into its slice of one buffer.
             sizes = (1, 3, 257)
@@ -94,7 +95,7 @@ def test_reused_generator_matches_fresh_philox(seed):
             oracle = [_fresh(MaskKey(seed, name, step, stream), n) < 0.3 for name, n in zip(names, sizes)]
             assert mask.tobytes() == np.concatenate(oracle).tobytes()
     big = MaskKey(seed, "w1", 5, "update")
-    assert gen.uniforms(big, 262_144).tobytes() == _fresh(big, 262_144).tobytes()
+    assert gen.stream(big).random(262_144).tobytes() == _fresh(big, 262_144).tobytes()
 
 
 def test_reused_generator_interleaved_keys():
@@ -103,7 +104,7 @@ def test_reused_generator_interleaved_keys():
     a, b = MaskKey(1, "w", 2, "update"), MaskKey(1, "w", 2, "ref")
     draws = [(a, 3), (b, 257), (a, 3), (a, 1), (b, 0), (a, 257)]
     for key, n in draws:
-        assert gen.uniforms(key, n).tobytes() == _fresh(key, n).tobytes()
+        assert gen.stream(key).random(n).tobytes() == _fresh(key, n).tobytes()
     assert np.array_equal(
         bernoulli_mask(a, 1000, 0.3, gen), bernoulli_mask(a, 1000, 0.3)
     )

@@ -48,6 +48,30 @@ class TestRunConfig:
         with pytest.raises(InvalidConfig, match="data.sizes"):
             RunConfig.from_dict({"data": {"sizes": {"x": 1}}})
 
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ({"adam": {"weight_decay": 0.01}}, RunConfig(adam=AdamSettings(weight_decay=0.01))),
+            (
+                {"data": {"hidden_dim": 4, "sizes": {"pref_train": 99}}},
+                RunConfig(data=DataSettings(hidden_dim=4, sizes=SuiteSizes(pref_train=99))),
+            ),
+            ({"merge": {"gap_step": 5}}, RunConfig(merge=MergeSettings(gap_step=5))),
+        ],
+    )
+    def test_partial_sections_keep_their_defaults(self, raw, expected):
+        cfg = RunConfig.from_dict(raw)
+        assert cfg == expected
+        assert cfg.adam.learning_rate == 0.02
+
+    @pytest.mark.parametrize("raw, where", [
+        ({"data": {"sizes": 5}}, "data.sizes"),
+        ([], "config"),
+    ])
+    def test_non_object_section_rejected_by_path(self, raw, where):
+        with pytest.raises(InvalidConfig, match=f"^{where} must be a JSON object"):
+            RunConfig.from_dict(raw)
+
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(InvalidConfig, match="optimizer"):
             RunConfig(optimizer="sgd")
