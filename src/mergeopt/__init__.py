@@ -8,7 +8,6 @@ from .errors import (
     InvalidProbability,
     MergeOptError,
     MisalignedSets,
-    MissingBaseModel,
     NonFiniteGradient,
     NonFiniteLoss,
     NonFiniteResult,

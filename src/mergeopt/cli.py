@@ -17,17 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    FormatError,
-    InvalidBeta,
-    InvalidConfig,
-    InvalidProbability,
-    MergeOptError,
-    MisalignedSets,
-    NonFiniteLoss,
-    NonFiniteResult,
-)
+from .errors import EmptyInput, InvalidConfig, MergeOptError, NonFiniteLoss
 from .kernels import MergeMethod, MergeSpec, offline_merge
 from .params import check_aligned, load_checkpoint, save_checkpoint
 from .training import MetricsRecord, RunConfig, make_suite, train_run
@@ -254,13 +244,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfig, InvalidProbability, InvalidBeta, EmptyInput) as e:
+    except (InvalidConfig, EmptyInput) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NonFiniteLoss as e:
-        print(f"error: {e} (last good step {e.last_good_step})", file=sys.stderr)
+        last = "" if e.last_good_step is None else f" (last good step {e.last_good_step})"
+        print(f"error: {e}{last}", file=sys.stderr)
         return 1
-    except (MisalignedSets, FormatError, NonFiniteResult) as e:
+    except MergeOptError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

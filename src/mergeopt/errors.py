@@ -13,16 +13,8 @@ class FormatError(MergeOptError):
     """Malformed checkpoint file."""
 
 
-class InvalidProbability(MergeOptError, ValueError):
-    """Reserve rate outside (0, 1]."""
-
-
 class EmptyInput(MergeOptError, ValueError):
     """An operation that needs at least one element got none."""
-
-
-class MissingBaseModel(MergeOptError):
-    """Full-merge optimizer configured without base model parameters."""
 
 
 class NonFiniteGradient(MergeOptError, FloatingPointError):
@@ -42,9 +34,13 @@ class NonFiniteLoss(MergeOptError, FloatingPointError):
         self.metrics = metrics
 
 
-class InvalidBeta(MergeOptError, ValueError):
-    """Preference-loss temperature must be positive."""
-
-
 class InvalidConfig(MergeOptError, ValueError):
     """Run or data configuration is inconsistent or has unknown keys."""
+
+
+class InvalidProbability(InvalidConfig):
+    """Reserve rate outside (0, 1]."""
+
+
+class InvalidBeta(InvalidConfig):
+    """Preference-loss temperature must be positive."""

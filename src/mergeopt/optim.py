@@ -12,15 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import MissingBaseModel, NonFiniteGradient
+from .errors import InvalidConfig, InvalidProbability, NonFiniteGradient
 from .kernels import sign_consensus, sparsify_top_p, validate_probability
 from .kernels import sparsify_random  # noqa: F401  (not called; bench/tracer.py wraps it here)
 from .masks import LayoutKeys, MaskGenerator, bernoulli_mask
 from .params import ParameterSet, check_aligned
+from .tasks import is_count, is_real
 
 MASK_STREAM_UPDATE = "update"
 MASK_STREAM_REF = "ref"
@@ -29,7 +31,7 @@ MASK_STREAM_GRAD = "grad"
 
 @dataclass(frozen=True)
 class AdamHyper:
-    learning_rate: float = 5e-7
+    learning_rate: float = 0.02
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -37,18 +39,22 @@ class AdamHyper:
     bias_correction: bool = True
 
     def __post_init__(self):
+        for name in ("learning_rate", "beta1", "beta2", "epsilon", "weight_decay"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
+        bc = self.bias_correction
+        if not isinstance(bc, bool):
+            raise InvalidConfig(f"bias_correction must be true or false, got {bc!r}")
         ok = (
-            math.isfinite(self.learning_rate)
-            and self.learning_rate > 0
+            self.learning_rate > 0
             and 0 <= self.beta1 < 1
             and 0 <= self.beta2 < 1
-            and math.isfinite(self.epsilon)
             and self.epsilon > 0
-            and math.isfinite(self.weight_decay)
             and self.weight_decay >= 0
         )
         if not ok:
-            raise ValueError(f"invalid Adam hyperparameters: {self}")
+            raise InvalidConfig(f"invalid Adam hyperparameters: {self}")
 
     @classmethod
     def pseudocode_literal(cls, learning_rate: float = 5e-7, **kw) -> "AdamHyper":
@@ -60,31 +66,28 @@ class AdamHyper:
 class MergeVariant(Enum):
     ONDARE = "ondare"
     ONTIES = "onties"
-    FULL_MERGE = "fullmerge"
 
 
 @dataclass(frozen=True)
 class OnlineMergeConfig:
-    """How each update delta is merged with the reference delta.
+    """How each update delta is merged with the reference delta; the step
+    function that takes it names the merge.
 
     gap_step K = 1 merges every step (fully online); K = T merges once at the
-    end of a T-step run. base_for_full_merge is only needed by FULL_MERGE,
-    the unrelaxed formulation that re-anchors every step on the base model.
+    end of a T-step run.
     """
 
-    variant: MergeVariant
     alpha: float = 1e-6
     reserve_rate: float = 0.5
     gap_step: int = 1
-    base_for_full_merge: Optional[ParameterSet] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        validate_probability(self.reserve_rate)
-        if int(self.gap_step) != self.gap_step or self.gap_step < 1:
-            raise ValueError(f"gap_step must be an integer >= 1, got {self.gap_step}")
-        object.__setattr__(self, "gap_step", int(self.gap_step))
+        if not (is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
+            raise InvalidConfig(f"alpha must be in [0, 1], got {self.alpha!r}")
+        if not (is_real(self.reserve_rate) and 0.0 < self.reserve_rate <= 1.0):
+            raise InvalidProbability(f"reserve_rate must be in (0, 1], got {self.reserve_rate!r}")
+        if not is_count(self.gap_step, 1):
+            raise InvalidConfig(f"gap_step must be an integer >= 1, got {self.gap_step!r}")
 
 
 class OptimizerState:
@@ -226,16 +229,19 @@ def _onties_merge(state, cfg, x) -> np.ndarray:
 _MERGES = {MergeVariant.ONDARE: _ondare_merge, MergeVariant.ONTIES: _onties_merge}
 
 
-def _relaxed_rule(state, cfg, theta, d) -> np.ndarray:
-    return theta + _MERGES[cfg.variant](state, cfg, d)
+def _ondare_rule(state, cfg, theta, d) -> np.ndarray:
+    return theta + _ondare_merge(state, cfg, d)
 
 
-def _full_merge_rule(state, cfg, theta, d) -> np.ndarray:
-    base = cfg.base_for_full_merge.vector()
+def _onties_rule(state, cfg, theta, d) -> np.ndarray:
+    return theta + _onties_merge(state, cfg, d)
+
+
+def _full_merge_rule(base, state, cfg, theta, d) -> np.ndarray:
     return base + _ondare_merge(state, cfg, (theta - base) + d)
 
 
-def _stepk_rule(state, cfg, theta, d) -> np.ndarray:
+def _stepk_rule(merge, state, cfg, theta, d) -> np.ndarray:
     cache = state.delta_cache
     if state.t % cfg.gap_step != 0:
         cache += d
@@ -243,14 +249,10 @@ def _stepk_rule(state, cfg, theta, d) -> np.ndarray:
     rolled_back = theta - cache
     d_total = d + cache
     cache[:] = 0.0
-    return rolled_back + _MERGES[cfg.variant](state, cfg, d_total)
+    return rolled_back + merge(state, cfg, d_total)
 
 
-def _require_online(cfg: OnlineMergeConfig, state: OptimizerState, expected) -> None:
-    if cfg.variant is not expected:
-        raise ValueError(f"config variant is {cfg.variant}, expected {expected}")
-    if expected is MergeVariant.FULL_MERGE and cfg.base_for_full_merge is None:
-        raise MissingBaseModel("full merge requires base model parameters in the config")
+def _require_online(state: OptimizerState) -> None:
     if state.tau_ref is None:
         raise ValueError("online merging needs a cached reference delta in the state")
 
@@ -271,8 +273,8 @@ def ondare_step(
 ) -> ParameterSet:
     """Random-sparsify both the update delta and the reference delta, then
     combine them linearly with weights (1 - alpha, alpha)."""
-    _require_online(cfg, state, MergeVariant.ONDARE)
-    return _step(params, grads, state, hyper, _relaxed_rule, cfg)
+    _require_online(state)
+    return _step(params, grads, state, hyper, _ondare_rule, cfg)
 
 
 def onties_step(
@@ -284,8 +286,8 @@ def onties_step(
 ) -> ParameterSet:
     """Top-p sparsify both sides and combine them with elementwise sign
     consensus instead of addition."""
-    _require_online(cfg, state, MergeVariant.ONTIES)
-    return _step(params, grads, state, hyper, _relaxed_rule, cfg)
+    _require_online(state)
+    return _step(params, grads, state, hyper, _onties_rule, cfg)
 
 
 def full_merge_step(
@@ -294,6 +296,7 @@ def full_merge_step(
     state: OptimizerState,
     hyper: AdamHyper,
     cfg: OnlineMergeConfig,
+    base: ParameterSet,
 ) -> ParameterSet:
     """Unrelaxed online merge, re-anchored on the base model every step:
 
@@ -302,9 +305,9 @@ def full_merge_step(
     Kept for reproducing the instability of merging the whole trajectory
     instead of just the current update.
     """
-    _require_online(cfg, state, MergeVariant.FULL_MERGE)
-    check_aligned(params, cfg.base_for_full_merge)
-    return _step(params, grads, state, hyper, _full_merge_rule, cfg)
+    _require_online(state)
+    check_aligned(params, base)
+    return _step(params, grads, state, hyper, partial(_full_merge_rule, base.vector()), cfg)
 
 
 def stepk_step(
@@ -313,18 +316,19 @@ def stepk_step(
     state: OptimizerState,
     hyper: AdamHyper,
     cfg: OnlineMergeConfig,
+    variant: MergeVariant,
 ) -> ParameterSet:
     """Gap-step online merging: accumulate plain Adam updates for K-1 steps,
     then roll the parameters back to the last merge point and merge the whole
-    accumulated displacement in one go.
+    accumulated displacement in one go with the variant's merge.
 
     K = 1 degenerates to the fully online optimizer; K = T is a single
     end-of-run merge over the total displacement.
     """
-    if cfg.variant not in _MERGES:
-        raise ValueError(f"step-K requires an online merge variant, got {cfg.variant}")
-    _require_online(cfg, state, cfg.variant)
-    return _step(params, grads, state, hyper, _stepk_rule, cfg)
+    if variant not in _MERGES:
+        raise ValueError(f"step-K requires MergeVariant.ONDARE or ONTIES, got {variant!r}")
+    _require_online(state)
+    return _step(params, grads, state, hyper, partial(_stepk_rule, _MERGES[variant]), cfg)
 
 
 def childtuning_step(
@@ -350,7 +354,6 @@ def ema_update(state: OptimizerState, params: ParameterSet, coefficient: float =
     if not (0.0 < c < 1.0):
         raise ValueError(f"EMA coefficient must be in (0, 1), got {coefficient}")
     if state.ema is None:
-        state.ema = params.vector().copy()
-        return
+        raise ValueError("EMA update on a state made without track_ema")
     state.ema *= 1.0 - c
     state.ema += c * params.vector()

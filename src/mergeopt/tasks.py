@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ _CENTER_SCALE = 3.0
 _ROTATION_STRENGTH = 0.35
 _SHIFT_SCALE = 0.8
 _UTILITY_CLUSTER_PENALTY = 4.0
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 def is_count(value, least: int) -> bool:
@@ -30,7 +31,7 @@ def is_count(value, least: int) -> bool:
 
 def check_rows(where: str, rows: int, width: int) -> None:
     """Raise InvalidConfig if numpy cannot address a rows x width float64 array."""
-    if rows * width * 8 > np.iinfo(np.intp).max:
+    if rows * width * 8 > _MAX_ARRAY_BYTES:
         raise InvalidConfig(
             f"{where} ({rows}) x {width} float64 values exceed numpy's maximum array size"
         )
@@ -54,11 +55,6 @@ class SuiteSizes:
     sft_eval: int = 500
     pref_train: int = 2000
     pref_eval: int = 500
-
-    def validate(self):
-        for name, value in asdict(self).items():
-            if not is_count(value, 1):
-                raise InvalidConfig(f"size {name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -162,9 +158,11 @@ def check_data(input_dim, hidden_dim, num_responses, sizes: SuiteSizes, preferen
         )
     if not (is_real(preference_noise) and 0.0 <= preference_noise < 0.5):
         raise InvalidConfig(f"preference_noise must be in [0, 0.5), got {preference_noise!r}")
-    sizes.validate()
-    for name, rows in asdict(sizes).items():
-        check_rows(f"size {name}", rows, input_dim)
+    for f in fields(sizes):
+        rows = getattr(sizes, f.name)
+        if not is_count(rows, 1):
+            raise InvalidConfig(f"size {f.name} must be a positive integer, got {rows!r}")
+        check_rows(f"size {f.name}", rows, input_dim)
     # The suite draws input_dim x input_dim matrices, and the policy keeps its
     # h*d + h + C*h + C parameters in one vector.
     check_rows("input_dim", input_dim, input_dim)

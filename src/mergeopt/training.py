@@ -109,26 +109,6 @@ def _build(cls, d, where: str, prefix: str = ""):
 
 
 @dataclass(frozen=True)
-class AdamSettings:
-    learning_rate: float = 0.02
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
-    bias_correction: bool = True
-
-    def to_hyper(self) -> AdamHyper:
-        return AdamHyper(**asdict(self))
-
-
-@dataclass(frozen=True)
-class MergeSettings:
-    alpha: float = 1e-6
-    reserve_rate: float = 0.5
-    gap_step: int = 1
-
-
-@dataclass(frozen=True)
 class DpoSettings:
     beta: float = 0.1
     steps: int = 500
@@ -158,8 +138,8 @@ class RunConfig:
     seed: int = 1
     out_dir: str = "run"
     optimizer: str = "adamw"
-    adam: AdamSettings = field(default_factory=AdamSettings)
-    merge: MergeSettings = field(default_factory=MergeSettings)
+    adam: AdamHyper = field(default_factory=AdamHyper)
+    merge: OnlineMergeConfig = field(default_factory=OnlineMergeConfig)
     dpo: DpoSettings = field(default_factory=DpoSettings)
     phases: PhaseSettings = field(default_factory=PhaseSettings)
     data: DataSettings = field(default_factory=DataSettings)
@@ -174,7 +154,6 @@ class RunConfig:
             raise InvalidConfig(f"out_dir must be a string, got {self.out_dir!r}")
         if not is_count(self.seed, 0) or self.seed >= 1 << 64:
             raise InvalidConfig(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        a, m = self.adam, self.merge
         for where, value, least in (
             ("dpo.steps", self.dpo.steps, 0),
             ("dpo.eval_every", self.dpo.eval_every, 1),
@@ -182,41 +161,21 @@ class RunConfig:
             ("phases.pretrain_steps", self.phases.pretrain_steps, 0),
             ("phases.sft_steps", self.phases.sft_steps, 0),
             ("phases.batch_size", self.phases.batch_size, 1),
-            ("merge.gap_step", m.gap_step, 1),
         ):
             if not is_count(value, least):
                 raise InvalidConfig(f"{where} must be an integer >= {least}, got {value!r}")
-        reals = [
-            ("adam.learning_rate", a.learning_rate),
-            ("adam.beta1", a.beta1),
-            ("adam.beta2", a.beta2),
-            ("adam.epsilon", a.epsilon),
-            ("adam.weight_decay", a.weight_decay),
+        for where, value in (
             ("phases.learning_rate", self.phases.learning_rate),
-            ("merge.alpha", m.alpha),
-            ("merge.reserve_rate", m.reserve_rate),
             ("dpo.beta", self.dpo.beta),
-        ]
-        if self.ema_coefficient is not None:
-            reals.append(("ema_coefficient", self.ema_coefficient))
-        for where, value in reals:
-            if not is_real(value):
-                raise InvalidConfig(f"{where} must be a finite number, got {value!r}")
-        if not isinstance(a.bias_correction, bool):
-            raise InvalidConfig(f"adam.bias_correction must be true or false, got {a.bias_correction!r}")
-        if not self.dpo.beta > 0:
-            raise InvalidConfig(f"dpo.beta must be positive, got {self.dpo.beta!r}")
-        if self.ema_coefficient is not None and not (0.0 < self.ema_coefficient < 1.0):
-            raise InvalidConfig(f"ema_coefficient must be in (0, 1), got {self.ema_coefficient}")
+        ):
+            if not (is_real(value) and value > 0):
+                raise InvalidConfig(f"{where} must be a positive finite number, got {value!r}")
+        c = self.ema_coefficient
+        if c is not None and not (is_real(c) and 0.0 < c < 1.0):
+            raise InvalidConfig(f"ema_coefficient must be in (0, 1), got {c!r}")
         d = self.data
         check_data(d.input_dim, d.hidden_dim, d.num_responses, d.sizes, d.preference_noise)
         check_rows("dpo.batch_size", self.dpo.batch_size, d.input_dim)
-        try:
-            a.to_hyper()
-            AdamHyper(learning_rate=self.phases.learning_rate)
-            OnlineMergeConfig(MergeVariant.ONDARE, m.alpha, m.reserve_rate, m.gap_step)
-        except ValueError as e:
-            raise InvalidConfig(str(e)) from e
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -248,15 +207,19 @@ def make_suite(cfg: RunConfig) -> TaskSuite:
     )
 
 
-def _supervised_phase(policy: ToyPolicy, data, steps, hyper, rng, seed, batch_size) -> ToyPolicy:
+def _supervised_phase(
+    policy: ToyPolicy, phase: str, data, steps, hyper, rng, seed, batch_size
+) -> ToyPolicy:
     state = OptimizerState(policy.params, seed=seed)
     params = policy.params
     rows, size = len(data), min(len(data), batch_size)
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         idx = rng.integers(0, rows, size=size)
         loss, grad = class_loss_and_grad(policy.with_params(params), data.x[idx], data.y[idx])
         if not math.isfinite(loss):
-            raise NonFiniteLoss(f"supervised phase loss went non-finite ({loss})")
+            raise NonFiniteLoss(
+                f"supervised phase {phase} loss went non-finite ({loss}) at step {step}"
+            )
         params = adam_step(params, grad, state, hyper)
     return policy.with_params(params)
 
@@ -268,20 +231,16 @@ def _build_optimizer(cfg: RunConfig, theta_base: ParameterSet):
     step-function names.
     """
     m = cfg.merge
-    if cfg.optimizer in ("adam", "adamw"):
-        return adam_step
-    if cfg.optimizer == "childtuning":
-        return partial(childtuning_step, reserve_rate=m.reserve_rate)
-    step, variant = {
-        "ondare": (ondare_step, MergeVariant.ONDARE),
-        "onties": (onties_step, MergeVariant.ONTIES),
-        "fullmerge": (full_merge_step, MergeVariant.FULL_MERGE),
-        "stepk-ondare": (stepk_step, MergeVariant.ONDARE),
-        "stepk-onties": (stepk_step, MergeVariant.ONTIES),
+    return {
+        "adam": adam_step,
+        "adamw": adam_step,
+        "ondare": partial(ondare_step, cfg=m),
+        "onties": partial(onties_step, cfg=m),
+        "fullmerge": partial(full_merge_step, cfg=m, base=theta_base),
+        "stepk-ondare": partial(stepk_step, cfg=m, variant=MergeVariant.ONDARE),
+        "stepk-onties": partial(stepk_step, cfg=m, variant=MergeVariant.ONTIES),
+        "childtuning": partial(childtuning_step, reserve_rate=m.reserve_rate),
     }[cfg.optimizer]
-    return partial(step, cfg=OnlineMergeConfig(
-        variant, m.alpha, m.reserve_rate, gap_step=m.gap_step, base_for_full_merge=theta_base
-    ))
 
 
 def _evaluate(policy: ToyPolicy, ref_eval: np.ndarray, suite: TaskSuite, beta, step) -> MetricsRecord:
@@ -312,14 +271,14 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     phase_hyper = AdamHyper(learning_rate=cfg.phases.learning_rate)
     pre_rng = np.random.default_rng([cfg.seed, 1])
     policy = _supervised_phase(
-        policy, suite.pretrain_train, cfg.phases.pretrain_steps, phase_hyper, pre_rng,
-        cfg.seed, cfg.phases.batch_size,
+        policy, "pretrain", suite.pretrain_train, cfg.phases.pretrain_steps, phase_hyper,
+        pre_rng, cfg.seed, cfg.phases.batch_size,
     )
     theta_base = policy.params
 
     sft_rng = np.random.default_rng([cfg.seed, 2])
     policy = _supervised_phase(
-        policy, suite.sft_train, cfg.phases.sft_steps, phase_hyper, sft_rng,
+        policy, "SFT", suite.sft_train, cfg.phases.sft_steps, phase_hyper, sft_rng,
         cfg.seed, cfg.phases.batch_size,
     )
     theta_ref = policy.params
@@ -338,7 +297,6 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
         track_ema=cfg.ema_coefficient is not None,
     )
     step_fn = _build_optimizer(cfg, theta_base)
-    hyper = cfg.adam.to_hyper()
 
     metrics = RunMetrics()
 
@@ -366,7 +324,7 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
                     last_good_step=step - 1,
                     metrics=metrics,
                 )
-            params = step_fn(params, grad, state, hyper)
+            params = step_fn(params, grad, state, cfg.adam)
         except NonFiniteGradient as e:
             raise NonFiniteLoss(
                 f"gradient went non-finite at step {step}: {e}",

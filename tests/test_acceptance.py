@@ -30,15 +30,13 @@ from mergeopt import (
     sparsify_random,
     sparsify_top_p,
 )
-from mergeopt.optim import MASK_STREAM_REF, MASK_STREAM_UPDATE
+from mergeopt.optim import MASK_STREAM_REF, MASK_STREAM_UPDATE, AdamHyper, OnlineMergeConfig
 from mergeopt.params import delta
 from mergeopt.policy import ToyPolicy
 from mergeopt.tasks import PreferenceSet, SuiteSizes
 from mergeopt.training import (
-    AdamSettings,
     DataSettings,
     DpoSettings,
-    MergeSettings,
     PhaseSettings,
     RunConfig,
     make_suite,
@@ -85,8 +83,8 @@ def run_once(seed=1, optimizer="adamw", steps=100, data=FAST_DATA, merge=None, a
         data=data,
         dpo=dpo,
         phases=PhaseSettings(pretrain_steps=150, sft_steps=150),
-        merge=merge or MergeSettings(),
-        adam=adam or AdamSettings(),
+        merge=merge or OnlineMergeConfig(),
+        adam=adam or AdamHyper(),
     )
     return cfg, train_run(make_suite(cfg), cfg)
 
@@ -94,12 +92,12 @@ def run_once(seed=1, optimizer="adamw", steps=100, data=FAST_DATA, merge=None, a
 def test_criterion_1_reduction_ladder():
     _, ref = run_once(optimizer="adamw", steps=100)
     ladder = {
-        "ondare(a=0,p=1)": ("ondare", MergeSettings(alpha=0.0, reserve_rate=1.0)),
-        "onties(a=0,p=1)": ("onties", MergeSettings(alpha=0.0, reserve_rate=1.0)),
-        "childtuning(p=1)": ("childtuning", MergeSettings(reserve_rate=1.0)),
+        "ondare(a=0,p=1)": ("ondare", OnlineMergeConfig(alpha=0.0, reserve_rate=1.0)),
+        "onties(a=0,p=1)": ("onties", OnlineMergeConfig(alpha=0.0, reserve_rate=1.0)),
+        "childtuning(p=1)": ("childtuning", OnlineMergeConfig(reserve_rate=1.0)),
         "stepk(K=1,a=0,p=1)": (
             "stepk-ondare",
-            MergeSettings(alpha=0.0, reserve_rate=1.0, gap_step=1),
+            OnlineMergeConfig(alpha=0.0, reserve_rate=1.0, gap_step=1),
         ),
     }
     mismatches = []
@@ -120,7 +118,7 @@ def test_criterion_2_stepk_bridge():
     # K=1 bitwise equivalence at the two pinned (alpha, p) settings.
     for alpha, p in ((1e-6, 0.5), (1e-3, 0.1)):
         for online, stepk in (("ondare", "stepk-ondare"), ("onties", "stepk-onties")):
-            merge = MergeSettings(alpha=alpha, reserve_rate=p, gap_step=1)
+            merge = OnlineMergeConfig(alpha=alpha, reserve_rate=p, gap_step=1)
             _, a = run_once(optimizer=online, steps=60, merge=merge)
             _, b = run_once(optimizer=stepk, steps=60, merge=merge)
             if a.theta_final != b.theta_final:
@@ -129,7 +127,7 @@ def test_criterion_2_stepk_bridge():
     # K=T against the two-phase oracle: T plain-Adam steps, then one merge
     # over the total displacement with the shared mask seed and step T.
     T, alpha, p, seed = 60, 1e-3, 0.5, 1
-    merge = MergeSettings(alpha=alpha, reserve_rate=p, gap_step=T)
+    merge = OnlineMergeConfig(alpha=alpha, reserve_rate=p, gap_step=T)
     cfg, stepk_res = run_once(seed=seed, optimizer="stepk-ondare", steps=T, merge=merge)
     _, adam_res = run_once(seed=seed, optimizer="adamw", steps=T)
     tau = delta(adam_res.theta_ref, adam_res.theta_base)
@@ -360,7 +358,7 @@ def test_criterion_8_directional_tradeoff():
             cfg = RunConfig(
                 seed=seed,
                 optimizer=optimizer,
-                merge=MergeSettings(alpha=1e-6, reserve_rate=0.5),
+                merge=OnlineMergeConfig(alpha=1e-6, reserve_rate=0.5),
                 dpo=DpoSettings(steps=500, eval_every=50),
             )
             res = train_run(make_suite(cfg), cfg)
@@ -398,9 +396,9 @@ def test_criterion_9_qualitative_sweep_shapes():
                 seed=seed,
                 optimizer="ondare",
                 data=tight,
-                adam=AdamSettings(learning_rate=1e-4),
+                adam=AdamHyper(learning_rate=1e-4),
                 dpo=DpoSettings(steps=20000, eval_every=2000),
-                merge=MergeSettings(alpha=alpha, reserve_rate=0.5),
+                merge=OnlineMergeConfig(alpha=alpha, reserve_rate=0.5),
             )
             acc.append(train_run(make_suite(cfg), cfg).metrics.last().pref_accuracy)
         accs[alpha] = float(np.mean(acc))
@@ -419,7 +417,7 @@ def test_criterion_9_qualitative_sweep_shapes():
             cfg = RunConfig(
                 seed=seed,
                 optimizer="stepk-ondare",
-                merge=MergeSettings(gap_step=gap),
+                merge=OnlineMergeConfig(gap_step=gap),
                 dpo=DpoSettings(steps=500, eval_every=100),
             )
             acc.append(train_run(make_suite(cfg), cfg).metrics.last().pref_accuracy)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergeopt import ParameterSet, cli, load_checkpoint, save_checkpoint
+from mergeopt import NonFiniteGradient, ParameterSet, cli, load_checkpoint, save_checkpoint
 from mergeopt.cli import main
 from mergeopt.training import RunConfig
 
@@ -228,7 +228,19 @@ class TestTrain:
         )
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert sorted(f.name for f in (tmp_path / "boom").iterdir()) == ["config.json"]
-        assert "supervised phase" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "supervised phase pretrain loss went non-finite" in err and " at step " in err
+        assert "None" not in err and "last good step" not in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sft_abort_names_its_phase(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, out_dir=str(tmp_path / "boom"),
+            phases={"learning_rate": 1e307, "pretrain_steps": 0},
+        )
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert "supervised phase SFT loss went non-finite" in capsys.readouterr().err
 
     def test_config_json_roundtrips(self, tmp_path):
         cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "run"))
@@ -300,6 +312,17 @@ def test_out_of_memory_exits_one_without_traceback(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert "out of memory" in err
     assert "Traceback" not in err
+
+
+def test_nonfinite_gradient_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    def bad_gradient(suite, cfg):
+        raise NonFiniteGradient("w1: gradient contains NaN or infinity")
+
+    monkeypatch.setattr(cli, "train_run", bad_gradient)
+    cfg_path = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: w1: gradient contains NaN or infinity\n"
 
 
 class TestSweep:

@@ -14,7 +14,6 @@ import pytest
 from mergeopt import MaskKey, ToyPolicy, bernoulli_mask
 from mergeopt.optim import (
     AdamHyper,
-    MergeVariant,
     OnlineMergeConfig,
     OptimizerState,
     _ondare_merge,
@@ -221,7 +220,7 @@ def test_ondare_merge_matches_reference(hidden, alpha):
     layout = ToyPolicy.random_init(6, hidden, 4, rng).params
     tau_ref = signed_zero_set(layout, rng)
     state = OptimizerState(layout, tau_ref=tau_ref, seed=9)
-    cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=alpha, reserve_rate=0.5)
+    cfg = OnlineMergeConfig(alpha=alpha, reserve_rate=0.5)
     sign_shows = False
     for t in (1, 2, 3):
         state.t = t
@@ -245,7 +244,7 @@ def test_ondare_step_matches_reference(hidden, alpha, hyper):
     params = layout.with_vector(np.full(layout.total_elements(), -0.0))
     tau_ref = signed_zero_set(layout, rng)
     state = OptimizerState(params, tau_ref=tau_ref, seed=3)
-    cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=alpha, reserve_rate=0.7)
+    cfg = OnlineMergeConfig(alpha=alpha, reserve_rate=0.7)
     theta = params.vector().copy()
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     for t in range(1, 4):

@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from mergeopt.kernels import MergeMethod, MergeSpec, offline_merge
+from mergeopt.optim import AdamHyper, OnlineMergeConfig
 from mergeopt.params import ParameterSet, save_checkpoint
 from mergeopt.tasks import SuiteSizes
 from mergeopt.training import (
-    AdamSettings,
     DataSettings,
     DpoSettings,
-    MergeSettings,
     PhaseSettings,
     RunConfig,
     make_suite,
@@ -33,12 +32,12 @@ FAST_DATA = DataSettings(sizes=SuiteSizes(400, 200, 400, 200, 400, 200))
 
 RUNS = {
     "adam": dict(optimizer="adam"),
-    "adamw": dict(optimizer="adamw", adam=AdamSettings(weight_decay=0.01)),
+    "adamw": dict(optimizer="adamw", adam=AdamHyper(weight_decay=0.01)),
     "ondare": dict(optimizer="ondare"),
     "onties": dict(optimizer="onties"),
     "fullmerge": dict(optimizer="fullmerge"),
-    "stepk-ondare": dict(optimizer="stepk-ondare", merge=MergeSettings(gap_step=5)),
-    "stepk-onties": dict(optimizer="stepk-onties", merge=MergeSettings(gap_step=5)),
+    "stepk-ondare": dict(optimizer="stepk-ondare", merge=OnlineMergeConfig(gap_step=5)),
+    "stepk-onties": dict(optimizer="stepk-onties", merge=OnlineMergeConfig(gap_step=5)),
     "childtuning": dict(optimizer="childtuning"),
     "ondare-ema": dict(optimizer="ondare", ema_coefficient=0.01),
 }

@@ -5,10 +5,10 @@ import pytest
 
 from mergeopt import (
     AdamHyper,
+    InvalidConfig,
     MaskKey,
     MergeVariant,
     MisalignedSets,
-    MissingBaseModel,
     NonFiniteGradient,
     OnlineMergeConfig,
     OptimizerState,
@@ -95,7 +95,7 @@ HYP = AdamHyper(learning_rate=0.05)
 class TestOnDare:
     def test_alpha_zero_p_one_reduces_to_adam_bitwise(self):
         params, tau = make_problem()
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.0, reserve_rate=1.0)
+        cfg = OnlineMergeConfig(alpha=0.0, reserve_rate=1.0)
         sa = OptimizerState(params, tau_ref=tau, seed=7)
         so = OptimizerState(params, tau_ref=tau, seed=7)
         pa, po = params, params
@@ -107,7 +107,7 @@ class TestOnDare:
 
     def test_alpha_one_p_one_is_pure_reference_pull(self):
         params, tau = make_problem()
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=1.0, reserve_rate=1.0)
+        cfg = OnlineMergeConfig(alpha=1.0, reserve_rate=1.0)
         state = OptimizerState(params, tau_ref=tau, seed=7)
         out = ondare_step(params, grad_stream(1, 1, params), state, HYP, cfg)
         for name, _, arr in params:
@@ -120,14 +120,14 @@ class TestOnDare:
         tau = pset(x=[0.4])
         state = OptimizerState(params, tau_ref=tau, seed=0)
         hyper = AdamHyper.pseudocode_literal(learning_rate=0.2)
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.5, reserve_rate=1.0)
+        cfg = OnlineMergeConfig(alpha=0.5, reserve_rate=1.0)
         out = ondare_step(params, pset(x=[1.0]), state, hyper, cfg)
         d = -0.2 * 0.1 / math.sqrt(0.001 + 1e-8)
         assert out.flat("x")[0] == pytest.approx(1.0 + 0.5 * d + 0.5 * 0.4, abs=1e-15)
 
     def test_sparsity_locality_both_masks_dropped(self):
         params, tau = make_problem(n=4000)
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.3, reserve_rate=0.4)
+        cfg = OnlineMergeConfig(alpha=0.3, reserve_rate=0.4)
         for step in (1, 12345):
             state = OptimizerState(params, tau_ref=tau, seed=11)
             state.t = step - 1
@@ -150,7 +150,7 @@ class TestOnDare:
 class TestOnTies:
     def test_alpha_zero_p_one_reduces_to_adam_bitwise(self):
         params, tau = make_problem()
-        cfg = OnlineMergeConfig(MergeVariant.ONTIES, alpha=0.0, reserve_rate=1.0)
+        cfg = OnlineMergeConfig(alpha=0.0, reserve_rate=1.0)
         sa = OptimizerState(params, tau_ref=tau, seed=7)
         so = OptimizerState(params, tau_ref=tau, seed=7)
         pa, po = params, params
@@ -163,7 +163,7 @@ class TestOnTies:
     def test_consensus_of_sparsified_sides(self):
         # Manually reproduce one step from the kernel pieces.
         params, tau = make_problem(seed=4)
-        cfg = OnlineMergeConfig(MergeVariant.ONTIES, alpha=0.25, reserve_rate=0.5)
+        cfg = OnlineMergeConfig(alpha=0.25, reserve_rate=0.5)
         state = OptimizerState(params, tau_ref=tau, seed=13)
         shadow = OptimizerState(params, tau_ref=tau, seed=13)
         g = grad_stream(3, 1, params)
@@ -181,7 +181,7 @@ class TestOnTies:
         # the same moments by plain Adam and stepped once under that config.
         params, tau = make_problem(seed=6)
         cfgs = [
-            OnlineMergeConfig(MergeVariant.ONTIES, alpha=a, reserve_rate=p)
+            OnlineMergeConfig(alpha=a, reserve_rate=p)
             for a, p in ((0.25, 0.5), (0.75, 0.5), (0.25, 0.3))
         ]
         state = OptimizerState(params, tau_ref=tau, seed=3)
@@ -193,13 +193,6 @@ class TestOnTies:
             expected = onties_step(p, grad_stream(4, t, params), fresh, HYP, cfg)
             p = onties_step(p, grad_stream(4, t, params), state, HYP, cfg)
             assert p == expected
-
-    def test_variant_mismatch_rejected(self):
-        params, tau = make_problem()
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE)
-        state = OptimizerState(params, tau_ref=tau)
-        with pytest.raises(ValueError, match="variant"):
-            onties_step(params, grad_stream(0, 1, params), state, HYP, cfg)
 
 
 class TestFullMerge:
@@ -214,10 +207,8 @@ class TestFullMerge:
         hyper = AdamHyper.pseudocode_literal(
             learning_rate=0.5 * math.sqrt(0.001 + 1e-8) / 0.1
         )
-        cfg = OnlineMergeConfig(
-            MergeVariant.FULL_MERGE, alpha=0.5, reserve_rate=1.0, base_for_full_merge=base
-        )
-        out = full_merge_step(params, pset(x=[-1.0]), state, hyper, cfg)
+        cfg = OnlineMergeConfig(alpha=0.5, reserve_rate=1.0)
+        out = full_merge_step(params, pset(x=[-1.0]), state, hyper, cfg, base)
         assert out.flat("x")[0] == pytest.approx(1.25, abs=1e-12)
 
     def test_alpha_zero_p_one_reduction_on_dyadic_values(self):
@@ -225,19 +216,10 @@ class TestFullMerge:
         params = pset(x=[2.0])
         tau = pset(x=[-1.0])
         hyper = AdamHyper.pseudocode_literal(learning_rate=0.5 * math.sqrt(0.001 + 1e-8) / 0.1)
-        cfg = OnlineMergeConfig(
-            MergeVariant.FULL_MERGE, alpha=0.0, reserve_rate=1.0, base_for_full_merge=base
-        )
+        cfg = OnlineMergeConfig(alpha=0.0, reserve_rate=1.0)
         state = OptimizerState(params, tau_ref=tau, seed=0)
-        out = full_merge_step(params, pset(x=[-1.0]), state, hyper, cfg)
+        out = full_merge_step(params, pset(x=[-1.0]), state, hyper, cfg, base)
         assert out.flat("x")[0] == pytest.approx(2.5, abs=1e-12)
-
-    def test_missing_base_model(self):
-        params, tau = make_problem()
-        cfg = OnlineMergeConfig(MergeVariant.FULL_MERGE, base_for_full_merge=None)
-        state = OptimizerState(params, tau_ref=tau)
-        with pytest.raises(MissingBaseModel):
-            full_merge_step(params, grad_stream(0, 1, params), state, HYP, cfg)
 
 
 class TestStepK:
@@ -246,14 +228,14 @@ class TestStepK:
     def test_k1_bitwise_identical_to_online(self, variant, alpha, p):
         params, tau = make_problem(seed=9)
         online_fn = ondare_step if variant is MergeVariant.ONDARE else onties_step
-        cfg = OnlineMergeConfig(variant, alpha=alpha, reserve_rate=p, gap_step=1)
+        cfg = OnlineMergeConfig(alpha=alpha, reserve_rate=p, gap_step=1)
         s1 = OptimizerState(params, tau_ref=tau, seed=21)
         s2 = OptimizerState(params, tau_ref=tau, seed=21)
         p1, p2 = params, params
         for t in range(1, 60):
             g = grad_stream(5, t, params)
             p1 = online_fn(p1, g, s1, HYP, cfg)
-            p2 = stepk_step(p2, g, s2, HYP, cfg)
+            p2 = stepk_step(p2, g, s2, HYP, cfg, variant)
         assert p1 == p2
 
     def test_k2_scalar_hand_trace(self):
@@ -263,7 +245,7 @@ class TestStepK:
         params = pset(x=[theta0])
         tau = pset(x=[tau_val])
         hyper = AdamHyper.pseudocode_literal(learning_rate=0.1)
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.5, reserve_rate=1.0, gap_step=2)
+        cfg = OnlineMergeConfig(alpha=0.5, reserve_rate=1.0, gap_step=2)
         state = OptimizerState(params, tau_ref=tau, seed=0)
         g1, g2 = 0.7, -0.3
 
@@ -275,10 +257,10 @@ class TestStepK:
         v = 0.999 * v + 0.001 * g2 * g2
         d2 = -0.1 * m / math.sqrt(v + 1e-8)
 
-        p1 = stepk_step(params, pset(x=[g1]), state, hyper, cfg)
+        p1 = stepk_step(params, pset(x=[g1]), state, hyper, cfg, MergeVariant.ONDARE)
         assert p1.flat("x")[0] == pytest.approx(theta0 + d1, abs=1e-15)
         assert state.delta_cache[0] == pytest.approx(d1, abs=1e-15)
-        p2 = stepk_step(p1, pset(x=[g2]), state, hyper, cfg)
+        p2 = stepk_step(p1, pset(x=[g2]), state, hyper, cfg, MergeVariant.ONDARE)
         assert p2.flat("x")[0] == pytest.approx(
             theta0 + 0.5 * (d1 + d2) + 0.5 * tau_val, abs=1e-14
         )
@@ -290,12 +272,12 @@ class TestStepK:
         # total displacement with the shared mask seed and step index T.
         T, alpha, p, seed = 60, 0.3, 0.5, 33
         params, tau = make_problem(seed=10, n=50)
-        cfg = OnlineMergeConfig(variant, alpha=alpha, reserve_rate=p, gap_step=T)
+        cfg = OnlineMergeConfig(alpha=alpha, reserve_rate=p, gap_step=T)
 
         sk_state = OptimizerState(params, tau_ref=tau, seed=seed)
         pk = params
         for t in range(1, T + 1):
-            pk = stepk_step(pk, grad_stream(8, t, params), sk_state, HYP, cfg)
+            pk = stepk_step(pk, grad_stream(8, t, params), sk_state, HYP, cfg, variant)
 
         ad_state = OptimizerState(params, seed=seed)
         pa = params
@@ -320,11 +302,11 @@ class TestStepK:
 
     def test_accumulator_zeroed_after_merge(self):
         params, tau = make_problem()
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE, gap_step=3)
+        cfg = OnlineMergeConfig(gap_step=3)
         state = OptimizerState(params, tau_ref=tau, seed=1)
         p = params
         for t in range(1, 7):
-            p = stepk_step(p, grad_stream(9, t, params), state, HYP, cfg)
+            p = stepk_step(p, grad_stream(9, t, params), state, HYP, cfg, MergeVariant.ONDARE)
             if t % 3 == 0:
                 assert np.all(state.delta_cache == 0.0)
             else:
@@ -402,6 +384,13 @@ class TestEma:
             with pytest.raises(ValueError):
                 ema_update(state, params, bad)
 
+    def test_state_without_shadow_rejected(self):
+        params = pset(x=[1.0])
+        state = OptimizerState(params)
+        with pytest.raises(ValueError, match="track_ema"):
+            ema_update(state, params, 0.5)
+        assert state.ema is None
+
 
 class TestStateInvariants:
     def test_moment_updates_identical_across_variants(self):
@@ -411,13 +400,13 @@ class TestStateInvariants:
         for name, fn in {
             "adam": lambda p, s: adam_step(p, g, s, HYP),
             "ondare": lambda p, s: ondare_step(
-                p, g, s, HYP, OnlineMergeConfig(MergeVariant.ONDARE)
+                p, g, s, HYP, OnlineMergeConfig()
             ),
             "onties": lambda p, s: onties_step(
-                p, g, s, HYP, OnlineMergeConfig(MergeVariant.ONTIES)
+                p, g, s, HYP, OnlineMergeConfig()
             ),
             "stepk": lambda p, s: stepk_step(
-                p, g, s, HYP, OnlineMergeConfig(MergeVariant.ONDARE, gap_step=4)
+                p, g, s, HYP, OnlineMergeConfig(gap_step=4), MergeVariant.ONDARE
             ),
             "childtuning": lambda p, s: childtuning_step(p, g, s, HYP, 1.0),
         }.items():
@@ -434,7 +423,7 @@ class TestStateInvariants:
         params, tau = make_problem()
         state = OptimizerState(params, tau_ref=tau, seed=0)
         p = params
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE)
+        cfg = OnlineMergeConfig()
         for t in range(1, 30):
             p = ondare_step(p, grad_stream(6, t, params), state, HYP, cfg)
             assert state.t == t
@@ -445,7 +434,7 @@ class TestStateInvariants:
         before = tau.vector().tobytes()
         state = OptimizerState(params, tau_ref=tau, seed=0)
         p = params
-        cfg = OnlineMergeConfig(MergeVariant.ONDARE, alpha=0.5, reserve_rate=0.5)
+        cfg = OnlineMergeConfig(alpha=0.5, reserve_rate=0.5)
         for t in range(1, 10):
             p = ondare_step(p, grad_stream(7, t, params), state, HYP, cfg)
         assert state.tau_ref.tobytes() == before
@@ -459,7 +448,7 @@ class TestStateInvariants:
         state.t = 2**64 - 1
         with pytest.raises(ValueError, match="step must fit in u64"):
             ondare_step(params, grad_stream(1, 1, params), state, HYP,
-                        OnlineMergeConfig(MergeVariant.ONDARE))
+                        OnlineMergeConfig())
 
     def test_memory_contract_no_base_model_in_state(self):
         # The state may cache the reference delta but never the base model.
@@ -472,26 +461,35 @@ class TestStateInvariants:
 
 
 def test_online_config_validation():
-    with pytest.raises(ValueError):
-        OnlineMergeConfig(MergeVariant.ONDARE, alpha=1.5)
-    with pytest.raises(ValueError):
-        OnlineMergeConfig(MergeVariant.ONDARE, reserve_rate=0.0)
-    with pytest.raises(ValueError):
-        OnlineMergeConfig(MergeVariant.ONDARE, gap_step=0)
+    for bad in (
+        dict(alpha=1.5), dict(alpha="x"), dict(reserve_rate=0.0), dict(reserve_rate=True),
+        dict(gap_step=0), dict(gap_step=2.5),
+    ):
+        with pytest.raises(InvalidConfig):
+            OnlineMergeConfig(**bad)
 
 
 def test_adam_hyper_validation():
-    with pytest.raises(ValueError):
-        AdamHyper(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        AdamHyper(beta1=1.0)
-    with pytest.raises(ValueError):
-        AdamHyper(weight_decay=-1e-3)
+    for bad in (
+        dict(learning_rate=0.0), dict(learning_rate="0.1"), dict(beta1=1.0),
+        dict(weight_decay=-1e-3), dict(bias_correction="no"),
+    ):
+        with pytest.raises(InvalidConfig):
+            AdamHyper(**bad)
+
+
+def test_stepk_rejects_a_non_variant():
+    params, tau = make_problem()
+    state = OptimizerState(params, tau_ref=tau)
+    with pytest.raises(ValueError, match="step-K"):
+        stepk_step(params, grad_stream(0, 1, params), state, HYP, OnlineMergeConfig(), "ondare")
+    assert state.t == 0
 
 
 def test_adam_hyper_defaults():
     h = AdamHyper()
-    assert (h.learning_rate, h.beta1, h.beta2) == (5e-7, 0.9, 0.999)
+    assert (h.learning_rate, h.beta1, h.beta2) == (0.02, 0.9, 0.999)
     assert (h.epsilon, h.weight_decay, h.bias_correction) == (1e-8, 0.0, True)
-    cfg = OnlineMergeConfig(MergeVariant.ONDARE)
+    assert AdamHyper.pseudocode_literal().learning_rate == 5e-7
+    cfg = OnlineMergeConfig()
     assert (cfg.alpha, cfg.reserve_rate, cfg.gap_step) == (1e-6, 0.5, 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergeopt import InvalidConfig, NonFiniteLoss, delta
+from mergeopt.optim import AdamHyper, OnlineMergeConfig
 from mergeopt.training import (
-    AdamSettings,
     DataSettings,
     DpoSettings,
-    MergeSettings,
     PhaseSettings,
     RunConfig,
     make_suite,
@@ -20,6 +20,55 @@ from mergeopt.training import (
 from mergeopt.tasks import SuiteSizes
 
 FAST_DATA = DataSettings(sizes=SuiteSizes(400, 200, 400, 200, 400, 200))
+
+# config.json of a config whose adam and merge values are JSON integers:
+# each is written back exactly as it was read.
+INTEGER_CONFIG_JSON = b"""{
+  "adam": {
+    "beta1": 0.9,
+    "beta2": 0.999,
+    "bias_correction": true,
+    "epsilon": 1e-08,
+    "learning_rate": 1,
+    "weight_decay": 0
+  },
+  "data": {
+    "hidden_dim": 16,
+    "input_dim": 6,
+    "num_responses": 4,
+    "preference_noise": 0.1,
+    "sizes": {
+      "pref_eval": 500,
+      "pref_train": 2000,
+      "pretrain_eval": 500,
+      "pretrain_train": 2000,
+      "sft_eval": 500,
+      "sft_train": 2000
+    }
+  },
+  "dpo": {
+    "batch_size": 32,
+    "beta": 0.1,
+    "eval_every": 10,
+    "steps": 500
+  },
+  "ema_coefficient": null,
+  "merge": {
+    "alpha": 0,
+    "gap_step": 3,
+    "reserve_rate": 1
+  },
+  "optimizer": "ondare",
+  "out_dir": "run",
+  "phases": {
+    "batch_size": 64,
+    "learning_rate": 0.05,
+    "pretrain_steps": 300,
+    "sft_steps": 300
+  },
+  "seed": 1
+}
+"""
 
 
 def fast_config(**kw):
@@ -51,12 +100,12 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "raw, expected",
         [
-            ({"adam": {"weight_decay": 0.01}}, RunConfig(adam=AdamSettings(weight_decay=0.01))),
+            ({"adam": {"weight_decay": 0.01}}, RunConfig(adam=AdamHyper(weight_decay=0.01))),
             (
                 {"data": {"hidden_dim": 4, "sizes": {"pref_train": 99}}},
                 RunConfig(data=DataSettings(hidden_dim=4, sizes=SuiteSizes(pref_train=99))),
             ),
-            ({"merge": {"gap_step": 5}}, RunConfig(merge=MergeSettings(gap_step=5))),
+            ({"merge": {"gap_step": 5}}, RunConfig(merge=OnlineMergeConfig(gap_step=5))),
         ],
     )
     def test_partial_sections_keep_their_defaults(self, raw, expected):
@@ -75,6 +124,16 @@ class TestRunConfig:
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(InvalidConfig, match="optimizer"):
             RunConfig(optimizer="sgd")
+
+    def test_integer_values_are_written_back_unchanged(self):
+        raw = {
+            "optimizer": "ondare",
+            "merge": {"alpha": 0, "reserve_rate": 1, "gap_step": 3},
+            "adam": {"learning_rate": 1, "weight_decay": 0},
+        }
+        cfg = RunConfig.from_dict(raw)
+        assert cfg.to_json_bytes() == INTEGER_CONFIG_JSON
+        assert RunConfig.from_dict(json.loads(INTEGER_CONFIG_JSON)) == cfg
 
     def test_defaults_match_documented_values(self):
         cfg = RunConfig()
@@ -119,7 +178,7 @@ def test_any_json_value_in_any_field_gives_config_or_invalid_config(path, value)
 class TestTrainRun:
     def test_zero_learning_rate_freezes_policy(self):
         # lr must be positive; use the smallest normal value as "frozen".
-        cfg = fast_config(adam=AdamSettings(learning_rate=1e-300))
+        cfg = fast_config(adam=AdamHyper(learning_rate=1e-300))
         suite = make_suite(cfg)
         res = train_run(suite, cfg)
         assert np.allclose(
@@ -160,7 +219,7 @@ class TestTrainRun:
         steps = 5
         cfg = fast_config(
             optimizer="ondare",
-            merge=MergeSettings(alpha=1.0, reserve_rate=1.0),
+            merge=OnlineMergeConfig(alpha=1.0, reserve_rate=1.0),
             dpo=DpoSettings(steps=steps, eval_every=steps),
         )
         suite = make_suite(cfg)
@@ -174,7 +233,7 @@ class TestTrainRun:
     def test_nonfinite_loss_aborts_with_partial_metrics(self):
         # A colossal learning rate overflows the logit matmul within a few
         # steps; the guard must record the last good step and keep metrics.
-        cfg = fast_config(adam=AdamSettings(learning_rate=1e307))
+        cfg = fast_config(adam=AdamHyper(learning_rate=1e307))
         with pytest.raises(NonFiniteLoss) as err:
             train_run(make_suite(cfg), cfg)
         assert err.value.last_good_step is not None
@@ -199,7 +258,9 @@ class TestTrainRun:
         assert shadow_moved < 0.1 * raw_moved
 
     def test_fullmerge_runs_and_records_metrics(self):
-        cfg = fast_config(optimizer="fullmerge", merge=MergeSettings(alpha=1e-6, reserve_rate=1.0))
+        cfg = fast_config(
+            optimizer="fullmerge", merge=OnlineMergeConfig(alpha=1e-6, reserve_rate=1.0)
+        )
         res = train_run(make_suite(cfg), cfg)
         assert len(res.metrics.rows) >= 2
         assert all(math.isfinite(r.dpo_loss) for r in res.metrics.rows)
