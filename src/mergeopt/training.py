@@ -94,7 +94,8 @@ def _sections(cls) -> tuple:
 
 def _build(cls, d, where: str, prefix: str = ""):
     """cls from the JSON object d, which may omit any field. A field whose
-    default is a dataclass is built from its own nested object, the same way."""
+    default is a dataclass is built from its own nested object, the same way,
+    and the errors its class raises are prefixed with the section's path."""
     if not isinstance(d, dict):
         raise InvalidConfig(f"{where} must be a JSON object, got {d!r}")
     unknown = d.keys() - cls.__dataclass_fields__.keys()
@@ -105,7 +106,12 @@ def _build(cls, d, where: str, prefix: str = ""):
         if name in kwargs:
             path = prefix + name
             kwargs[name] = _build(section, kwargs[name], path, path + ".")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except InvalidConfig as e:
+        if not prefix:
+            raise
+        raise InvalidConfig(f"{where}: {e}") from e
 
 
 @dataclass(frozen=True)

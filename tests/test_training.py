@@ -121,6 +121,15 @@ class TestRunConfig:
         with pytest.raises(InvalidConfig, match=f"^{where} must be a JSON object"):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"merge": {"alpha": "x"}}, "merge: alpha must be in [0, 1], got 'x'"),
+        ({"adam": {"learning_rate": "x"}}, "adam: learning_rate must be a finite number, got 'x'"),
+    ])
+    def test_section_errors_name_their_section(self, raw, message):
+        with pytest.raises(InvalidConfig) as e:
+            RunConfig.from_dict(raw)
+        assert str(e.value) == message
+
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(InvalidConfig, match="optimizer"):
             RunConfig(optimizer="sgd")
