@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -158,8 +159,13 @@ def cmd_sweep(args) -> int:
     if workers == 1 or len(jobs) == 1:
         rows = [_run_sweep_point(cfg) for cfg in jobs]
     else:
+        rows = []
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            rows = list(pool.map(_run_sweep_point, jobs))
+            try:
+                rows.extend(pool.map(_run_sweep_point, jobs))
+            except BrokenProcessPool as e:
+                dead = jobs[len(rows)].out_dir
+                raise MergeOptError(f"a sweep worker process died; {dead} did not finish") from e
 
     summary = out_root / "sweep_summary.csv"
     with open(summary, "w", encoding="utf-8") as f:

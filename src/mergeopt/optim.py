@@ -2,9 +2,11 @@
 
 One optimizer step is a single logical transaction over the flat parameter
 vector: the step counter t moves by exactly one, one vectorized Adam update
-happens identically for every variant, and the variants differ only in the
-rule that turns the update delta into the new parameters. Masks stay keyed
+happens identically for every variant, and each step function then turns the
+update delta into the new parameters with its own merge. Masks stay keyed
 per tensor, so each tensor's slice of a flat mask is its own keyed stream.
+EMA is not part of the optimizer: ema_update maps a shadow kept by the run
+to its next value.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -92,21 +93,15 @@ class OnlineMergeConfig:
 
 class OptimizerState:
     """Flat float64 vectors over the layout of the parameters the state was
-    made for: the Adam moments m and v, the step-K accumulator delta_cache,
-    the EMA shadow ema (None while there is none) and the read-only reference
-    delta tau_ref (None without one); plus the step counter, the mask
-    generator, the merges' constant reference sides (alpha * tau_ref for
-    OnDARE, alpha * top-p(tau_ref) for OnTIES) and reused work buffers.
+    made for: the Adam moments m and v, the step-K accumulator delta_cache
+    and the read-only reference delta tau_ref (None without one); plus the
+    step counter, the mask generator, the merges' constant reference sides
+    (alpha * tau_ref for OnDARE, alpha * top-p(tau_ref) for OnTIES) and
+    reused work buffers.
     The base model is deliberately not part of the state: the relaxed online
     merge needs only tau_ref, never mutated."""
 
-    def __init__(
-        self,
-        params: ParameterSet,
-        tau_ref: Optional[ParameterSet] = None,
-        seed: int = 0,
-        track_ema: bool = False,
-    ):
+    def __init__(self, params: ParameterSet, tau_ref: Optional[ParameterSet] = None, seed: int = 0):
         if tau_ref is not None:
             check_aligned(params, tau_ref)
         self._layout = params
@@ -116,7 +111,6 @@ class OptimizerState:
         self.t = 0
         self.tau_ref = None if tau_ref is None else tau_ref.vector()
         self.seed = int(seed)
-        self.ema = params.vector().copy() if track_ema else None
         self._keys = LayoutKeys(self.seed, params.names)
         self._masks = MaskGenerator()
         self._ref_sides: dict = {}
@@ -124,11 +118,6 @@ class OptimizerState:
         # keep-mask with each tensor's (length, slice view) of it.
         self._delta, self._work = np.empty(size), np.empty(size)
         self._mask_slots: dict = {}
-
-    def ema_parameters(self) -> Optional[ParameterSet]:
-        if self.ema is None:
-            return None
-        return self._layout.with_vector(self.ema.copy())
 
 
 def _adam(state: OptimizerState, g: np.ndarray, hyper: AdamHyper) -> np.ndarray:
@@ -152,12 +141,13 @@ def _adam(state: OptimizerState, g: np.ndarray, hyper: AdamHyper) -> np.ndarray:
     return d
 
 
-def _step(params, grads, state, hyper, rule=None, cfg=None, grad_rate=None) -> ParameterSet:
-    """One optimizer transaction over the flat layout: t += 1, child-tuning's
-    gradient dropout (grad_rate), one Adam update with decoupled decay folded
-    into the delta so the merge governs the entire change, then
-    rule(state, cfg, theta, delta) -> new parameters (theta + delta if none).
-    The result owns a fresh buffer: sets returned earlier never change."""
+def _adam_delta(params, grads, state, hyper, grad_rate=None) -> tuple[np.ndarray, np.ndarray]:
+    """The shared part of one optimizer transaction over the flat layout:
+    t += 1, child-tuning's gradient dropout (grad_rate), one Adam update with
+    decoupled decay folded into the delta so that a merge governs the entire
+    change. Returns (theta, delta); delta lives in the state's buffer (valid
+    until the next step), and each step function lays its own result out
+    with params.with_vector, so sets returned earlier never change."""
     check_aligned(params, grads)
     check_aligned(params, state._layout)
     state.t += 1
@@ -171,7 +161,7 @@ def _step(params, grads, state, hyper, rule=None, cfg=None, grad_rate=None) -> P
     d = _adam(state, g, hyper)
     if hyper.weight_decay != 0.0:
         d -= np.multiply(hyper.learning_rate * hyper.weight_decay, theta, out=state._work)
-    return params.with_vector(theta + d if rule is None else rule(state, cfg, theta, d))
+    return theta, d
 
 
 def _keep_mask(state: OptimizerState, stream: str, p: float) -> np.ndarray:
@@ -229,29 +219,6 @@ def _onties_merge(state, cfg, x) -> np.ndarray:
 _MERGES = {MergeVariant.ONDARE: _ondare_merge, MergeVariant.ONTIES: _onties_merge}
 
 
-def _ondare_rule(state, cfg, theta, d) -> np.ndarray:
-    return theta + _ondare_merge(state, cfg, d)
-
-
-def _onties_rule(state, cfg, theta, d) -> np.ndarray:
-    return theta + _onties_merge(state, cfg, d)
-
-
-def _full_merge_rule(base, state, cfg, theta, d) -> np.ndarray:
-    return base + _ondare_merge(state, cfg, (theta - base) + d)
-
-
-def _stepk_rule(merge, state, cfg, theta, d) -> np.ndarray:
-    cache = state.delta_cache
-    if state.t % cfg.gap_step != 0:
-        cache += d
-        return theta + d
-    rolled_back = theta - cache
-    d_total = d + cache
-    cache[:] = 0.0
-    return rolled_back + merge(state, cfg, d_total)
-
-
 def _require_online(state: OptimizerState) -> None:
     if state.tau_ref is None:
         raise ValueError("online merging needs a cached reference delta in the state")
@@ -261,7 +228,8 @@ def adam_step(
     params: ParameterSet, grads: ParameterSet, state: OptimizerState, hyper: AdamHyper
 ) -> ParameterSet:
     """Plain Adam/AdamW: theta <- theta + delta, no merging."""
-    return _step(params, grads, state, hyper)
+    theta, d = _adam_delta(params, grads, state, hyper)
+    return params.with_vector(theta + d)
 
 
 def ondare_step(
@@ -274,7 +242,8 @@ def ondare_step(
     """Random-sparsify both the update delta and the reference delta, then
     combine them linearly with weights (1 - alpha, alpha)."""
     _require_online(state)
-    return _step(params, grads, state, hyper, _ondare_rule, cfg)
+    theta, d = _adam_delta(params, grads, state, hyper)
+    return params.with_vector(theta + _ondare_merge(state, cfg, d))
 
 
 def onties_step(
@@ -287,7 +256,8 @@ def onties_step(
     """Top-p sparsify both sides and combine them with elementwise sign
     consensus instead of addition."""
     _require_online(state)
-    return _step(params, grads, state, hyper, _onties_rule, cfg)
+    theta, d = _adam_delta(params, grads, state, hyper)
+    return params.with_vector(theta + _onties_merge(state, cfg, d))
 
 
 def full_merge_step(
@@ -307,7 +277,9 @@ def full_merge_step(
     """
     _require_online(state)
     check_aligned(params, base)
-    return _step(params, grads, state, hyper, partial(_full_merge_rule, base.vector()), cfg)
+    theta, d = _adam_delta(params, grads, state, hyper)
+    b = base.vector()
+    return params.with_vector(b + _ondare_merge(state, cfg, (theta - b) + d))
 
 
 def stepk_step(
@@ -328,7 +300,15 @@ def stepk_step(
     if variant not in _MERGES:
         raise ValueError(f"step-K requires MergeVariant.ONDARE or ONTIES, got {variant!r}")
     _require_online(state)
-    return _step(params, grads, state, hyper, partial(_stepk_rule, _MERGES[variant]), cfg)
+    theta, d = _adam_delta(params, grads, state, hyper)
+    cache = state.delta_cache
+    if state.t % cfg.gap_step != 0:
+        cache += d
+        return params.with_vector(theta + d)
+    rolled_back = theta - cache
+    d_total = d + cache
+    cache[:] = 0.0
+    return params.with_vector(rolled_back + _MERGES[variant](state, cfg, d_total))
 
 
 def childtuning_step(
@@ -342,18 +322,20 @@ def childtuning_step(
     rescale the survivors by 1/p before the Adam update. The mask sits on the
     gradient, unlike online merging which masks the update delta (without
     rescale)."""
-    return _step(params, grads, state, hyper, grad_rate=validate_probability(reserve_rate))
+    theta, d = _adam_delta(params, grads, state, hyper, validate_probability(reserve_rate))
+    return params.with_vector(theta + d)
 
 
-def ema_update(state: OptimizerState, params: ParameterSet, coefficient: float = 1e-3) -> None:
-    """shadow <- (1 - c) * shadow + c * theta, applied after a base step.
-
-    Evaluation and serialization use the shadow when EMA is enabled.
-    """
+def ema_update(
+    shadow: ParameterSet, params: ParameterSet, coefficient: float = 1e-3
+) -> ParameterSet:
+    """The next EMA shadow, (1 - c) * shadow + c * theta, applied after a base
+    step. The shadow is the run's, not the optimizer's: evaluation and the
+    final checkpoint use it when EMA is enabled."""
     c = float(coefficient)
     if not (0.0 < c < 1.0):
         raise ValueError(f"EMA coefficient must be in (0, 1), got {coefficient}")
-    if state.ema is None:
-        raise ValueError("EMA update on a state made without track_ema")
-    state.ema *= 1.0 - c
-    state.ema += c * params.vector()
+    check_aligned(shadow, params)
+    out = shadow.vector() * (1.0 - c)
+    out += c * params.vector()
+    return shadow.with_vector(out)

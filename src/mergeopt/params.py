@@ -87,9 +87,6 @@ class ParameterSet:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._pos
-
     def __iter__(self) -> Iterator[tuple[str, tuple[int, ...], np.ndarray]]:
         v = self._vector
         return ((n, s, v[sl]) for n, s, sl in zip(self._names, self._shapes, self._slices))

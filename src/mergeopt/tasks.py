@@ -94,9 +94,6 @@ class TaskSuite:
     input_dim: int
     hidden_dim: int
     num_responses: int
-    seed: int
-    sizes: SuiteSizes
-    preference_noise: float
 
     def utility(self, x: np.ndarray) -> np.ndarray:
         """Latent utility of every candidate response for each row of x.
@@ -221,9 +218,6 @@ def gen_task_suite(
         input_dim=input_dim,
         hidden_dim=hidden_dim,
         num_responses=num_responses,
-        seed=int(seed),
-        sizes=sizes,
-        preference_noise=float(preference_noise),
     )
 
 

@@ -214,9 +214,9 @@ def make_suite(cfg: RunConfig) -> TaskSuite:
 
 
 def _supervised_phase(
-    policy: ToyPolicy, phase: str, data, steps, hyper, rng, seed, batch_size
+    policy: ToyPolicy, phase: str, data, steps, hyper, rng, batch_size
 ) -> ToyPolicy:
-    state = OptimizerState(policy.params, seed=seed)
+    state = OptimizerState(policy.params)
     params = policy.params
     rows, size = len(data), min(len(data), batch_size)
     for step in range(1, steps + 1):
@@ -278,14 +278,14 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     pre_rng = np.random.default_rng([cfg.seed, 1])
     policy = _supervised_phase(
         policy, "pretrain", suite.pretrain_train, cfg.phases.pretrain_steps, phase_hyper,
-        pre_rng, cfg.seed, cfg.phases.batch_size,
+        pre_rng, cfg.phases.batch_size,
     )
     theta_base = policy.params
 
     sft_rng = np.random.default_rng([cfg.seed, 2])
     policy = _supervised_phase(
         policy, "SFT", suite.sft_train, cfg.phases.sft_steps, phase_hyper, sft_rng,
-        cfg.seed, cfg.phases.batch_size,
+        cfg.phases.batch_size,
     )
     theta_ref = policy.params
     # The reference is frozen, so its log-probabilities are computed once:
@@ -295,24 +295,15 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     ref_train = reference.block_logprobs(suite.pref_train.x, cfg.dpo.batch_size)
     ref_eval = reference.logprobs(suite.pref_eval.x)
 
-    tau_ref = delta(theta_ref, theta_base)
-    state = OptimizerState(
-        theta_ref,
-        tau_ref=tau_ref,
-        seed=cfg.seed,
-        track_ema=cfg.ema_coefficient is not None,
-    )
+    state = OptimizerState(theta_ref, tau_ref=delta(theta_ref, theta_base), seed=cfg.seed)
     step_fn = _build_optimizer(cfg, theta_base)
 
+    # shadow is what evaluation and the final checkpoint see: the EMA shadow,
+    # or the parameters themselves when EMA is off.
+    params = shadow = theta_ref
+    ema = cfg.ema_coefficient
     metrics = RunMetrics()
-
-    def eval_policy(params: ParameterSet) -> ToyPolicy:
-        if cfg.ema_coefficient is not None:
-            return policy.with_params(state.ema_parameters())
-        return policy.with_params(params)
-
-    params = theta_ref
-    metrics.append(_evaluate(eval_policy(params), ref_eval, suite, cfg.dpo.beta, step=0))
+    metrics.append(_evaluate(policy.with_params(shadow), ref_eval, suite, cfg.dpo.beta, step=0))
 
     dpo_rng = np.random.default_rng([cfg.seed, 3])
     pref_train, n_train = suite.pref_train, len(suite.pref_train)
@@ -337,10 +328,9 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
                 last_good_step=step - 1,
                 metrics=metrics,
             ) from e
-        if cfg.ema_coefficient is not None:
-            ema_update(state, params, cfg.ema_coefficient)
+        shadow = params if ema is None else ema_update(shadow, params, ema)
         if step % eval_every == 0 or step == steps:
-            rec = _evaluate(eval_policy(params), ref_eval, suite, beta, step)
+            rec = _evaluate(policy.with_params(shadow), ref_eval, suite, beta, step)
             if not all(map(math.isfinite, _metric_values(rec))):
                 raise NonFiniteLoss(
                     f"evaluation metrics went non-finite at step {step}",
@@ -349,5 +339,4 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
                 )
             metrics.append(rec)
 
-    theta_final = state.ema_parameters() if cfg.ema_coefficient is not None else params
-    return TrainResult(theta_base, theta_ref, theta_final, metrics)
+    return TrainResult(theta_base, theta_ref, shadow, metrics)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -395,6 +396,22 @@ class TestSweep:
             assert main(["train", "--config", str(config), "--out", str(point)]) == 0
             assert {f.name: f.read_bytes() for f in point.iterdir()} == written
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="workers must inherit the patch"
+    )
+    def test_dead_worker_exits_one_without_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run", lambda cfg: os._exit(9))
+        monkeypatch.setenv("MERGEOPT_THREADS", "2")
+        cfg_path = write_config(tmp_path)
+        sweep_dir = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", str(cfg_path), "--out", str(sweep_dir), "--alpha", "1e-6", "1e-5"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker process died; ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (sweep_dir / "sweep_summary.csv").exists()
+
     def test_repeated_seed_exits_two_before_any_run(self, tmp_path, capsys, monkeypatch):
         def no_data(cfg):
             raise AssertionError("a sweep point ran")
@@ -491,3 +508,10 @@ def test_readme_cli_block_names_every_command():
     documented = {line.split()[1] for line in block.splitlines() if line.startswith("mergeopt ")}
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("MetricsRecord(step=500, ")

@@ -354,42 +354,35 @@ class TestChildTuning:
 
 class TestEma:
     def test_single_update(self):
-        params = pset(x=[1.0])
-        state = OptimizerState(params, track_ema=True)
-        state.ema = np.array([0.0])
-        ema_update(state, params, 1e-3)
-        assert state.ema[0] == pytest.approx(1e-3, abs=1e-18)
+        shadow = pset(x=[0.0])
+        out = ema_update(shadow, pset(x=[1.0]), 1e-3)
+        assert out.flat("x")[0] == pytest.approx(1e-3, abs=1e-18)
+        assert shadow.flat("x")[0] == 0.0
 
     def test_fixed_point(self):
         params = pset(x=[2.5])
-        state = OptimizerState(params, track_ema=True)
-        ema_update(state, params, 1e-3)
-        assert state.ema[0] == 2.5
+        assert ema_update(params, params, 1e-3).flat("x")[0] == 2.5
 
     def test_geometric_convergence_closed_form(self):
         params = pset(x=[1.0])
-        state = OptimizerState(params, track_ema=True)
         shadow0 = 0.25
-        state.ema = np.array([shadow0])
+        shadow = pset(x=[shadow0])
         c, n = 0.05, 40
         for _ in range(n):
-            ema_update(state, params, c)
+            shadow = ema_update(shadow, params, c)
         expected_error = (1 - c) ** n * abs(1.0 - shadow0)
-        assert abs(1.0 - state.ema[0]) == pytest.approx(expected_error, rel=1e-9)
+        assert abs(1.0 - shadow.flat("x")[0]) == pytest.approx(expected_error, rel=1e-9)
 
     def test_coefficient_validated(self):
         params = pset(x=[1.0])
-        state = OptimizerState(params, track_ema=True)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                ema_update(state, params, bad)
+                ema_update(params, params, bad)
 
-    def test_state_without_shadow_rejected(self):
-        params = pset(x=[1.0])
-        state = OptimizerState(params)
-        with pytest.raises(ValueError, match="track_ema"):
-            ema_update(state, params, 0.5)
-        assert state.ema is None
+    @pytest.mark.parametrize("other", [{"y": [1.0]}, {"x": [1.0, 2.0]}], ids=["name", "shape"])
+    def test_misaligned_shadow_rejected(self, other):
+        with pytest.raises(MisalignedSets):
+            ema_update(pset(x=[1.0]), pset(**other), 0.5)
 
 
 class TestStateInvariants:
