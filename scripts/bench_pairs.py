@@ -15,6 +15,13 @@ metadata, every run's result, and for each workload and end-to-end metric
 both sides' median and quartiles, the change's wins and losses over the
 pairs (ties count for neither), and whether the change's median is within
 the metric's bound of the parent's.
+
+Then an end-to-end section, which no bound gates, runs E2E_PAIRS more
+alternating pairs. Each times, on both trees, acceptance criterion 9 alone
+and the Tier-1 suite, in wall time and the child's CPU time, and runs the
+informational `wide-h256` workload as above. Criterion 9's alpha sweep is
+12 OnDARE runs of 20,000 steps at hidden 4, the same step path as
+`alpha-sweep-h4`.
 """
 
 from __future__ import annotations
@@ -24,17 +31,27 @@ import datetime
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 SEED0 = 601
+E2E_PAIRS = 3
+E2E_WORKLOAD = "wide-h256"
+PYTEST = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+E2E_COMMANDS = {
+    "criterion_9": PYTEST + ["-k", "criterion_9", "tests/test_acceptance.py"],
+    "tier1": PYTEST,
+}
+TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None} for n in ("cpu_s", "wall_s")]
 
 
 def git(*args) -> str:
@@ -62,6 +79,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                 "metrics": {}, "stderr": proc.stderr[-2000:]}
     meta, result = json.loads(lines[-2])["meta"], json.loads(lines[-1])
     return {"returncode": 0, "meta": meta, **result}
+
+
+def time_command(checkout: Path, cmd: list[str]) -> dict:
+    """Run cmd in checkout with its src/ importable; its wall time and the CPU
+    time (user + system) of it and its own children."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+    before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=3600)
+    wall, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    last = proc.stdout.strip().splitlines()[-1:] or [""]
+    return {"returncode": proc.returncode, "correct": proc.returncode == 0, "summary": last[0],
+            "metrics": {"cpu_s": {"value": cpu}, "wall_s": {"value": wall}}}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -94,7 +124,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "wins": wins, "losses": losses, "pairs": len(pairs),
             "median_gap_exceeds_parent_iqr":
                 abs(change - parent) > side["parent"]["q3"] - side["parent"]["q1"],
-            "bound": spec["bound"], "worse_by": worse_by, "within_bound": worse_by <= spec["bound"],
+            "bound": spec["bound"], "worse_by": worse_by,
+            "within_bound": None if spec["bound"] is None else worse_by <= spec["bound"],
         }
     return out
 
@@ -113,7 +144,7 @@ def main(argv=None) -> int:
 
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    runs = []
+    runs, e2e_runs = [], []
     try:
         checkouts = {}
         for s in SIDES:
@@ -127,6 +158,17 @@ def main(argv=None) -> int:
                     runs.append({"workload": w, "pair": i, "side": s, "seed": seed, **r})
                     status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
                     print(f"{w} pair {i} {s}: {status}", file=sys.stderr, flush=True)
+        for i in range(E2E_PAIRS):
+            seed = SEED0 + i
+            for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+                for name, cmd in E2E_COMMANDS.items():
+                    r = time_command(checkouts[s], cmd)
+                    e2e_runs.append({"command": name, "pair": i, "side": s, **r})
+                    print(f"{name} pair {i} {s}: {r['summary']}", file=sys.stderr, flush=True)
+                r = run_once(checkouts[s], E2E_WORKLOAD, seed, seconds)
+                e2e_runs.append({"workload": E2E_WORKLOAD, "pair": i, "side": s, "seed": seed, **r})
+                status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
+                print(f"{E2E_WORKLOAD} pair {i} {s}: {status}", file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -139,6 +181,18 @@ def main(argv=None) -> int:
             "attempted_operations": {s: sum(r["attempted"] for r in wr if r["side"] == s) for s in SIDES},
             "metrics": summarize(wr, bench["end_to_end"]),
         }
+    e2e_summary = {}
+    for name, key, specs in [*((n, "command", TIMINGS) for n in E2E_COMMANDS),
+                             (E2E_WORKLOAD, "workload", bench["end_to_end"])]:
+        rs = [r for r in e2e_runs if r.get(key) == name]
+        e2e_summary[name] = {"runs_correct": sum(r["correct"] for r in rs), "runs": len(rs),
+                             "metrics": summarize(rs, specs)}
+    end_to_end = {
+        "gated": False, "pairs": E2E_PAIRS, "seeds": [SEED0, SEED0 + E2E_PAIRS - 1],
+        "commands": {n: " ".join(["PYTHONPATH=src", "python3", *c[1:]])
+                     for n, c in E2E_COMMANDS.items()},
+        "summary": e2e_summary, "runs": e2e_runs,
+    }
     meta = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "revs": revs, "pairs": args.pairs, "seeds": [SEED0, SEED0 + args.pairs - 1],
@@ -149,7 +203,8 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
     }
     path = ROOT / f"BENCH_{args.pr}.json"
-    path.write_text(json.dumps({"meta": meta, "summary": summary, "runs": runs}, indent=1) + "\n")
+    report = {"meta": meta, "summary": summary, "runs": runs, "end_to_end": end_to_end}
+    path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

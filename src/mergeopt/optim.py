@@ -21,7 +21,8 @@ import numpy as np
 from .errors import InvalidConfig, InvalidProbability, NonFiniteGradient
 from .kernels import sign_consensus, sparsify_top_p, validate_probability
 from .kernels import sparsify_random  # noqa: F401  (not called; bench/tracer.py wraps it here)
-from .masks import LayoutKeys, MaskGenerator, bernoulli_mask
+from .masks import LayoutKeys, MaskGenerator
+from .masks import bernoulli_mask  # noqa: F401  (not called; bench/tracer.py wraps it here)
 from .params import ParameterSet, check_aligned
 from .tasks import is_count, is_real
 
@@ -115,7 +116,7 @@ class OptimizerState:
         self._masks = MaskGenerator()
         self._ref_sides: dict = {}
         # Adam's update delta and its second buffer, and per mask stream a
-        # keep-mask with each tensor's (length, slice view) of it.
+        # uniform buffer, the keep-mask and each tensor's slice of the former.
         self._delta, self._work = np.empty(size), np.empty(size)
         self._mask_slots: dict = {}
 
@@ -167,16 +168,18 @@ def _adam_delta(params, grads, state, hyper, grad_rate=None) -> tuple[np.ndarray
 def _keep_mask(state: OptimizerState, stream: str, p: float) -> np.ndarray:
     """Flat keep-mask whose slice for each tensor is drawn from that tensor's
     own (seed, name, step, stream) key, in the stream's reused buffer (valid
-    until the stream's next draw)."""
+    until the stream's next draw). Each tensor's keyed stream fills its slice
+    of one uniform buffer, and one comparison makes the whole mask: the bytes
+    of bernoulli_mask per tensor."""
     slots = state._mask_slots.get(stream)
     if slots is None:
-        mask = np.empty(state.m.size, bool)
-        views = [(s.stop - s.start, mask[s]) for _, s in state._slices]
-        slots = state._mask_slots[stream] = (mask, views)
-    mask, views = slots
-    for material, (n, out) in zip(state._keys.materials(state.t, stream), views):
-        bernoulli_mask(material, n, p, state._masks, out=out)
-    return mask
+        u = np.empty(state.m.size)
+        views = [u[s] for _, s in state._slices]
+        slots = state._mask_slots[stream] = (u, np.empty(u.size, bool), views)
+    u, mask, views = slots
+    for material, out in zip(state._keys.materials(state.t, stream), views):
+        state._masks.stream(material).random(out=out)
+    return np.less(u, p, out=mask)
 
 
 def _ref_side(state, key, make) -> np.ndarray:

@@ -32,7 +32,9 @@ from .optim import (
 )
 from .params import ParameterSet, delta
 from .policy import ToyPolicy, class_loss_and_grad, dpo_loss, dpo_loss_and_grad
-from .tasks import SuiteSizes, TaskSuite, check_data, check_rows, gen_task_suite, is_count, is_real
+from .tasks import (
+    PreferenceSet, SuiteSizes, TaskSuite, check_data, check_rows, gen_task_suite, is_count, is_real
+)
 
 OPTIMIZER_NAMES = (
     "adam",
@@ -44,6 +46,7 @@ OPTIMIZER_NAMES = (
     "stepk-onties",
     "childtuning",
 )
+_GATHER_BUDGET = 1 << 15  # values a block of training batches gathers at a time: 256 KiB
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -213,15 +216,48 @@ def make_suite(cfg: RunConfig) -> TaskSuite:
     )
 
 
+def _block_steps(size: int, width: int) -> int:
+    """Steps per block of batches of `size` rows, `width` gathered values per
+    row: at most about _GATHER_BUDGET values, and at least one step."""
+    return max(1, _GATHER_BUDGET // (size * width))
+
+
+def _batches(rng, steps: int, rows: int, size: int, width: int, gather):
+    """The batches of `steps` steps, each `size` indices into range(rows).
+
+    The indices of a block of steps are drawn in one integers() call, which
+    consumes the generator's stream exactly as one call per step would, and
+    gather takes each (block steps, size) index array to an iterable of the
+    block's per-step batches.
+    """
+    block = _block_steps(size, width)
+    for start in range(0, steps, block):
+        yield from gather(rng.integers(0, rows, size=(min(block, steps - start), size)))
+
+
+def _preference_batches(rng, steps: int, data: PreferenceSet, ref: np.ndarray, size: int):
+    """(batch, reference log-prob rows) of each preference step; a block's
+    rows are gathered by one take() and one reference gather."""
+
+    def gather(idx):
+        b = data.take(idx)
+        return zip(map(PreferenceSet, b.x, b.chosen, b.rejected), ref[idx])
+
+    width = data.x.shape[1] + 2 + ref.shape[1]  # x, chosen, rejected, reference row
+    return _batches(rng, steps, len(data), size, width, gather)
+
+
 def _supervised_phase(
     policy: ToyPolicy, phase: str, data, steps, hyper, rng, batch_size
 ) -> ToyPolicy:
     state = OptimizerState(policy.params)
     params = policy.params
     rows, size = len(data), min(len(data), batch_size)
-    for step in range(1, steps + 1):
-        idx = rng.integers(0, rows, size=size)
-        loss, grad = class_loss_and_grad(policy.with_params(params), data.x[idx], data.y[idx])
+    batches = _batches(
+        rng, steps, rows, size, data.x.shape[1] + 1, lambda idx: zip(data.x[idx], data.y[idx])
+    )
+    for step, (x, y) in enumerate(batches, 1):
+        loss, grad = class_loss_and_grad(policy.with_params(params), x, y)
         if not math.isfinite(loss):
             raise NonFiniteLoss(
                 f"supervised phase {phase} loss went non-finite ({loss}) at step {step}"
@@ -306,15 +342,11 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     metrics.append(_evaluate(policy.with_params(shadow), ref_eval, suite, cfg.dpo.beta, step=0))
 
     dpo_rng = np.random.default_rng([cfg.seed, 3])
-    pref_train, n_train = suite.pref_train, len(suite.pref_train)
     beta, steps, eval_every = cfg.dpo.beta, cfg.dpo.steps, cfg.dpo.eval_every
-    for step in range(1, steps + 1):
-        idx = dpo_rng.integers(0, n_train, size=cfg.dpo.batch_size)
-        batch = pref_train.take(idx)
+    batches = _preference_batches(dpo_rng, steps, suite.pref_train, ref_train, cfg.dpo.batch_size)
+    for step, (batch, ref) in enumerate(batches, 1):
         try:
-            loss, _, grad = dpo_loss_and_grad(
-                policy.with_params(params), ref_train[idx], batch, beta
-            )
+            loss, _, grad = dpo_loss_and_grad(policy.with_params(params), ref, batch, beta)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(
                     f"training loss went non-finite at step {step}",

@@ -1,27 +1,40 @@
 """Frozen references: the bodies of the policy's forward/backward, the Adam
 update, the OnDARE merge and the sigmoid as they stood before their per-step
-internals were rewritten for fewer numpy calls. The rewrite runs the same IEEE
-operations in the same order, so every result must match these bit for bit
-(compared by tobytes(), which tells -0.0 from 0.0).
+internals were rewritten for fewer numpy calls, and the per-step batch draw
+and per-tensor keep-mask as they stood before batches were drawn a block of
+steps at a time and masks filled as one vector. The rewrite runs the same IEEE
+operations, and consumes the same random streams, in the same order, so every
+result must match these bit for bit (compared by tobytes(), which tells -0.0
+from 0.0).
 
 Do not edit the reference bodies to follow a change of the program: a change
 that alters a bit here alters checkpoints and metrics.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from mergeopt import MaskKey, ToyPolicy, bernoulli_mask
+from mergeopt.masks import MaskGenerator
 from mergeopt.optim import (
     AdamHyper,
     OnlineMergeConfig,
     OptimizerState,
+    _keep_mask,
     _ondare_merge,
     adam_step,
     ondare_step,
 )
 from mergeopt.policy import _sigmoid, class_loss_and_grad, dpo_loss_and_grad
-from mergeopt.tasks import PreferenceSet
+from mergeopt.tasks import LabeledSet, PreferenceSet
+from mergeopt.training import (
+    _batches,
+    _block_steps,
+    _preference_batches,
+    _supervised_phase,
+)
 
 # ---- reference bodies ----
 
@@ -116,6 +129,33 @@ def oracle_mask(params, seed, step, stream, p):
     ])
 
 
+def ref_keep_mask(state, stream, p):
+    mask = np.empty(state.m.size, bool)
+    gen = MaskGenerator()
+    for material, (_, s) in zip(state._keys.materials(state.t, stream), state._slices):
+        bernoulli_mask(material, s.stop - s.start, p, gen, out=mask[s])
+    return mask
+
+
+def ref_preference_batches(rng, steps, pref_train, ref_train, batch_size):
+    n_train = len(pref_train)
+    for step in range(1, steps + 1):
+        idx = rng.integers(0, n_train, size=batch_size)
+        yield pref_train.take(idx), ref_train[idx]
+
+
+def ref_supervised_phase(policy, data, steps, hyper, rng, batch_size):
+    state = OptimizerState(policy.params)
+    params = policy.params
+    rows, size = len(data), min(len(data), batch_size)
+    for step in range(1, steps + 1):
+        idx = rng.integers(0, rows, size=size)
+        loss, grad = class_loss_and_grad(policy.with_params(params), data.x[idx], data.y[idx])
+        assert math.isfinite(loss)
+        params = adam_step(params, grad, state, hyper)
+    return policy.with_params(params)
+
+
 # ---- fixtures ----
 
 HIDDEN = [4, 16, 64, 256]
@@ -151,6 +191,22 @@ def signed_zero_set(params, rng):
     v[rng.random(v.size) < 0.15] = 0.0
     v[rng.random(v.size) < 0.15] = -0.0
     return params.with_vector(v)
+
+
+# Step counts around the block length B of a batch draw.
+STEP_COUNTS = {
+    "0": lambda b: 0,
+    "1": lambda b: 1,
+    "B-1": lambda b: b - 1,
+    "B": lambda b: b,
+    "B+1": lambda b: b + 1,
+    "2B+3": lambda b: 2 * b + 3,
+}
+
+
+def same_generator(a, b) -> bool:
+    """Two generators are at the same point of the same stream."""
+    return a.bit_generator.state == b.bit_generator.state
 
 
 def same_bits(a, b) -> bool:
@@ -259,3 +315,70 @@ def test_ondare_step_matches_reference(hidden, alpha, hyper):
             tau_ref.vector(), alpha, d,
         )
         assert same_bits(params.vector(), theta)
+
+
+@pytest.mark.parametrize("steps", STEP_COUNTS.values(), ids=STEP_COUNTS.keys())
+@pytest.mark.parametrize("batch", [1, 31, 257])
+def test_preference_batches_match_reference(batch, steps):
+    rng = np.random.default_rng(batch)
+    rows = 300
+    data = PreferenceSet(
+        rng.normal(size=(rows, 6)), rng.integers(0, 4, rows), rng.integers(0, 4, rows)
+    )
+    ref_train = rng.normal(size=(rows, 4))
+    n = steps(_block_steps(batch, 6 + 2 + 4))
+    got_rng, want_rng = np.random.default_rng([7, 3]), np.random.default_rng([7, 3])
+    got = list(_preference_batches(got_rng, n, data, ref_train, batch))
+    want = list(ref_preference_batches(want_rng, n, data, ref_train, batch))
+    assert len(got) == len(want) == n
+    for (b, ref), (want_b, want_ref) in zip(got, want):
+        assert same_bits(b.x, want_b.x) and same_bits(ref, want_ref)
+        assert b.chosen.tobytes() == want_b.chosen.tobytes()
+        assert b.rejected.tobytes() == want_b.rejected.tobytes()
+    assert same_generator(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("steps", STEP_COUNTS.values(), ids=STEP_COUNTS.keys())
+@pytest.mark.parametrize("rows", [1, 2, 300, 2**32, 2**32 + 1])
+@pytest.mark.parametrize("size", [1, 31, 257])
+def test_block_draw_consumes_the_stream_like_per_step_draws(size, rows, steps):
+    # Rows up to 2**32 draw 32-bit bounded integers, half a PCG64 output
+    # each, so an odd block leaves half an output buffered for the next.
+    n = steps(_block_steps(size, 100))
+    got_rng, want_rng = np.random.default_rng(size), np.random.default_rng(size)
+    got = np.array(list(_batches(got_rng, n, rows, size, 100, lambda idx: idx)))
+    want = np.array([want_rng.integers(0, rows, size=size) for _ in range(n)])
+    assert got.tobytes() == want.tobytes()
+    assert same_generator(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("steps", STEP_COUNTS.values(), ids=STEP_COUNTS.keys())
+@pytest.mark.parametrize("batch", [1, 31, 257, 64])
+def test_supervised_phase_matches_reference(batch, steps):
+    # 40 rows: a batch_size of 64 is larger than its split and takes 40 rows.
+    rng = np.random.default_rng([batch, 2])
+    rows = 40 if batch == 64 else 300
+    data = LabeledSet(rng.normal(size=(rows, 6)), rng.integers(0, 4, rows))
+    policy = ToyPolicy.random_init(6, 4, 4, rng)
+    n = steps(_block_steps(min(rows, batch), 6 + 1))
+    hyper = AdamHyper(learning_rate=0.05)
+    got_rng, want_rng = np.random.default_rng([5, 1]), np.random.default_rng([5, 1])
+    got = _supervised_phase(policy, "pretrain", data, n, hyper, got_rng, batch)
+    want = ref_supervised_phase(policy, data, n, hyper, want_rng, batch)
+    assert same_bits(got.params.vector(), want.params.vector())
+    assert same_generator(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("step", [1, 12345])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("hidden", [4, 16, 64])
+def test_keep_mask_matches_reference(hidden, seed, step, p):
+    layout = ToyPolicy.random_init(6, hidden, 4, np.random.default_rng(hidden)).params
+    state = OptimizerState(layout, seed=seed)
+    for t in (step, step + 1):
+        state.t = t
+        for stream in ("update", "ref", "grad"):
+            want = ref_keep_mask(state, stream, p)
+            assert _keep_mask(state, stream, p).tobytes() == want.tobytes()
+            assert want.tobytes() == oracle_mask(layout, seed, t, stream, p).tobytes()

@@ -14,12 +14,15 @@ from mergeopt.training import (
     DpoSettings,
     PhaseSettings,
     RunConfig,
+    _block_steps,
     make_suite,
     train_run,
 )
 from mergeopt.tasks import SuiteSizes
 
 FAST_DATA = DataSettings(sizes=SuiteSizes(400, 200, 400, 200, 400, 200))
+METRICS_HEADER = b"step,dpo_loss,reward_margin,pref_accuracy,pretrain_accuracy,sft_accuracy\n"
+ABORT_ROW_0 = b"0,0.6931471805599452,0.0,0.0,0.92,1.0\n"  # step 0 of fast_config's seed-1 suite
 
 # config.json of a config whose adam and merge values are JSON integers:
 # each is written back exactly as it was read.
@@ -245,9 +248,38 @@ class TestTrainRun:
         cfg = fast_config(adam=AdamHyper(learning_rate=1e307))
         with pytest.raises(NonFiniteLoss) as err:
             train_run(make_suite(cfg), cfg)
-        assert err.value.last_good_step is not None
-        assert err.value.metrics is not None
-        assert len(err.value.metrics.rows) >= 1
+        assert str(err.value) == "training loss went non-finite at step 4"
+        assert err.value.last_good_step == 3
+        assert err.value.metrics.to_csv_bytes() == METRICS_HEADER + ABORT_ROW_0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_loss_abort_inside_a_later_batch_block(self):
+        # Decoupled decay with lr * wd = 2e7 multiplies the parameters by
+        # about -2e7 per step, so the loss overflows at step 43: inside the
+        # fifth 10-step block of 257-row batches, after four evaluations.
+        cfg = fast_config(
+            adam=AdamHyper(learning_rate=0.02, weight_decay=1e9),
+            dpo=DpoSettings(steps=200, eval_every=10, batch_size=257),
+        )
+        assert _block_steps(257, 6 + 2 + 4) == 10
+        with pytest.raises(NonFiniteLoss) as err:
+            train_run(make_suite(cfg), cfg)
+        assert str(err.value) == "training loss went non-finite at step 43"
+        assert err.value.last_good_step == 42
+        assert err.value.metrics.to_csv_bytes() == METRICS_HEADER + ABORT_ROW_0 + (
+            b"10,5.380301065713656e+72,-2.3033734029588335e+72,0.39,0.94,1.0\n"
+            b"20,5.509425536577259e+145,-2.3586531853029288e+145,0.39,0.94,1.0\n"
+            b"30,5.6416489286298715e+218,-2.415259654120039e+218,0.39,0.94,1.0\n"
+            b"40,5.777045614393387e+291,-2.4732246492062552e+291,0.39,0.94,1.0\n"
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_supervised_loss_names_phase_and_step(self):
+        cfg = fast_config(phases=PhaseSettings(150, 150, learning_rate=1e307))
+        with pytest.raises(NonFiniteLoss) as err:
+            train_run(make_suite(cfg), cfg)
+        assert str(err.value) == "supervised phase pretrain loss went non-finite (inf) at step 2"
+        assert err.value.last_good_step is None and err.value.metrics is None
 
     def test_ema_shadow_is_final_checkpoint(self):
         cfg = fast_config(ema_coefficient=1e-3)
