@@ -21,13 +21,20 @@ alternating pairs. Each times, on both trees, acceptance criterion 9 alone
 and the Tier-1 suite, in wall time and the child's CPU time, and runs the
 informational `wide-h256` workload as above. Criterion 9's alpha sweep is
 12 OnDARE runs of 20,000 steps at hidden 4, the same step path as
-`alpha-sweep-h4`.
+`alpha-sweep-h4`. In the same section, MERGE_PAIRS alternating pairs each
+time one fresh `python -m mergeopt merge` process per method (linear, DARE,
+TIES) on both trees, in wall and CPU time, over one set of three 25 MB
+checkpoints plus base made by `bench/workloads.py`'s
+`synthesize_merge_inputs`. That is the offline-merge job outside the
+benchmark's in-process loop, interpreter start-up and imports included; each
+method's outputs must be byte-identical across every run of both trees.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import platform
@@ -42,6 +49,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import MERGE_METHODS, synthesize_merge_inputs  # noqa: E402
+
 SIDES = ("parent", "change")
 SEED0 = 601
 E2E_PAIRS = 3
@@ -51,6 +61,7 @@ E2E_COMMANDS = {
     "criterion_9": PYTEST + ["-k", "criterion_9", "tests/test_acceptance.py"],
     "tier1": PYTEST,
 }
+MERGE_PAIRS = 10
 TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None} for n in ("cpu_s", "wall_s")]
 
 
@@ -92,6 +103,31 @@ def time_command(checkout: Path, cmd: list[str]) -> dict:
     last = proc.stdout.strip().splitlines()[-1:] or [""]
     return {"returncode": proc.returncode, "correct": proc.returncode == 0, "summary": last[0],
             "metrics": {"cpu_s": {"value": cpu}, "wall_s": {"value": wall}}}
+
+
+def merge_command(inputs: list[Path], out: Path, method: str) -> list[str]:
+    base, *models = inputs
+    return [sys.executable, "-m", "mergeopt", "merge", *map(str, models), "--base", str(base),
+            "--out", str(out), "--method", method, "--seed", str(SEED0)]
+
+
+def time_merges(checkouts: dict, work: Path) -> tuple[list[dict], list[Path]]:
+    """MERGE_PAIRS alternating pairs, each timing one merge process per method
+    on each tree over inputs made in work; the runs and the inputs."""
+    work.mkdir()
+    inputs = synthesize_merge_inputs(SEED0, work)
+    runs = []
+    for i in range(MERGE_PAIRS):
+        for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for m in MERGE_METHODS:
+                out = work / f"{s}-{m}.pset"
+                r = time_command(checkouts[s], merge_command(inputs, out, m))
+                r["output_blake2b"] = (hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
+                                       if r["correct"] else None)
+                out.unlink(missing_ok=True)
+                runs.append({"command": f"merge_{m}", "pair": i, "side": s, **r})
+                print(f"merge_{m} pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
+    return runs, inputs
 
 
 def quartiles(values: list[float]) -> dict:
@@ -169,6 +205,8 @@ def main(argv=None) -> int:
                 e2e_runs.append({"workload": E2E_WORKLOAD, "pair": i, "side": s, "seed": seed, **r})
                 status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
                 print(f"{E2E_WORKLOAD} pair {i} {s}: {status}", file=sys.stderr, flush=True)
+        merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge")
+        e2e_runs += merge_runs
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -187,10 +225,20 @@ def main(argv=None) -> int:
         rs = [r for r in e2e_runs if r.get(key) == name]
         e2e_summary[name] = {"runs_correct": sum(r["correct"] for r in rs), "runs": len(rs),
                              "metrics": summarize(rs, specs)}
+    for m in MERGE_METHODS:
+        rs = [r for r in e2e_runs if r.get("command") == f"merge_{m}"]
+        e2e_summary[f"merge_{m}"] = {
+            "runs_correct": sum(r["correct"] for r in rs), "runs": len(rs),
+            "outputs_identical": len({r["output_blake2b"] for r in rs}) == 1,
+            "metrics": summarize(rs, TIMINGS),
+        }
+    merge_cmd = merge_command([Path(p.name) for p in merge_inputs], Path("out.pset"), "M")
     end_to_end = {
         "gated": False, "pairs": E2E_PAIRS, "seeds": [SEED0, SEED0 + E2E_PAIRS - 1],
-        "commands": {n: " ".join(["PYTHONPATH=src", "python3", *c[1:]])
-                     for n, c in E2E_COMMANDS.items()},
+        "merge_pairs": MERGE_PAIRS,
+        "commands": {**{n: " ".join(["PYTHONPATH=src", "python3", *c[1:]])
+                        for n, c in E2E_COMMANDS.items()},
+                     "merge_M": " ".join(["PYTHONPATH=src", "python3", *merge_cmd[1:]])},
         "summary": e2e_summary, "runs": e2e_runs,
     }
     meta = {

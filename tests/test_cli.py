@@ -12,6 +12,7 @@ import pytest
 
 from mergeopt import NonFiniteGradient, ParameterSet, cli, load_checkpoint, save_checkpoint
 from mergeopt.cli import main
+from mergeopt.params import MAP_MIN_BYTES
 from mergeopt.training import RunConfig
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -132,6 +133,39 @@ class TestMerge:
         err = capsys.readouterr().err
         assert "error:" in err and "NaN or infinity" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["linear", "dare", "ties"])
+    @pytest.mark.parametrize("target", ["base", "model"])
+    def test_merge_into_one_of_its_own_inputs(self, tmp_path, capsys, method, target):
+        # Inputs large enough to be mapped; the output must not be written
+        # under those maps (a truncated map is a SIGBUS, an overwritten one a
+        # wrong delta nnz report).
+        tensors = {"w": (200, 100), "b": (20000,)}
+        assert 8 * sum(np.prod(s) for s in tensors.values()) >= MAP_MIN_BYTES
+        sides = {}
+        for side in ("fresh", "inplace"):
+            d = tmp_path / side
+            d.mkdir()
+            r = np.random.default_rng(5)
+            paths = [checkpoint(d, f"{n}.pset", {k: r.normal(size=s) for k, s in tensors.items()})
+                     for n in ("base", "m1", "m2")]
+            out = paths[0 if target == "base" else 1] if side == "inplace" else d / "out.pset"
+            code = main(["merge", str(paths[1]), str(paths[2]), "--base", str(paths[0]),
+                         "--out", str(out), "--method", method, "--seed", "3"])
+            assert code == 0
+            sides[side] = (out.read_bytes(), capsys.readouterr().out.replace(str(out), "OUT"))
+        assert sides["inplace"] == sides["fresh"]
+
+    def test_failed_save_exits_one_and_leaves_no_temporary(self, tmp_path, capsys):
+        base = checkpoint(tmp_path, "base.pset", {"w": np.zeros(2)})
+        model = checkpoint(tmp_path, "m.pset", {"w": np.ones(2)})
+        out = tmp_path / "out"
+        out.mkdir()
+        before = sorted(os.listdir(tmp_path))
+        assert main(["merge", str(model), "--base", str(base), "--out", str(out)]) == 1
+        assert "io error:" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize(

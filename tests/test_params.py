@@ -1,4 +1,6 @@
 import json
+import mmap
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from mergeopt import (
     save_checkpoint,
 )
 from mergeopt.kernels import MergeMethod, MergeSpec, offline_merge
+from mergeopt.params import MAGIC, MAP_MIN_BYTES
 
 
 def pset(**named):
@@ -145,10 +148,96 @@ def test_every_set_is_one_read_only_vector(tmp_path, label):
     assert np.array_equal(p.vector(), before)
 
 
+def test_membership_is_by_name():
+    p = ParameterSet([("w", (2,), np.ones(2)), ("b", (1,), [0.0])])
+    assert "w" in p and "b" in p
+    assert "x" not in p
+    assert ("w", (2,)) not in p
+
+
+def _is_mapped(p: ParameterSet) -> bool:
+    base = p.vector().base
+    return isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+
+
 def test_checkpoint_roundtrip_empty_set(tmp_path):
     p = ParameterSet([])
     save_checkpoint(p, tmp_path / "empty.pset")
-    assert load_checkpoint(tmp_path / "empty.pset") == p
+    q = load_checkpoint(tmp_path / "empty.pset")
+    assert q == p
+    assert q.vector().tobytes() == b""
+    assert not _is_mapped(q)
+
+
+def _saved_with_payload(path, nbytes: int, aligned: bool) -> ParameterSet:
+    """Save a two-tensor set of nbytes of payload to path, named so that the
+    payload starts at a file offset that is a multiple of 8 or is not."""
+    n = nbytes // 8
+    data = np.random.default_rng(n).normal(size=n)
+    data[:3] = [-0.0, np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\x7f", "<f8")[0], 5e-324]
+    for k in range(1, 9):
+        p = ParameterSet([("w", (n - 1,), data[:-1]), ("b" * k, (1,), data[-1:])])
+        save_checkpoint(p, path)
+        with open(path, "rb") as f:
+            head = f.read(len(MAGIC) + 4)
+        offset = len(head) + int.from_bytes(head[len(MAGIC):], "little")
+        if (offset % 8 == 0) == aligned:
+            return p
+    raise AssertionError("no name length gave the wanted payload offset")
+
+
+@pytest.mark.parametrize("aligned", [True, False], ids=["offset8", "offset-unaligned"])
+@pytest.mark.parametrize("nbytes", [MAP_MIN_BYTES - 8, MAP_MIN_BYTES], ids=["read", "mapped"])
+def test_both_load_paths_give_the_saved_set(tmp_path, nbytes, aligned):
+    path = tmp_path / "p.pset"
+    p = _saved_with_payload(path, nbytes, aligned)
+    q = load_checkpoint(path)
+    assert q == p
+    assert q.vector().tobytes() == p.vector().tobytes()
+    assert all(q.flat(n).tobytes() == p.flat(n).tobytes() for n in p.names)
+    assert _is_mapped(q) == (nbytes >= MAP_MIN_BYTES)
+    assert not q.vector().flags.writeable
+
+
+def test_mapped_set_keeps_its_bytes_when_its_file_is_saved_over(tmp_path):
+    path = tmp_path / "p.pset"
+    p = _saved_with_payload(path, MAP_MIN_BYTES, aligned=False)
+    q = load_checkpoint(path)
+    assert _is_mapped(q)
+    save_checkpoint(q.map(lambda a: a + 1.0), path)
+    assert q.vector().tobytes() == p.vector().tobytes()
+    assert load_checkpoint(path) == p.map(lambda a: a + 1.0)
+
+
+def test_save_replaces_a_symlink_and_takes_its_mode_from_the_umask(tmp_path):
+    target = tmp_path / "target.pset"
+    target.write_bytes(b"untouched")
+    link = tmp_path / "link.pset"
+    link.symlink_to(target)
+    old = os.umask(0o027)
+    try:
+        save_checkpoint(pset(w=[1.0, 2.0]), link)
+    finally:
+        os.umask(old)
+    assert target.read_bytes() == b"untouched"
+    assert not link.is_symlink()
+    assert load_checkpoint(link) == pset(w=[1.0, 2.0])
+    assert os.stat(link).st_mode & 0o777 == 0o640
+
+
+def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "p.pset"
+    save_checkpoint(pset(w=[1.0]), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        save_checkpoint(pset(w=[2.0]), path)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["p.pset"]
 
 
 def test_checkpoint_roundtrip_extreme_doubles(tmp_path):
