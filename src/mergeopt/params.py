@@ -213,9 +213,9 @@ def save_checkpoint(p: ParameterSet, path) -> None:
     ).encode("utf-8")
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    f = open(tmp, "xb")
     try:
-        with open(fd, "wb") as f:
+        with f:
             f.write(MAGIC)
             f.write(struct.pack("<I", len(header)))
             f.write(header)
