@@ -20,8 +20,9 @@ import numpy as np
 from .errors import FormatError, MisalignedSets
 
 MAGIC = b"PSET1\n"
-# Payloads of at least this many bytes are mapped instead of read: in scans of
-# linear-merge jobs, mapping lost below 64 KiB per file and won from 256 KiB.
+# Payloads of at least this many bytes are mapped instead of read: in a scan of
+# linear-merge jobs, mapping cost more than reading up to 64 KiB per file and
+# less from 128 KiB up.
 MAP_MIN_BYTES = 1 << 18
 
 
@@ -213,7 +214,10 @@ def save_checkpoint(p: ParameterSet, path) -> None:
     ).encode("utf-8")
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    f = open(tmp, "xb")
+    try:
+        f = open(tmp, "xb")
+    except OSError as e:  # report the target, not the temporary name
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
     try:
         with f:
             f.write(MAGIC)

@@ -167,6 +167,13 @@ class TestMerge:
         assert sorted(os.listdir(tmp_path)) == before
         assert os.listdir(out) == []
 
+    def test_save_into_a_missing_directory_names_the_output(self, tmp_path, capsys):
+        model = checkpoint(tmp_path, "m.pset", {"w": np.ones(2)})
+        out = tmp_path / "missing" / "out.pset"
+        assert main(["merge", str(model), "--base", str(model), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"io error: [Errno 2] No such file or directory: '{out}'\n"
+        assert sorted(os.listdir(tmp_path)) == ["m.pset"]
+
 
 @pytest.mark.parametrize(
     "extra",

@@ -174,7 +174,8 @@ def _saved_with_payload(path, nbytes: int, aligned: bool) -> ParameterSet:
     payload starts at a file offset that is a multiple of 8 or is not."""
     n = nbytes // 8
     data = np.random.default_rng(n).normal(size=n)
-    data[:3] = [-0.0, np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\x7f", "<f8")[0], 5e-324]
+    data[[0, 2]] = [-0.0, 5e-324]
+    data.view(np.uint64)[1] = 0x7FF8000000000001  # a NaN with a payload
     for k in range(1, 9):
         p = ParameterSet([("w", (n - 1,), data[:-1]), ("b" * k, (1,), data[-1:])])
         save_checkpoint(p, path)
