@@ -14,18 +14,22 @@ in even pairs and the change first in odd ones. The file holds the
 metadata, every run's result, and for each workload and end-to-end metric
 both sides' median and quartiles, the change's wins and losses over the
 pairs (ties count for neither), and whether the change's median is within
-the metric's bound of the parent's.
+the metric's bound of the parent's. A metric is flagged a "win" or a "loss"
+only when the change wins or loses at least FLAG_SHARE of the pairs and its
+median differs from the parent's by more than the parent's quartile spread.
 
 Then an end-to-end section, which no bound gates, runs E2E_PAIRS more
 alternating pairs. Each times, on both trees, acceptance criterion 9 alone
 and the Tier-1 suite, in wall time and the child's CPU time, and runs the
 informational `wide-h256` workload as above. Criterion 9's alpha sweep is
 12 OnDARE runs of 20,000 steps at hidden 4, the same step path as
-`alpha-sweep-h4`. In the same section, MERGE_PAIRS alternating pairs each
-time one fresh `python -m mergeopt merge` process per method (linear, DARE,
-TIES) on both trees, in wall and CPU time, over one set of three 25 MB
-checkpoints plus base made by `bench/workloads.py`'s
-`synthesize_merge_inputs`. That is the offline-merge job outside the
+`alpha-sweep-h4`. Each pytest run records its passed-test count; a pair
+whose two sides passed different counts ran different work, so it is marked
+`comparable: false` and left out of the summary. In the same section,
+MERGE_PAIRS alternating pairs each time one fresh `python -m mergeopt merge`
+process per method (linear, DARE, TIES) on both trees, in wall and CPU time,
+over one set of three 25 MB checkpoints plus base made by
+`bench/workloads.py`'s `synthesize_merge_inputs`. That is the offline-merge job outside the
 benchmark's in-process loop, interpreter start-up and imports included; each
 method's outputs must be byte-identical across every run of both trees.
 """
@@ -38,6 +42,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import resource
 import shutil
 import statistics
@@ -62,6 +67,7 @@ E2E_COMMANDS = {
     "tier1": PYTEST,
 }
 MERGE_PAIRS = 10
+FLAG_SHARE = 0.8
 TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None} for n in ("cpu_s", "wall_s")]
 
 
@@ -105,6 +111,24 @@ def time_command(checkout: Path, cmd: list[str]) -> dict:
             "metrics": {"cpu_s": {"value": cpu}, "wall_s": {"value": wall}}}
 
 
+def passed_count(summary: str) -> int | None:
+    """The passed-test count in pytest's summary line, e.g. "618 passed in 62.00s"."""
+    m = re.search(r"(\d+) passed", summary)
+    return int(m.group(1)) if m else None
+
+
+def mark_comparable(runs: list[dict]) -> None:
+    """Set comparable on each run of a pair: whether both sides passed the
+    same number of tests."""
+    pairs = {}
+    for r in runs:
+        pairs.setdefault(r["pair"], []).append(r)
+    for pair in pairs.values():
+        same = len(pair) == 2 and pair[0]["passed"] == pair[1]["passed"]
+        for r in pair:
+            r["comparable"] = same
+
+
 def merge_command(inputs: list[Path], out: Path, method: str) -> list[str]:
     base, *models = inputs
     return [sys.executable, "-m", "mergeopt", "merge", *map(str, models), "--base", str(base),
@@ -137,14 +161,15 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's quartiles, the change's pairwise wins, and its
-    median relative to the parent's against the metric's bound."""
+    median relative to the parent's against the metric's bound. Runs marked
+    not comparable are left out."""
     out = {}
     for spec in metrics:
         name = spec["name"]
         sign = 1.0 if spec["better"] == "higher" else -1.0
         pairs = {}
         for r in runs:
-            if name in r["metrics"]:
+            if name in r["metrics"] and r.get("comparable", True):
                 pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][name]["value"]
         pairs = [p for p in pairs.values() if len(p) == 2]
         if len(pairs) < 2:
@@ -154,12 +179,18 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         worse_by = sign * (parent - change) / abs(parent) if parent else 0.0
         wins = sum(sign * (p["change"] - p["parent"]) > 0 for p in pairs)
         losses = sum(sign * (p["change"] - p["parent"]) < 0 for p in pairs)
+        gap_exceeds_iqr = abs(change - parent) > side["parent"]["q3"] - side["parent"]["q1"]
+        flagged = None
+        if gap_exceeds_iqr:
+            if wins >= FLAG_SHARE * len(pairs):
+                flagged = "win"
+            elif losses >= FLAG_SHARE * len(pairs):
+                flagged = "loss"
         out[name] = {
             "unit": spec["unit"], "better": spec["better"], **side,
             "change_over_parent": change / parent if parent else None,
             "wins": wins, "losses": losses, "pairs": len(pairs),
-            "median_gap_exceeds_parent_iqr":
-                abs(change - parent) > side["parent"]["q3"] - side["parent"]["q1"],
+            "median_gap_exceeds_parent_iqr": gap_exceeds_iqr, "flagged": flagged,
             "bound": spec["bound"], "worse_by": worse_by,
             "within_bound": None if spec["bound"] is None else worse_by <= spec["bound"],
         }
@@ -199,12 +230,15 @@ def main(argv=None) -> int:
             for s in SIDES if i % 2 == 0 else SIDES[::-1]:
                 for name, cmd in E2E_COMMANDS.items():
                     r = time_command(checkouts[s], cmd)
+                    r["passed"] = passed_count(r["summary"])
                     e2e_runs.append({"command": name, "pair": i, "side": s, **r})
                     print(f"{name} pair {i} {s}: {r['summary']}", file=sys.stderr, flush=True)
                 r = run_once(checkouts[s], E2E_WORKLOAD, seed, seconds)
                 e2e_runs.append({"workload": E2E_WORKLOAD, "pair": i, "side": s, "seed": seed, **r})
                 status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
                 print(f"{E2E_WORKLOAD} pair {i} {s}: {status}", file=sys.stderr, flush=True)
+        for name in E2E_COMMANDS:
+            mark_comparable([r for r in e2e_runs if r.get("command") == name])
         merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge")
         e2e_runs += merge_runs
     finally:

@@ -119,24 +119,12 @@ def _run_sweep_point(cfg: RunConfig) -> list:
     return row + ["ok", last.pref_accuracy, last.pretrain_accuracy, last.reward_margin]
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("MERGEOPT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"MERGEOPT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise InvalidConfig(f"MERGEOPT_THREADS must be >= 0, got {n}")
-    return n or (os.cpu_count() or 1)
-
-
 def cmd_sweep(args) -> int:
     base = _load_config(args.config)
     seeds = args.seeds or [base.seed]
     if len(set(seeds)) != len(seeds):
         raise InvalidConfig(f"--seeds must not repeat a value, got {seeds}")
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     grid = itertools.product(
         args.alpha or [base.merge.alpha],
         args.reserve or [base.merge.reserve_rate],
@@ -154,13 +142,14 @@ def cmd_sweep(args) -> int:
         for i, (alpha, reserve, gap, beta) in enumerate(grid)
         for seed in seeds
     ]
+    out_root.mkdir(parents=True, exist_ok=True)  # only once every point is valid
 
-    workers = _max_workers()
-    if workers == 1 or len(jobs) == 1:
+    workers = min(os.cpu_count() or 1, len(jobs))
+    if workers == 1:  # a pool of one only adds a process start to each sweep
         rows = [_run_sweep_point(cfg) for cfg in jobs]
     else:
         rows = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 rows.extend(pool.map(_run_sweep_point, jobs))
             except BrokenProcessPool as e:

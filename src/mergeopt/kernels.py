@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyInput, InvalidConfig, InvalidProbability, NonFiniteResult
-from .masks import MaskGenerator, MaskKey, bernoulli_mask
+from .masks import LayoutKeys, MaskGenerator, MaskKey, bernoulli_mask
 from .params import ParameterSet, check_aligned
 from .params import delta  # noqa: F401  (not called; bench/tracer.py wraps it here)
 from .tasks import is_count, is_real
@@ -171,11 +171,10 @@ def _linear_blocks(base, models, spec, out, largest) -> None:
     blk = min(BLOCK, largest)
     work, keep, mask = np.empty((2, blk)), np.empty(blk, dtype=bool), np.empty(blk, dtype=np.uint64)
     gens = [MaskGenerator() for _ in models] if dare else []
-    for name, sl in base.slices():
-        streams = [
-            g.stream(MaskKey(spec.seed, name, step=i, stream="offline-dare"))
-            for i, g in enumerate(gens)
-        ]
+    keys = LayoutKeys(spec.seed, base.names)
+    materials = [keys.materials(i, "offline-dare") for i in range(len(gens))]
+    for j, (_, sl) in enumerate(base.slices()):
+        streams = [g.stream(m[j]) for g, m in zip(gens, materials)]
         for lo in range(sl.start, sl.stop, BLOCK):
             hi = min(lo + BLOCK, sl.stop)
             acc, b, (t, u) = out[lo:hi], bv[lo:hi], work[:, : hi - lo]

@@ -41,24 +41,20 @@ class MaskKey:
         _u64(self.step, "step")
 
     def material(self) -> int:
-        """128-bit key for the counter-based generator."""
-        h = hashlib.blake2b(digest_size=16)
-        h.update(int(self.seed).to_bytes(8, "little"))
-        h.update(int(self.step).to_bytes(8, "little"))
-        h.update(self.tensor_name.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(self.stream.encode("utf-8"))
-        return int.from_bytes(h.digest(), "little")
+        """128-bit key for the counter-based generator (see LayoutKeys)."""
+        return LayoutKeys(self.seed, [self.tensor_name]).materials(self.step, self.stream)[0]
 
 
 class LayoutKeys:
     """Key material of MaskKey(seed, name, step, stream) for one seed and a
     fixed list of tensor names, without building a MaskKey per draw.
 
-    It holds a hasher already fed the seed and, per stream, each tensor's
-    suffix (its name, a zero byte, the stream): materials() copies the hasher
-    and adds the step bytes, then each tensor's key copies that and adds the
-    suffix, the bytes MaskKey.material() hashes in the same order.
+    A key is the 16-byte blake2b digest, read little-endian, of the seed and
+    the step as 8 little-endian bytes each, then the name, a zero byte and the
+    stream in UTF-8. It holds a hasher already fed the seed and, per stream,
+    each tensor's suffix (name, zero byte, stream): materials() copies the
+    hasher and adds the step bytes, then each tensor's key copies that and
+    adds the suffix.
     """
 
     def __init__(self, seed: int, names):

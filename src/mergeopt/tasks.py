@@ -122,8 +122,7 @@ def _sample_labeled(rng, centers: np.ndarray, n: int) -> LabeledSet:
 
 def _sample_preferences(rng, centers, utility_w, utility_b, n, noise) -> PreferenceSet:
     c = len(centers)
-    labels = rng.integers(0, c, size=n)
-    x = centers[labels] + _CLUSTER_NOISE * rng.normal(size=(n, centers.shape[1]))
+    x = _sample_labeled(rng, centers, n).x
     first = rng.integers(0, c, size=n)
     second = (first + 1 + rng.integers(0, c - 1, size=n)) % c
     u = _utility_scores(x, centers, utility_w, utility_b)

@@ -366,9 +366,18 @@ def test_nonfinite_gradient_exits_one_without_traceback(tmp_path, capsys, monkey
     assert err == "error: w1: gradient contains NaN or infinity\n"
 
 
+def forbid_sweep_points(monkeypatch):
+    """Fail the test if a sweep runs any point. With one CPU every point runs
+    in this process, through the patched _run_sweep_point."""
+    def no_point(cfg):
+        raise AssertionError(f"sweep point {cfg.out_dir} ran")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "_run_sweep_point", no_point)
+
+
 class TestSweep:
-    def test_degenerate_grid_matches_single_train(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MERGEOPT_THREADS", "1")
+    def test_degenerate_grid_matches_single_train(self, tmp_path):
         cfg_path = write_config(tmp_path, optimizer="ondare")
         sweep_dir = tmp_path / "sweep"
         assert main(
@@ -391,8 +400,7 @@ class TestSweep:
         assert float(cells["final_reward_margin"]) == float(tail[2])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_per_point_failures_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MERGEOPT_THREADS", "1")
+    def test_per_point_failures_recorded_and_sweep_continues(self, tmp_path):
         cfg_path = write_config(tmp_path, adam={"learning_rate": 1e307})
         sweep_dir = tmp_path / "sweep"
         assert main(
@@ -412,9 +420,9 @@ class TestSweep:
             assert main(["train", "--config", str(point / "config.json"), "--out", str(alone)]) == 1
             assert (point / "metrics.csv").read_bytes() == (alone / "metrics.csv").read_bytes()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_each_point_directory_is_what_train_writes(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("MERGEOPT_THREADS", threads)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_point_directory_is_what_train_writes(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg_path = write_config(tmp_path, optimizer="ondare")
         sweep_dir = tmp_path / "sweep"
         assert main(
@@ -441,7 +449,7 @@ class TestSweep:
     )
     def test_dead_worker_exits_one_without_traceback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_run", lambda cfg: os._exit(9))
-        monkeypatch.setenv("MERGEOPT_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg_path = write_config(tmp_path)
         sweep_dir = tmp_path / "sweep"
         assert main(
@@ -453,11 +461,7 @@ class TestSweep:
         assert not (sweep_dir / "sweep_summary.csv").exists()
 
     def test_repeated_seed_exits_two_before_any_run(self, tmp_path, capsys, monkeypatch):
-        def no_data(cfg):
-            raise AssertionError("a sweep point ran")
-
-        monkeypatch.setattr(cli, "make_suite", no_data)
-        monkeypatch.setenv("MERGEOPT_THREADS", "1")
+        forbid_sweep_points(monkeypatch)
         cfg_path = write_config(tmp_path)
         sweep_dir = tmp_path / "sweep"
         assert main(
@@ -467,14 +471,30 @@ class TestSweep:
         assert "config error" in err and "--seeds" in err
         assert not sweep_dir.exists()
 
+    @pytest.mark.parametrize(
+        "grid",
+        [["--alpha", "2.0"], ["--gap-step", "0"], ["--reserve", "0"], ["--beta", "0"],
+         ["--seeds", "-1"]],
+        ids=["alpha", "gap-step", "reserve", "beta", "seeds"],
+    )
+    def test_invalid_grid_value_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, grid
+    ):
+        forbid_sweep_points(monkeypatch)
+        cfg_path = write_config(tmp_path)
+        sweep_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(sweep_dir), *grid]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not sweep_dir.exists()
+
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, optimizer="ondare")
-        monkeypatch.setenv("MERGEOPT_THREADS", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert main(
             ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "seq"),
              "--alpha", "1e-6", "1e-4", "--seeds", "1"]
         ) == 0
-        monkeypatch.setenv("MERGEOPT_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert main(
             ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "par"),
              "--alpha", "1e-6", "1e-4", "--seeds", "1"]
