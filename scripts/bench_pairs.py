@@ -20,14 +20,18 @@ median differs from the parent's by more than the parent's quartile spread.
 
 Then an end-to-end section, which no bound gates, runs E2E_PAIRS more
 alternating pairs. Each times, on both trees, acceptance criterion 9 alone
-and the Tier-1 suite, in wall time and the child's CPU time, and runs the
-informational `wide-h256` workload as above. Criterion 9's alpha sweep is
+and the Tier-1 suite, in wall time, the child's CPU time, and that CPU time
+scaled by `bench/run.py`'s `Calibration` loop timed just before and just
+after the command (`cal_cpu_s`, as the gated workloads scale theirs), and
+runs the informational `wide-h256` workload as above. The timed commands get
+the environment this script started with, so they run with the default BLAS
+threads although importing `bench/run.py` sets them to one here. Criterion 9's alpha sweep is
 12 OnDARE runs of 20,000 steps at hidden 4, the same step path as
 `alpha-sweep-h4`. Each pytest run records its passed-test count; a pair
 whose two sides passed different counts ran different work, so it is marked
 `comparable: false` and left out of the summary. In the same section,
 MERGE_PAIRS alternating pairs each time one fresh `python -m mergeopt merge`
-process per method (linear, DARE, TIES) on both trees, in wall and CPU time,
+process per method (linear, DARE, TIES) on both trees, timed the same way,
 over one set of three 25 MB checkpoints plus base made by
 `bench/workloads.py`'s `synthesize_merge_inputs`. That is the offline-merge job outside the
 benchmark's in-process loop, interpreter start-up and imports included; each
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -68,7 +73,8 @@ E2E_COMMANDS = {
 }
 MERGE_PAIRS = 10
 FLAG_SHARE = 0.8
-TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None} for n in ("cpu_s", "wall_s")]
+TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None}
+           for n in ("cpu_s", "cal_cpu_s", "wall_s")]
 
 
 def git(*args) -> str:
@@ -98,17 +104,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"returncode": 0, "meta": meta, **result}
 
 
-def time_command(checkout: Path, cmd: list[str]) -> dict:
-    """Run cmd in checkout with its src/ importable; its wall time and the CPU
-    time (user + system) of it and its own children."""
-    env = {**os.environ, "PYTHONPATH": "src"}
+def time_command(checkout: Path, cmd: list[str], env: dict, cal, ref_s: float) -> dict:
+    """Run cmd in checkout, in env with its src/ importable; its wall time, the
+    CPU time (user + system) of it and its own children, and that CPU time
+    scaled as bench/run.py scales a job's: by ref_s over the mean time of the
+    calibration loop cal, timed just before and just after the command."""
+    around = cal.burst(0.0)
     before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=3600)
+    proc = subprocess.run(cmd, cwd=checkout, env={**env, "PYTHONPATH": "src"},
+                          capture_output=True, text=True, timeout=3600)
     wall, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    around += cal.burst(cpu)
+    cal_cpu = cpu * ref_s / statistics.mean(around)
     last = proc.stdout.strip().splitlines()[-1:] or [""]
     return {"returncode": proc.returncode, "correct": proc.returncode == 0, "summary": last[0],
-            "metrics": {"cpu_s": {"value": cpu}, "wall_s": {"value": wall}}}
+            "metrics": {"cpu_s": {"value": cpu}, "cal_cpu_s": {"value": cal_cpu},
+                        "wall_s": {"value": wall}}}
 
 
 def passed_count(summary: str) -> int | None:
@@ -135,9 +147,10 @@ def merge_command(inputs: list[Path], out: Path, method: str) -> list[str]:
             "--out", str(out), "--method", method, "--seed", str(SEED0)]
 
 
-def time_merges(checkouts: dict, work: Path) -> tuple[list[dict], list[Path]]:
+def time_merges(checkouts: dict, work: Path, timed) -> tuple[list[dict], list[Path]]:
     """MERGE_PAIRS alternating pairs, each timing one merge process per method
-    on each tree over inputs made in work; the runs and the inputs."""
+    on each tree by timed (a time_command) over inputs made in work; the runs
+    and the inputs."""
     work.mkdir()
     inputs = synthesize_merge_inputs(SEED0, work)
     runs = []
@@ -145,7 +158,7 @@ def time_merges(checkouts: dict, work: Path) -> tuple[list[dict], list[Path]]:
         for s in SIDES if i % 2 == 0 else SIDES[::-1]:
             for m in MERGE_METHODS:
                 out = work / f"{s}-{m}.pset"
-                r = time_command(checkouts[s], merge_command(inputs, out, m))
+                r = timed(checkouts[s], merge_command(inputs, out, m))
                 r["output_blake2b"] = (hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
                                        if r["correct"] else None)
                 out.unlink(missing_ok=True)
@@ -208,6 +221,10 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 2")
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
+    env = dict(os.environ)  # importing run sets one BLAS thread; timed commands keep the default
+    import run  # noqa: E402  bench/run.py, for its calibration loop
+
+    timed = functools.partial(time_command, env=env, cal=run.Calibration(), ref_s=run.CAL_REF_S)
 
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
@@ -229,7 +246,7 @@ def main(argv=None) -> int:
             seed = SEED0 + i
             for s in SIDES if i % 2 == 0 else SIDES[::-1]:
                 for name, cmd in E2E_COMMANDS.items():
-                    r = time_command(checkouts[s], cmd)
+                    r = timed(checkouts[s], cmd)
                     r["passed"] = passed_count(r["summary"])
                     e2e_runs.append({"command": name, "pair": i, "side": s, **r})
                     print(f"{name} pair {i} {s}: {r['summary']}", file=sys.stderr, flush=True)
@@ -239,7 +256,7 @@ def main(argv=None) -> int:
                 print(f"{E2E_WORKLOAD} pair {i} {s}: {status}", file=sys.stderr, flush=True)
         for name in E2E_COMMANDS:
             mark_comparable([r for r in e2e_runs if r.get("command") == name])
-        merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge")
+        merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge", timed)
         e2e_runs += merge_runs
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -7,6 +7,7 @@ Every command is deterministic given identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import EmptyInput, InvalidConfig, MergeOptError, NonFiniteLoss
 from .kernels import MergeMethod, MergeSpec, offline_merge
 from .params import check_aligned, load_checkpoint, save_checkpoint
-from .training import MetricsRecord, RunConfig, make_suite, train_run
+from .training import MetricsRecord, RunConfig, csv_bytes, make_suite, train_run
 
 
 def _load_config(path) -> RunConfig:
@@ -39,28 +40,35 @@ def _run(cfg: RunConfig) -> MetricsRecord:
 
     A finished run leaves config.json, the three checkpoints and metrics.csv.
     A run aborted by NonFiniteLoss leaves config.json and the partial
-    metrics.csv, then re-raises; any other error leaves nothing.
+    metrics.csv, then re-raises; any other error, such as an out_dir under a
+    file, which fails before training, leaves nothing. train_run checks every
+    value it needs finite, so numpy's floating-point warnings are silenced.
     """
+    out_dir = Path(cfg.out_dir)
+    for p in (out_dir, *out_dir.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(p))
+            break
     suite = make_suite(cfg)
     try:
-        result = train_run(suite, cfg)
+        with np.errstate(all="ignore"):
+            result = train_run(suite, cfg)
     except NonFiniteLoss as e:
         aborted = e
     else:
         aborted = None
-    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.json", "wb") as f:
-        f.write(cfg.to_json_bytes())
+    (out_dir / "config.json").write_bytes(cfg.to_json_bytes())
     if aborted is not None:
         # A supervised-phase abort has no metrics yet.
         if aborted.metrics is not None:
-            aborted.metrics.write(out_dir / "metrics.csv")
+            (out_dir / "metrics.csv").write_bytes(aborted.metrics.to_csv_bytes())
         raise aborted
     save_checkpoint(result.theta_base, out_dir / "theta_b.pset")
     save_checkpoint(result.theta_ref, out_dir / "theta_r.pset")
     save_checkpoint(result.theta_final, out_dir / "theta_final.pset")
-    result.metrics.write(out_dir / "metrics.csv")
+    (out_dir / "metrics.csv").write_bytes(result.metrics.to_csv_bytes())
     return result.metrics.last()
 
 
@@ -157,20 +165,11 @@ def cmd_sweep(args) -> int:
                 raise MergeOptError(f"a sweep worker process died; {dead} did not finish") from e
 
     summary = out_root / "sweep_summary.csv"
-    with open(summary, "w", encoding="utf-8") as f:
-        f.write(",".join(_SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join(_csv_cell(v) for v in row) + "\n")
+    summary.write_bytes(csv_bytes(_SUMMARY_COLUMNS, rows))
     status = _SUMMARY_COLUMNS.index("status")
     failures = sum(1 for row in rows if row[status] != "ok")
     print(f"sweep complete: {len(rows)} runs, {failures} failed -> {summary}")
     return 0
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def cmd_inspect(args) -> int:

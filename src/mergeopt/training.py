@@ -7,7 +7,6 @@ and metrics bytes all reproduce exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -36,16 +35,19 @@ from .tasks import (
     PreferenceSet, SuiteSizes, TaskSuite, check_data, check_rows, gen_task_suite, is_count, is_real
 )
 
-OPTIMIZER_NAMES = (
-    "adam",
-    "adamw",
-    "ondare",
-    "onties",
-    "fullmerge",
-    "stepk-ondare",
-    "stepk-onties",
-    "childtuning",
-)
+# Each optimizer's binder (merge settings, theta_base) -> step function. It looks
+# the step function up here when called, so it sees names replaced after import.
+_OPTIMIZERS = {
+    "adam": lambda m, base: adam_step,
+    "adamw": lambda m, base: adam_step,
+    "ondare": lambda m, base: partial(ondare_step, cfg=m),
+    "onties": lambda m, base: partial(onties_step, cfg=m),
+    "fullmerge": lambda m, base: partial(full_merge_step, cfg=m, base=base),
+    "stepk-ondare": lambda m, base: partial(stepk_step, cfg=m, variant=MergeVariant.ONDARE),
+    "stepk-onties": lambda m, base: partial(stepk_step, cfg=m, variant=MergeVariant.ONTIES),
+    "childtuning": lambda m, base: partial(childtuning_step, reserve_rate=m.reserve_rate),
+}
+OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
 _GATHER_BUDGET = 1 << 15  # values a block of training batches gathers at a time: 256 KiB
 
 @dataclass(frozen=True)
@@ -59,10 +61,17 @@ class MetricsRecord:
     pretrain_accuracy: float
     sft_accuracy: float
 
+    def cells(self) -> list:
+        """The row's values, in column order."""
+        return [getattr(self, f.name) for f in fields(self)]
 
-def _metric_values(rec: MetricsRecord) -> list:
-    """The record's values after its step, in column order."""
-    return [getattr(rec, f.name) for f in fields(rec)[1:]]
+
+def csv_bytes(columns, rows) -> bytes:
+    """A CSV of a header line and one line per row. Float cells are written
+    by repr, so they read back to the same double; other cells by str."""
+    lines = [",".join(columns)]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in r) for r in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class RunMetrics:
@@ -78,15 +87,7 @@ class RunMetrics:
         return self.rows[-1]
 
     def to_csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        buf.write(",".join(f.name for f in fields(MetricsRecord)) + "\n")
-        for r in self.rows:
-            buf.write(",".join([str(r.step), *(repr(float(v)) for v in _metric_values(r))]) + "\n")
-        return buf.getvalue().encode("utf-8")
-
-    def write(self, path) -> None:
-        with open(path, "wb") as f:
-            f.write(self.to_csv_bytes())
+        return csv_bytes([f.name for f in fields(MetricsRecord)], [r.cells() for r in self.rows])
 
 
 @cache
@@ -266,25 +267,6 @@ def _supervised_phase(
     return policy.with_params(params)
 
 
-def _build_optimizer(cfg: RunConfig, theta_base: ParameterSet):
-    """The optimizer's step function, bound once to its merge settings.
-
-    The table is built per call so that it picks up this module's current
-    step-function names.
-    """
-    m = cfg.merge
-    return {
-        "adam": adam_step,
-        "adamw": adam_step,
-        "ondare": partial(ondare_step, cfg=m),
-        "onties": partial(onties_step, cfg=m),
-        "fullmerge": partial(full_merge_step, cfg=m, base=theta_base),
-        "stepk-ondare": partial(stepk_step, cfg=m, variant=MergeVariant.ONDARE),
-        "stepk-onties": partial(stepk_step, cfg=m, variant=MergeVariant.ONTIES),
-        "childtuning": partial(childtuning_step, reserve_rate=m.reserve_rate),
-    }[cfg.optimizer]
-
-
 def _evaluate(policy: ToyPolicy, ref_eval: np.ndarray, suite: TaskSuite, beta, step) -> MetricsRecord:
     loss, margins = dpo_loss(policy, ref_eval, suite.pref_eval, beta)
     return MetricsRecord(
@@ -332,7 +314,7 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     ref_eval = reference.logprobs(suite.pref_eval.x)
 
     state = OptimizerState(theta_ref, tau_ref=delta(theta_ref, theta_base), seed=cfg.seed)
-    step_fn = _build_optimizer(cfg, theta_base)
+    step_fn = _OPTIMIZERS[cfg.optimizer](cfg.merge, theta_base)
 
     # shadow is what evaluation and the final checkpoint see: the EMA shadow,
     # or the parameters themselves when EMA is off.
@@ -344,31 +326,25 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     dpo_rng = np.random.default_rng([cfg.seed, 3])
     beta, steps, eval_every = cfg.dpo.beta, cfg.dpo.steps, cfg.dpo.eval_every
     batches = _preference_batches(dpo_rng, steps, suite.pref_train, ref_train, cfg.dpo.batch_size)
+
+    def abort(what: str, step: int, detail: str = "") -> NonFiniteLoss:
+        """The abort of step: what went non-finite, with the rows so far."""
+        message = f"{what} went non-finite at step {step}{detail}"
+        return NonFiniteLoss(message, last_good_step=step - 1, metrics=metrics)
+
     for step, (batch, ref) in enumerate(batches, 1):
+        loss, _, grad = dpo_loss_and_grad(policy.with_params(params), ref, batch, beta)
+        if not math.isfinite(loss):
+            raise abort("training loss", step)
         try:
-            loss, _, grad = dpo_loss_and_grad(policy.with_params(params), ref, batch, beta)
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(
-                    f"training loss went non-finite at step {step}",
-                    last_good_step=step - 1,
-                    metrics=metrics,
-                )
             params = step_fn(params, grad, state, cfg.adam)
         except NonFiniteGradient as e:
-            raise NonFiniteLoss(
-                f"gradient went non-finite at step {step}: {e}",
-                last_good_step=step - 1,
-                metrics=metrics,
-            ) from e
+            raise abort("gradient", step, f": {e}") from e
         shadow = params if ema is None else ema_update(shadow, params, ema)
         if step % eval_every == 0 or step == steps:
             rec = _evaluate(policy.with_params(shadow), ref_eval, suite, beta, step)
-            if not all(map(math.isfinite, _metric_values(rec))):
-                raise NonFiniteLoss(
-                    f"evaluation metrics went non-finite at step {step}",
-                    last_good_step=step - 1,
-                    metrics=metrics,
-                )
+            if not all(map(math.isfinite, rec.cells())):
+                raise abort("evaluation metrics", step)
             metrics.append(rec)
 
     return TrainResult(theta_base, theta_ref, shadow, metrics)

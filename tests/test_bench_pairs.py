@@ -1,0 +1,119 @@
+"""The summary rules of scripts/bench_pairs.py, on synthetic runs: what it
+flags, what it leaves out and how it applies a metric's bound."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bp():
+    saved = sys.path[:]  # the script puts bench/ on the path to import its workloads
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+def metric(better="lower", bound=None):
+    return {"name": "m", "unit": "s", "better": better, "bound": bound}
+
+
+def runs(parent, change, comparable=None):
+    """One run per side per pair, pair i holding parent[i] and change[i]."""
+    out = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        for side, v in (("parent", p), ("change", c)):
+            r = {"pair": i, "side": side, "metrics": {"m": {"value": v}}}
+            if comparable is not None:
+                r["comparable"] = comparable[i]
+            out.append(r)
+    return out
+
+
+PARENT = [10.0, 10.2, 10.4, 10.6, 10.8]  # quartiles 10.2 and 10.6
+
+
+@pytest.mark.parametrize("summary, count", [
+    ("618 passed in 62.00s", 618),
+    ("1 failed, 3 passed in 1.0s", 3),
+    ("no tests ran in 0.01s", None),
+    ("", None),
+])
+def test_passed_count(bp, summary, count):
+    assert bp.passed_count(summary) == count
+
+
+def test_mark_comparable_needs_both_sides_with_equal_counts(bp):
+    rs = [
+        {"pair": 0, "side": "parent", "passed": 5}, {"pair": 0, "side": "change", "passed": 5},
+        {"pair": 1, "side": "parent", "passed": 5}, {"pair": 1, "side": "change", "passed": 4},
+        {"pair": 2, "side": "change", "passed": 5},
+        {"pair": 3, "side": "parent", "passed": None}, {"pair": 3, "side": "change", "passed": 2},
+    ]
+    bp.mark_comparable(rs)
+    assert [(r["pair"], r["comparable"]) for r in rs] == [
+        (0, True), (0, True), (1, False), (1, False), (2, False), (3, False), (3, False)
+    ]
+
+
+def test_win_needs_share_and_gap_beyond_parent_spread(bp):
+    s = bp.summarize(runs(PARENT, [v - 1.0 for v in PARENT]), [metric()])["m"]
+    assert (s["wins"], s["losses"], s["pairs"]) == (5, 0, 5)
+    assert s["median_gap_exceeds_parent_iqr"] and s["flagged"] == "win"
+    # Four wins of five is exactly FLAG_SHARE.
+    s = bp.summarize(runs(PARENT, [9.0, 9.2, 9.4, 9.6, 11.0]), [metric()])["m"]
+    assert (s["wins"], s["flagged"]) == (4, "win")
+    s = bp.summarize(runs(PARENT, [9.0, 9.2, 9.4, 11.6, 11.8]), [metric()])["m"]
+    assert s["median_gap_exceeds_parent_iqr"] and (s["wins"], s["flagged"]) == (3, None)
+
+
+def test_loss_and_higher_is_better(bp):
+    s = bp.summarize(runs(PARENT, [v + 1.0 for v in PARENT]), [metric()])["m"]
+    assert (s["losses"], s["flagged"]) == (5, "loss")
+    s = bp.summarize(runs(PARENT, [v + 1.0 for v in PARENT]), [metric("higher")])["m"]
+    assert (s["wins"], s["flagged"]) == (5, "win")
+
+
+def test_gap_inside_parent_spread_flags_nothing(bp):
+    s = bp.summarize(runs(PARENT, [v - 0.1 for v in PARENT]), [metric()])["m"]
+    assert s["wins"] == 5
+    assert not s["median_gap_exceeds_parent_iqr"] and s["flagged"] is None
+
+
+def test_pairs_not_comparable_are_left_out(bp):
+    rs = runs(PARENT + [10.0], [v - 1.0 for v in PARENT] + [1000.0],
+              comparable=[True] * 5 + [False])
+    s = bp.summarize(rs, [metric()])["m"]
+    assert s["pairs"] == 5 and s["change"]["n"] == 5
+    assert (s["wins"], s["losses"], s["flagged"]) == (5, 0, "win")
+    assert s["change"]["median"] == pytest.approx(9.4)
+
+
+def test_one_pair_gives_no_summary(bp):
+    assert bp.summarize(runs([1.0], [2.0]), [metric()]) == {}
+
+
+@pytest.mark.parametrize("better, change, within", [
+    ("lower", 10.4 * 1.05, True),
+    ("lower", 10.4 * 1.15, False),
+    ("lower", 10.4 * 0.5, True),
+    ("higher", 10.4 * 0.95, True),
+    ("higher", 10.4 * 0.85, False),
+])
+def test_within_bound(bp, better, change, within):
+    s = bp.summarize(runs(PARENT, [change] * 5), [metric(better, bound=0.1)])["m"]
+    assert s["within_bound"] is within
+    assert s["worse_by"] == pytest.approx((1 if better == "lower" else -1) * (change / 10.4 - 1))
+
+
+def test_no_bound_gives_no_verdict(bp):
+    s = bp.summarize(runs(PARENT, [20.0] * 5), [metric()])["m"]
+    assert s["bound"] is None and s["within_bound"] is None

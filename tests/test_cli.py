@@ -366,6 +366,42 @@ def test_nonfinite_gradient_exits_one_without_traceback(tmp_path, capsys, monkey
     assert err == "error: w1: gradient contains NaN or infinity\n"
 
 
+def test_nonfinite_run_prints_only_its_error_line(tmp_path):
+    """numpy's overflow warnings are not printed: train_run's own checks
+    report the abort, so stderr is the one error line."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "optimizer": "ondare",
+        "adam": {"learning_rate": 1e307},
+        "phases": {"pretrain_steps": 5, "sft_steps": 5},
+        "dpo": {"steps": 20},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mergeopt", "train", "--config", str(cfg_path),
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: training loss went non-finite at step 7 (last good step 6)\n"
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+def test_out_dir_at_a_file_fails_before_training(tmp_path, capsys, monkeypatch, under_file):
+    def no_data(cfg):
+        raise AssertionError("the task suite was built for a run that cannot be written")
+
+    monkeypatch.setattr(cli, "make_suite", no_data)
+    cfg_path = write_config(tmp_path)
+    f = tmp_path / "afile"
+    f.write_bytes(b"x")
+    before = sorted(tmp_path.rglob("*"))
+    out = f / "run" if under_file else f
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"io error: [Errno 20] Not a directory: '{f}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert f.read_bytes() == b"x"
+
+
 def forbid_sweep_points(monkeypatch):
     """Fail the test if a sweep runs any point. With one CPU every point runs
     in this process, through the patched _run_sweep_point."""

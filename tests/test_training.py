@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mergeopt import InvalidConfig, NonFiniteLoss, delta
+from mergeopt import InvalidConfig, NonFiniteLoss, delta, training
 from mergeopt.optim import AdamHyper, OnlineMergeConfig
 from mergeopt.training import (
+    OPTIMIZER_NAMES,
     DataSettings,
     DpoSettings,
     PhaseSettings,
@@ -311,3 +312,38 @@ class TestTrainRun:
         cfg = fast_config(optimizer=optimizer)
         res = train_run(make_suite(cfg), cfg)
         assert all(math.isfinite(r.reward_margin) for r in res.metrics.rows)
+
+
+STEP_FUNCTIONS = {
+    "adam": "adam_step",
+    "adamw": "adam_step",
+    "ondare": "ondare_step",
+    "onties": "onties_step",
+    "fullmerge": "full_merge_step",
+    "stepk-ondare": "stepk_step",
+    "stepk-onties": "stepk_step",
+    "childtuning": "childtuning_step",
+}
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
+def test_every_step_calls_the_step_function_bound_at_run_start(monkeypatch, optimizer):
+    """Each optimizer calls its step function through its name in
+    mergeopt.training as bound when train_run starts, so a wrapper put there
+    after import (the benchmark's tracer) sees every preference step. The
+    supervised phases call adam_step once per step too."""
+    name = STEP_FUNCTIONS[optimizer]
+    inner, calls = getattr(training, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, counted)
+    cfg = fast_config(
+        optimizer=optimizer,
+        dpo=DpoSettings(steps=7, eval_every=5),
+        phases=PhaseSettings(pretrain_steps=3, sft_steps=2),
+    )
+    train_run(make_suite(cfg), cfg)
+    assert len(calls) == 7 + (3 + 2 if name == "adam_step" else 0)
