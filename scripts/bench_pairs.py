@@ -25,9 +25,9 @@ scaled by `bench/run.py`'s `Calibration` loop timed just before and just
 after the command (`cal_cpu_s`, as the gated workloads scale theirs), and
 runs the informational `wide-h256` workload as above. The timed commands get
 the environment this script started with, so they run with the default BLAS
-threads although importing `bench/run.py` sets them to one here. Criterion 9's alpha sweep is
-12 OnDARE runs of 20,000 steps at hidden 4, the same step path as
-`alpha-sweep-h4`. Each pytest run records its passed-test count; a pair
+threads although importing `bench/run.py` sets them to one here. Criterion
+9's alpha sweep is 12 OnDARE runs of 20,000 steps at hidden 4, the same step
+path as `alpha-sweep-h4`. Each pytest run records its passed-test count; a pair
 whose two sides passed different counts ran different work, so it is marked
 `comparable: false` and left out of the summary. In the same section,
 MERGE_PAIRS alternating pairs each time one fresh `python -m mergeopt merge`
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     env = dict(os.environ)  # importing run sets one BLAS thread; timed commands keep the default
-    import run  # noqa: E402  bench/run.py, for its calibration loop
+    import run  # bench/run.py, for its calibration loop
 
     timed = functools.partial(time_command, env=env, cal=run.Calibration(), ref_s=run.CAL_REF_S)
 

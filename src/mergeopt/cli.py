@@ -44,12 +44,11 @@ def _run(cfg: RunConfig) -> MetricsRecord:
     file, which fails before training, leaves nothing. train_run checks every
     value it needs finite, so numpy's floating-point warnings are silenced.
     """
-    out_dir = Path(cfg.out_dir)
-    for p in (out_dir, *out_dir.parents):
-        if p.exists():
-            if not p.is_dir():
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(p))
-            break
+    nearest = os.path.abspath(cfg.out_dir)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), nearest)
     suite = make_suite(cfg)
     try:
         with np.errstate(all="ignore"):
@@ -58,6 +57,7 @@ def _run(cfg: RunConfig) -> MetricsRecord:
         aborted = e
     else:
         aborted = None
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_bytes(cfg.to_json_bytes())
     if aborted is not None:
