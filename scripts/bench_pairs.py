@@ -36,6 +36,17 @@ over one set of three 25 MB checkpoints plus base made by
 `bench/workloads.py`'s `synthesize_merge_inputs`. That is the offline-merge job outside the
 benchmark's in-process loop, interpreter start-up and imports included; each
 method's outputs must be byte-identical across every run of both trees.
+
+Last, STEP_PAIRS alternating pairs time single training steps, a stand-in
+until the tracer sees the flat loop's per-step cores. Each pair starts one
+fresh process per tree, with one BLAS thread as `bench/run.py` has, which
+times `train_run` (CPU, best of STEP_REPEATS) for every `OPTIMIZER_MIX`
+label of `bench/workloads.py` at its `h4` and `h16` `SHAPES`, three times
+over: at 200 preference steps and 100 + 100 supervised steps, at 1,200
+preference steps, and at 600 + 600 supervised steps. The differences over
+the STEP_EXTRA added steps give the microseconds of one preference step
+(`pref_us.<shape>.<label>`, evaluations included at the shape's
+`eval_every`) and of one supervised step (`sup_us.<shape>.<label>`).
 """
 
 from __future__ import annotations
@@ -60,7 +71,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
-from workloads import MERGE_METHODS, synthesize_merge_inputs  # noqa: E402
+from workloads import (  # noqa: E402
+    MERGE_METHODS, OPTIMIZER_MIX, SHAPES, _deep_update, synthesize_merge_inputs
+)
 
 SIDES = ("parent", "change")
 SEED0 = 601
@@ -75,6 +88,31 @@ MERGE_PAIRS = 10
 FLAG_SHARE = 0.8
 TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None}
            for n in ("cpu_s", "cal_cpu_s", "wall_s")]
+STEP_PAIRS = 10
+STEP_REPEATS = 3
+STEP_SHAPES = ("h4", "h16")
+STEP_EXTRA = 1000  # steps the long runs add to the short one
+# Each timed run's preference steps and phase lengths (pretrain = SFT steps).
+STEP_RUNS = {"short": (200, 100), "pref_long": (200 + STEP_EXTRA, 100),
+             "sup_long": (200, 100 + STEP_EXTRA // 2)}
+STEP_METRICS = {"pref_long": "pref_us", "sup_long": "sup_us"}
+# Run in a checkout with its src/ importable: argv[1] is a JSON object of
+# RunConfig dicts; prints each one's best train_run CPU time, in seconds.
+STEP_CHILD = """
+import json, sys, time
+from mergeopt.training import RunConfig, make_suite, train_run
+runs = {}
+for key, d in json.loads(sys.argv[1]).items():
+    cfg = RunConfig.from_dict(d)
+    runs[key] = (make_suite(cfg), cfg)
+out = dict.fromkeys(runs, float("inf"))
+for _ in range(%d):  # repeats outermost, so a burst of load hits one sample of each
+    for key, (suite, cfg) in runs.items():
+        t0 = time.process_time()
+        train_run(suite, cfg)
+        out[key] = min(out[key], time.process_time() - t0)
+print(json.dumps(out))
+""" % STEP_REPEATS
 
 
 def git(*args) -> str:
@@ -165,6 +203,46 @@ def time_merges(checkouts: dict, work: Path, timed) -> tuple[list[dict], list[Pa
                 runs.append({"command": f"merge_{m}", "pair": i, "side": s, **r})
                 print(f"merge_{m} pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
     return runs, inputs
+
+
+def step_configs() -> dict:
+    """"<shape>.<label>/<run>" -> RunConfig dict, for every OPTIMIZER_MIX label
+    at each STEP_SHAPES shape and every STEP_RUNS run."""
+    out = {}
+    for shape in STEP_SHAPES:
+        for label, over in OPTIMIZER_MIX:
+            base = _deep_update(_deep_update({"seed": SEED0}, SHAPES[shape]), over)
+            for run, (steps, phase) in STEP_RUNS.items():
+                out[f"{shape}.{label}/{run}"] = _deep_update(base, {
+                    "dpo": {"steps": steps},
+                    "phases": {"pretrain_steps": phase, "sft_steps": phase},
+                })
+    return out
+
+
+def step_metrics(seconds: dict) -> dict:
+    """From a child's times by step_configs() key, the microseconds of one
+    preference step and of one supervised step of each config: (long run -
+    short run) / STEP_EXTRA."""
+    out = {}
+    for key, t in seconds.items():
+        config, run = key.rsplit("/", 1)
+        if run in STEP_METRICS:
+            us = (t - seconds[f"{config}/short"]) / STEP_EXTRA * 1e6
+            out[f"{STEP_METRICS[run]}.{config}"] = {"value": us}
+    return out
+
+
+def time_steps(checkout: Path, configs: dict) -> dict:
+    """One fresh process in checkout timing configs; its per-step metrics."""
+    proc = subprocess.run([sys.executable, "-c", STEP_CHILD, json.dumps(configs)], cwd=checkout,
+                          env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
+                          text=True, timeout=3600)
+    if proc.returncode != 0:
+        return {"returncode": proc.returncode, "correct": False, "metrics": {},
+                "stderr": proc.stderr[-2000:]}
+    seconds = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"returncode": 0, "correct": True, "seconds": seconds, "metrics": step_metrics(seconds)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -258,6 +336,12 @@ def main(argv=None) -> int:
             mark_comparable([r for r in e2e_runs if r.get("command") == name])
         merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge", timed)
         e2e_runs += merge_runs
+        configs, step_runs = step_configs(), []
+        for i in range(STEP_PAIRS):
+            for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+                r = time_steps(checkouts[s], configs)
+                step_runs.append({"pair": i, "side": s, **r})
+                print(f"per-step pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -283,6 +367,15 @@ def main(argv=None) -> int:
             "outputs_identical": len({r["output_blake2b"] for r in rs}) == 1,
             "metrics": summarize(rs, TIMINGS),
         }
+    step_specs = [{"name": f"{m}.{c}", "unit": "us", "better": "lower", "bound": None}
+                  for m in STEP_METRICS.values() for c in sorted({k.split("/")[0] for k in configs})]
+    per_step = {
+        "gated": False, "pairs": STEP_PAIRS, "repeats": STEP_REPEATS, "extra_steps": STEP_EXTRA,
+        "runs_per_config": {run: {"dpo_steps": n, "phase_steps": p}
+                            for run, (n, p) in STEP_RUNS.items()},
+        "runs_correct": sum(r["correct"] for r in step_runs), "n_runs": len(step_runs),
+        "summary": summarize(step_runs, step_specs), "runs": step_runs,
+    }
     merge_cmd = merge_command([Path(p.name) for p in merge_inputs], Path("out.pset"), "M")
     end_to_end = {
         "gated": False, "pairs": E2E_PAIRS, "seeds": [SEED0, SEED0 + E2E_PAIRS - 1],
@@ -290,7 +383,7 @@ def main(argv=None) -> int:
         "commands": {**{n: " ".join(["PYTHONPATH=src", "python3", *c[1:]])
                         for n, c in E2E_COMMANDS.items()},
                      "merge_M": " ".join(["PYTHONPATH=src", "python3", *merge_cmd[1:]])},
-        "summary": e2e_summary, "runs": e2e_runs,
+        "summary": e2e_summary, "runs": e2e_runs, "per_step": per_step,
     }
     meta = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),

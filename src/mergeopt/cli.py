@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import itertools
 import json
 import os
@@ -40,12 +41,13 @@ def _run(cfg: RunConfig) -> MetricsRecord:
 
     A finished run leaves config.json, the three checkpoints and metrics.csv.
     A run aborted by NonFiniteLoss leaves config.json and the partial
-    metrics.csv, then re-raises; any other error, such as an out_dir under a
-    file, which fails before training, leaves nothing. train_run checks every
+    metrics.csv, then re-raises; any other error, such as an out_dir at or
+    under a file or a dangling symlink, which fails before training, leaves
+    nothing. train_run checks every
     value it needs finite, so numpy's floating-point warnings are silenced.
     """
     nearest = os.path.abspath(cfg.out_dir)
-    while not os.path.exists(nearest):
+    while not os.path.lexists(nearest):  # a dangling symlink stops the walk
         nearest = os.path.dirname(nearest)
     if not os.path.isdir(nearest):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), nearest)
@@ -233,9 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidConfig, EmptyInput) as e:

@@ -142,27 +142,22 @@ def _adam(state: OptimizerState, g: np.ndarray, hyper: AdamHyper) -> np.ndarray:
     return d
 
 
-def _adam_delta(params, grads, state, hyper, grad_rate=None) -> tuple[np.ndarray, np.ndarray]:
-    """The shared part of one optimizer transaction over the flat layout:
-    t += 1, child-tuning's gradient dropout (grad_rate), one Adam update with
-    decoupled decay folded into the delta so that a merge governs the entire
-    change. Returns (theta, delta); delta lives in the state's buffer (valid
-    until the next step), and each step function lays its own result out
-    with params.with_vector, so sets returned earlier never change."""
-    check_aligned(params, grads)
-    check_aligned(params, state._layout)
+def _adam_delta(theta, g, state, hyper, grad_rate=None) -> np.ndarray:
+    """The shared part of one optimizer transaction over the flat vectors
+    theta and g: t += 1, child-tuning's gradient dropout (grad_rate), one Adam
+    update with decoupled decay folded into the delta so that a merge governs
+    the entire change. Returns the delta, in the state's buffer (valid until
+    the next step); theta is not changed."""
     state.t += 1
-    g = grads.vector()
     if grad_rate is not None:
         g = np.where(_keep_mask(state, MASK_STREAM_GRAD, grad_rate), g, 0.0) / grad_rate
     if not np.isfinite(g).all():
         bad = next(n for n, s in state._slices if not np.isfinite(g[s]).all())
         raise NonFiniteGradient(f"{bad}: gradient contains NaN or infinity")
-    theta = params.vector()
     d = _adam(state, g, hyper)
     if hyper.weight_decay != 0.0:
         d -= np.multiply(hyper.learning_rate * hyper.weight_decay, theta, out=state._work)
-    return theta, d
+    return d
 
 
 def _keep_mask(state: OptimizerState, stream: str, p: float) -> np.ndarray:
@@ -227,12 +222,35 @@ def _require_online(state: OptimizerState) -> None:
         raise ValueError("online merging needs a cached reference delta in the state")
 
 
+# The *_inplace functions are the step cores. Each takes the flat float64
+# parameter vector theta, which it updates in place, and the flat gradient g,
+# both in the state's layout, and checks nothing beyond the gradient's
+# finiteness. theta += x is the same IEEE addition as theta + x. The *_step
+# functions are the checked public steps over ParameterSets.
+
+
+def _stepped(params, grads, state, core, *args) -> ParameterSet:
+    """A step core applied to a copy of params' vector, laid out as params."""
+    check_aligned(params, grads)
+    check_aligned(params, state._layout)
+    theta = params.vector().copy()
+    core(theta, grads.vector(), state, *args)
+    return params.with_vector(theta)
+
+
+def adam_step_inplace(theta, g, state: OptimizerState, hyper: AdamHyper) -> None:
+    theta += _adam_delta(theta, g, state, hyper)
+
+
 def adam_step(
     params: ParameterSet, grads: ParameterSet, state: OptimizerState, hyper: AdamHyper
 ) -> ParameterSet:
     """Plain Adam/AdamW: theta <- theta + delta, no merging."""
-    theta, d = _adam_delta(params, grads, state, hyper)
-    return params.with_vector(theta + d)
+    return _stepped(params, grads, state, adam_step_inplace, hyper)
+
+
+def ondare_step_inplace(theta, g, state, hyper, cfg: OnlineMergeConfig) -> None:
+    theta += _ondare_merge(state, cfg, _adam_delta(theta, g, state, hyper))
 
 
 def ondare_step(
@@ -245,8 +263,11 @@ def ondare_step(
     """Random-sparsify both the update delta and the reference delta, then
     combine them linearly with weights (1 - alpha, alpha)."""
     _require_online(state)
-    theta, d = _adam_delta(params, grads, state, hyper)
-    return params.with_vector(theta + _ondare_merge(state, cfg, d))
+    return _stepped(params, grads, state, ondare_step_inplace, hyper, cfg)
+
+
+def onties_step_inplace(theta, g, state, hyper, cfg: OnlineMergeConfig) -> None:
+    theta += _onties_merge(state, cfg, _adam_delta(theta, g, state, hyper))
 
 
 def onties_step(
@@ -259,8 +280,13 @@ def onties_step(
     """Top-p sparsify both sides and combine them with elementwise sign
     consensus instead of addition."""
     _require_online(state)
-    theta, d = _adam_delta(params, grads, state, hyper)
-    return params.with_vector(theta + _onties_merge(state, cfg, d))
+    return _stepped(params, grads, state, onties_step_inplace, hyper, cfg)
+
+
+def full_merge_step_inplace(theta, g, state, hyper, cfg: OnlineMergeConfig, base) -> None:
+    """full_merge_step's core; base is the base model's flat vector."""
+    d = _adam_delta(theta, g, state, hyper)
+    np.add(base, _ondare_merge(state, cfg, (theta - base) + d), out=theta)
 
 
 def full_merge_step(
@@ -280,9 +306,20 @@ def full_merge_step(
     """
     _require_online(state)
     check_aligned(params, base)
-    theta, d = _adam_delta(params, grads, state, hyper)
-    b = base.vector()
-    return params.with_vector(b + _ondare_merge(state, cfg, (theta - b) + d))
+    return _stepped(params, grads, state, full_merge_step_inplace, hyper, cfg, base.vector())
+
+
+def stepk_step_inplace(theta, g, state, hyper, cfg: OnlineMergeConfig, variant) -> None:
+    d = _adam_delta(theta, g, state, hyper)
+    cache = state.delta_cache
+    if state.t % cfg.gap_step != 0:
+        cache += d
+        theta += d
+        return
+    theta -= cache  # roll back to the last merge point
+    d_total = d + cache
+    cache[:] = 0.0
+    theta += _MERGES[variant](state, cfg, d_total)
 
 
 def stepk_step(
@@ -303,15 +340,11 @@ def stepk_step(
     if variant not in _MERGES:
         raise ValueError(f"step-K requires MergeVariant.ONDARE or ONTIES, got {variant!r}")
     _require_online(state)
-    theta, d = _adam_delta(params, grads, state, hyper)
-    cache = state.delta_cache
-    if state.t % cfg.gap_step != 0:
-        cache += d
-        return params.with_vector(theta + d)
-    rolled_back = theta - cache
-    d_total = d + cache
-    cache[:] = 0.0
-    return params.with_vector(rolled_back + _MERGES[variant](state, cfg, d_total))
+    return _stepped(params, grads, state, stepk_step_inplace, hyper, cfg, variant)
+
+
+def childtuning_step_inplace(theta, g, state, hyper, reserve_rate: float) -> None:
+    theta += _adam_delta(theta, g, state, hyper, reserve_rate)
 
 
 def childtuning_step(
@@ -325,8 +358,15 @@ def childtuning_step(
     rescale the survivors by 1/p before the Adam update. The mask sits on the
     gradient, unlike online merging which masks the update delta (without
     rescale)."""
-    theta, d = _adam_delta(params, grads, state, hyper, validate_probability(reserve_rate))
-    return params.with_vector(theta + d)
+    rate = validate_probability(reserve_rate)
+    return _stepped(params, grads, state, childtuning_step_inplace, hyper, rate)
+
+
+def ema_update_inplace(shadow, theta, coefficient: float) -> None:
+    """ema_update's core: shadow <- (1 - c) * shadow + c * theta in place,
+    over flat vectors, c a float in (0, 1)."""
+    shadow *= 1.0 - coefficient
+    shadow += coefficient * theta
 
 
 def ema_update(
@@ -339,6 +379,6 @@ def ema_update(
     if not (0.0 < c < 1.0):
         raise ValueError(f"EMA coefficient must be in (0, 1), got {coefficient}")
     check_aligned(shadow, params)
-    out = shadow.vector() * (1.0 - c)
-    out += c * params.vector()
+    out = shadow.vector().copy()
+    ema_update_inplace(out, params.vector(), c)
     return shadow.with_vector(out)

@@ -86,13 +86,7 @@ class ToyPolicy:
 
     def _forward(self, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        w1, b1, w2, b2 = self._views(self.params.vector())
-        hidden = x @ w1.T
-        hidden += b1
-        np.tanh(hidden, out=hidden)
-        logits = hidden @ w2.T
-        logits += b2
-        return x, hidden, logits
+        return (x, *_hidden_logits(self._views(self.params.vector()), x))
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         _, _, out = self._forward(x)
@@ -125,27 +119,41 @@ class ToyPolicy:
         return float(np.mean(self.predict(x) == np.asarray(labels)))
 
 
-def _forward_margins(policy: ToyPolicy, ref_logprobs, batch, beta: float):
-    """The policy forward over a PreferenceSet-like batch and the per-pair
-    margins beta * (logratio_chosen - logratio_rejected), where
-    logratio_y = log pi(y|x) - ref_logprobs[row, y]: the reference model's
-    log-probabilities over the batch's rows, one row per pair.
+def _hidden_logits(weights, x: np.ndarray):
+    """The tanh hidden activations and the logits of float64 rows x under
+    weights, the views (w1, b1, w2, b2)."""
+    w1, b1, w2, b2 = weights
+    hidden = x @ w1.T
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ w2.T
+    logits += b2
+    return hidden, logits
 
-    Returns (x, hidden, logits, rows, chosen, rejected, margins)."""
+
+def _margins(logits, ref, chosen, rejected, beta: float):
+    """(rows, margins): the per-pair margins beta * (logratio_chosen -
+    logratio_rejected), where logratio_y = log pi(y|x) - ref[row, y]."""
+    rows = np.arange(len(logits))
+    ratio = log_softmax(logits) - ref
+    return rows, beta * (ratio[rows, chosen] - ratio[rows, rejected])
+
+
+def _checked_batch(policy: ToyPolicy, ref_logprobs, batch, beta):
+    """(x, chosen, rejected, ref, beta) of a PreferenceSet-like batch as the
+    loss cores take them, after checking beta and that ref_logprobs, the
+    reference model's log-probabilities over the batch's rows, has one row
+    per pair."""
     beta = float(beta)
     if not beta > 0:
         raise InvalidBeta(f"beta must be positive, got {beta}")
-    x, hidden, logits = policy._forward(batch.x)
+    x = np.atleast_2d(np.asarray(batch.x, dtype=np.float64))
     chosen, rejected = np.asarray(batch.chosen, int), np.asarray(batch.rejected, int)
     ref = np.asarray(ref_logprobs, dtype=np.float64)
-    if ref.shape != logits.shape:
-        raise ValueError(
-            f"reference log-probs have shape {ref.shape}, the batch needs {logits.shape}"
-        )
-    rows = np.arange(len(x))
-    ratio = log_softmax(logits) - ref
-    margins = beta * (ratio[rows, chosen] - ratio[rows, rejected])
-    return x, hidden, logits, rows, chosen, rejected, margins
+    need = x.shape[:-1] + (policy.num_responses,)
+    if ref.shape != need:
+        raise ValueError(f"reference log-probs have shape {ref.shape}, the batch needs {need}")
+    return x, chosen, rejected, ref, beta
 
 
 def dpo_loss(policy: ToyPolicy, ref_logprobs, batch, beta: float):
@@ -155,7 +163,9 @@ def dpo_loss(policy: ToyPolicy, ref_logprobs, batch, beta: float):
     batch's rows (ToyPolicy.logprobs of the reference). An empty batch yields
     loss 0.0 by the empty-mean convention.
     """
-    margins = _forward_margins(policy, ref_logprobs, batch, beta)[-1]
+    x, chosen, rejected, ref, beta = _checked_batch(policy, ref_logprobs, batch, beta)
+    _, logits = _hidden_logits(policy._views(policy.params.vector()), x)
+    margins = _margins(logits, ref, chosen, rejected, beta)[1]
     if margins.size == 0:
         return 0.0, margins
     return float(np.logaddexp(0.0, -margins).sum() / margins.size), margins
@@ -166,54 +176,86 @@ def dpo_loss_and_grad(policy: ToyPolicy, ref_logprobs, batch, beta: float):
 
     The gradient is exact reverse-mode differentiation of the loss with
     respect to the policy parameters; the reference log-probabilities are
-    constants. The softmax terms of the two log-probabilities cancel, leaving
-    per-pair logit gradients -beta * sigmoid(-margin) * (onehot_chosen -
+    constants. An empty batch gives loss 0.0 and a zero gradient.
+    """
+    x, chosen, rejected, ref, beta = _checked_batch(policy, ref_logprobs, batch, beta)
+    grad = np.zeros(policy.params.total_elements())
+    if len(x) == 0:
+        return 0.0, np.zeros(0), policy.params.with_vector(grad)
+    weights = policy._views(policy.params.vector())
+    loss, margins = dpo_loss_and_grad_into(
+        weights, policy._views(grad), x, chosen, rejected, ref, beta
+    )
+    return loss, margins, policy.params.with_vector(grad)
+
+
+def dpo_loss_and_grad_into(weights, grads, x, chosen, rejected, ref, beta: float):
+    """dpo_loss_and_grad's core, without checks: the gradient with respect to
+    weights (w1, b1, w2, b2) is written into the views grads, and (loss,
+    margins) returned. x is a nonempty 2-D float64 batch, chosen and rejected
+    integer arrays, ref its reference rows and beta a positive float.
+
+    The softmax terms of the two log-probabilities cancel, leaving per-pair
+    logit gradients -beta * sigmoid(-margin) * (onehot_chosen -
     onehot_rejected) / n.
     """
-    x, hidden, logits, rows, chosen, rejected, margins = _forward_margins(
-        policy, ref_logprobs, batch, beta
-    )
+    hidden, logits = _hidden_logits(weights, x)
+    rows, margins = _margins(logits, ref, chosen, rejected, beta)
     n = len(x)
-    if n == 0:
-        zero = policy.params.map(np.zeros_like)
-        return 0.0, margins, zero
     neg = -margins
     loss = float(np.logaddexp(0.0, neg).sum() / n)
-
-    coeff = -float(beta) * _sigmoid(neg) / n
+    coeff = -beta * _sigmoid(neg) / n
     g_logits = np.zeros(logits.shape)
     # Each statement hits every row once, so nothing accumulates within one:
     # the same bits as np.add.at onto zeros, also where chosen == rejected.
     # The first writes 0.0 + coeff, which turns a -0.0 coefficient into 0.0.
     g_logits[rows, chosen] = coeff + 0.0
     g_logits[rows, rejected] += -coeff
-    grad = _backprop(policy, x, hidden, g_logits)
-    return loss, margins, grad
+    _backprop_into(weights, grads, x, hidden, g_logits)
+    return loss, margins
 
 
 def _backprop(policy: ToyPolicy, x, hidden, g_logits) -> ParameterSet:
-    """The gradient set from the logit gradients, each block computed into
-    its slice of one flat vector."""
+    """The gradient set from the logit gradients."""
     grad = np.empty(policy.params.total_elements())
-    g_w1, g_b1, g_w2, g_b2 = policy._views(grad)
+    _backprop_into(policy._views(policy.params.vector()), policy._views(grad), x, hidden, g_logits)
+    return policy.params.with_vector(grad)
+
+
+def _backprop_into(weights, grads, x, hidden, g_logits) -> None:
+    """Write the gradient from the logit gradients into the views grads,
+    each block computed into its own view."""
+    g_w1, g_b1, g_w2, g_b2 = grads
     np.matmul(g_logits.T, hidden, out=g_w2)
     g_logits.sum(axis=0, out=g_b2)
-    g_z1 = g_logits @ policy.params.tensor("w2")
+    g_z1 = g_logits @ weights[2]
     g_z1 *= 1.0 - hidden**2
     np.matmul(g_z1.T, x, out=g_w1)
     g_z1.sum(axis=0, out=g_b1)
-    return policy.params.with_vector(grad)
 
 
 def class_loss_and_grad(policy: ToyPolicy, x: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy on class labels and its exact gradient; used by the
     supervised pretrain and SFT phases."""
-    labels = np.asarray(labels, dtype=int)
-    x, hidden, logits = policy._forward(x)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    grad = np.empty(policy.params.total_elements())
+    loss = class_loss_and_grad_into(
+        policy._views(policy.params.vector()), policy._views(grad), x,
+        np.asarray(labels, dtype=int),
+    )
+    return loss, policy.params.with_vector(grad)
+
+
+def class_loss_and_grad_into(weights, grads, x, labels) -> float:
+    """class_loss_and_grad's core, without checks: the gradient with respect
+    to weights (w1, b1, w2, b2) is written into the views grads, and the loss
+    returned. x is a 2-D float64 batch and labels an integer array."""
+    hidden, logits = _hidden_logits(weights, x)
     lp = log_softmax(logits)
     rows = np.arange(len(x))
     loss = float(-(lp[rows, labels].sum() / len(x)))
     g_logits = np.exp(lp)
     g_logits[rows, labels] -= 1.0
     g_logits /= len(x)
-    return loss, _backprop(policy, x, hidden, g_logits)
+    _backprop_into(weights, grads, x, hidden, g_logits)
+    return loss

@@ -21,6 +21,15 @@ from .optim import (
     MergeVariant,
     OnlineMergeConfig,
     OptimizerState,
+    adam_step_inplace,
+    childtuning_step_inplace,
+    ema_update_inplace,
+    full_merge_step_inplace,
+    ondare_step_inplace,
+    onties_step_inplace,
+    stepk_step_inplace,
+)
+from .optim import (  # noqa: F401  (not called; bench/tracer.py wraps them here)
     adam_step,
     childtuning_step,
     ema_update,
@@ -30,22 +39,24 @@ from .optim import (
     stepk_step,
 )
 from .params import ParameterSet, delta
-from .policy import ToyPolicy, class_loss_and_grad, dpo_loss, dpo_loss_and_grad
+from .policy import ToyPolicy, class_loss_and_grad_into, dpo_loss, dpo_loss_and_grad_into
+from .policy import class_loss_and_grad, dpo_loss_and_grad  # noqa: F401  (as above)
 from .tasks import (
     PreferenceSet, SuiteSizes, TaskSuite, check_data, check_rows, gen_task_suite, is_count, is_real
 )
 
-# Each optimizer's binder (merge settings, theta_base) -> step function. It looks
-# the step function up here when called, so it sees names replaced after import.
+# Each optimizer's binder (merge settings, theta_base's flat vector) -> step
+# core, which updates the flat parameters in place. It looks the core up here
+# when called, at the start of a run, so it sees names replaced after import.
 _OPTIMIZERS = {
-    "adam": lambda m, base: adam_step,
-    "adamw": lambda m, base: adam_step,
-    "ondare": lambda m, base: partial(ondare_step, cfg=m),
-    "onties": lambda m, base: partial(onties_step, cfg=m),
-    "fullmerge": lambda m, base: partial(full_merge_step, cfg=m, base=base),
-    "stepk-ondare": lambda m, base: partial(stepk_step, cfg=m, variant=MergeVariant.ONDARE),
-    "stepk-onties": lambda m, base: partial(stepk_step, cfg=m, variant=MergeVariant.ONTIES),
-    "childtuning": lambda m, base: partial(childtuning_step, reserve_rate=m.reserve_rate),
+    "adam": lambda m, base: adam_step_inplace,
+    "adamw": lambda m, base: adam_step_inplace,
+    "ondare": lambda m, base: partial(ondare_step_inplace, cfg=m),
+    "onties": lambda m, base: partial(onties_step_inplace, cfg=m),
+    "fullmerge": lambda m, base: partial(full_merge_step_inplace, cfg=m, base=base),
+    "stepk-ondare": lambda m, base: partial(stepk_step_inplace, cfg=m, variant=MergeVariant.ONDARE),
+    "stepk-onties": lambda m, base: partial(stepk_step_inplace, cfg=m, variant=MergeVariant.ONTIES),
+    "childtuning": lambda m, base: partial(childtuning_step_inplace, reserve_rate=m.reserve_rate),
 }
 OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
 _GATHER_BUDGET = 1 << 15  # values a block of training batches gathers at a time: 256 KiB
@@ -251,20 +262,25 @@ def _preference_batches(rng, steps: int, data: PreferenceSet, ref: np.ndarray, s
 def _supervised_phase(
     policy: ToyPolicy, phase: str, data, steps, hyper, rng, batch_size
 ) -> ToyPolicy:
+    """policy after `steps` Adam steps on the cross-entropy of batches of
+    data, trained in place on flat vectors."""
     state = OptimizerState(policy.params)
-    params = policy.params
+    theta = policy.params.vector().copy()
+    grad = np.empty(theta.size)
+    weights, grads = policy._views(theta), policy._views(grad)
+    loss_and_grad, adam = class_loss_and_grad_into, adam_step_inplace
     rows, size = len(data), min(len(data), batch_size)
     batches = _batches(
         rng, steps, rows, size, data.x.shape[1] + 1, lambda idx: zip(data.x[idx], data.y[idx])
     )
     for step, (x, y) in enumerate(batches, 1):
-        loss, grad = class_loss_and_grad(policy.with_params(params), x, y)
+        loss = loss_and_grad(weights, grads, x, y)
         if not math.isfinite(loss):
             raise NonFiniteLoss(
                 f"supervised phase {phase} loss went non-finite ({loss}) at step {step}"
             )
-        params = adam_step(params, grad, state, hyper)
-    return policy.with_params(params)
+        adam(theta, grad, state, hyper)
+    return policy.with_params(policy.params.with_vector(theta))
 
 
 def _evaluate(policy: ToyPolicy, ref_eval: np.ndarray, suite: TaskSuite, beta, step) -> MetricsRecord:
@@ -286,6 +302,9 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     splits; when EMA is enabled they evaluate the shadow parameters, and the
     final checkpoint is the shadow. A non-finite training loss aborts with
     NonFiniteLoss carrying the metrics collected so far.
+
+    Each phase trains in place on flat vectors, through views made once;
+    ParameterSets are made only for evaluation and the returned checkpoints.
     """
     init_rng = np.random.default_rng([cfg.seed, 0])
     policy = ToyPolicy.random_init(
@@ -309,42 +328,55 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     # The reference is frozen, so its log-probabilities are computed once:
     # over pref_train in blocks shaped like a training batch (see
     # block_logprobs), over pref_eval by the same call an evaluation makes.
-    reference = policy.with_params(theta_ref)
-    ref_train = reference.block_logprobs(suite.pref_train.x, cfg.dpo.batch_size)
-    ref_eval = reference.logprobs(suite.pref_eval.x)
+    ref_train = policy.block_logprobs(suite.pref_train.x, cfg.dpo.batch_size)
+    ref_eval = policy.logprobs(suite.pref_eval.x)
 
     state = OptimizerState(theta_ref, tau_ref=delta(theta_ref, theta_base), seed=cfg.seed)
-    step_fn = _OPTIMIZERS[cfg.optimizer](cfg.merge, theta_base)
+    step_fn = _OPTIMIZERS[cfg.optimizer](cfg.merge, theta_base.vector())
+    loss_and_grad = dpo_loss_and_grad_into
 
-    # shadow is what evaluation and the final checkpoint see: the EMA shadow,
-    # or the parameters themselves when EMA is off.
-    params = shadow = theta_ref
+    # The parameters and their gradient, trained in place through views made
+    # once. shadow is what evaluation and the final checkpoint see: the EMA
+    # shadow, or the parameters themselves when EMA is off.
+    theta = theta_ref.vector().copy()
+    grad = np.empty(theta.size)
+    weights, grads = policy._views(theta), policy._views(grad)
     ema = cfg.ema_coefficient
+    if ema is None:
+        shadow = theta
+    else:
+        shadow, ema, ema_fn = theta.copy(), float(ema), ema_update_inplace
+    beta, steps, eval_every = float(cfg.dpo.beta), cfg.dpo.steps, cfg.dpo.eval_every
     metrics = RunMetrics()
-    metrics.append(_evaluate(policy.with_params(shadow), ref_eval, suite, cfg.dpo.beta, step=0))
 
-    dpo_rng = np.random.default_rng([cfg.seed, 3])
-    beta, steps, eval_every = cfg.dpo.beta, cfg.dpo.steps, cfg.dpo.eval_every
-    batches = _preference_batches(dpo_rng, steps, suite.pref_train, ref_train, cfg.dpo.batch_size)
+    def evaluate(step: int) -> MetricsRecord:
+        """The row of the shadow at step, over a copy: with_vector makes the
+        vector it takes read-only."""
+        at = policy.with_params(theta_ref.with_vector(shadow.copy()))
+        return _evaluate(at, ref_eval, suite, beta, step)
 
     def abort(what: str, step: int, detail: str = "") -> NonFiniteLoss:
         """The abort of step: what went non-finite, with the rows so far."""
         message = f"{what} went non-finite at step {step}{detail}"
         return NonFiniteLoss(message, last_good_step=step - 1, metrics=metrics)
 
+    metrics.append(evaluate(0))
+    dpo_rng = np.random.default_rng([cfg.seed, 3])
+    batches = _preference_batches(dpo_rng, steps, suite.pref_train, ref_train, cfg.dpo.batch_size)
     for step, (batch, ref) in enumerate(batches, 1):
-        loss, _, grad = dpo_loss_and_grad(policy.with_params(params), ref, batch, beta)
+        loss, _ = loss_and_grad(weights, grads, batch.x, batch.chosen, batch.rejected, ref, beta)
         if not math.isfinite(loss):
             raise abort("training loss", step)
         try:
-            params = step_fn(params, grad, state, cfg.adam)
+            step_fn(theta, grad, state, cfg.adam)
         except NonFiniteGradient as e:
             raise abort("gradient", step, f": {e}") from e
-        shadow = params if ema is None else ema_update(shadow, params, ema)
+        if ema is not None:
+            ema_fn(shadow, theta, ema)
         if step % eval_every == 0 or step == steps:
-            rec = _evaluate(policy.with_params(shadow), ref_eval, suite, beta, step)
+            rec = evaluate(step)
             if not all(map(math.isfinite, rec.cells())):
                 raise abort("evaluation metrics", step)
             metrics.append(rec)
 
-    return TrainResult(theta_base, theta_ref, shadow, metrics)
+    return TrainResult(theta_base, theta_ref, theta_ref.with_vector(shadow), metrics)

@@ -117,3 +117,35 @@ def test_within_bound(bp, better, change, within):
 def test_no_bound_gives_no_verdict(bp):
     s = bp.summarize(runs(PARENT, [20.0] * 5), [metric()])["m"]
     assert s["bound"] is None and s["within_bound"] is None
+
+
+def test_step_metrics_divide_the_added_time_by_the_added_steps(bp):
+    seconds = {"h4.ondare/short": 0.5, "h4.ondare/pref_long": 0.62, "h4.ondare/sup_long": 0.56,
+               "h16.adamw/short": 1.0, "h16.adamw/pref_long": 0.98, "h16.adamw/sup_long": 1.0}
+    got = {k: v["value"] for k, v in bp.step_metrics(seconds).items()}
+    assert bp.STEP_EXTRA == 1000
+    assert got == pytest.approx({
+        "pref_us.h4.ondare": 120.0, "sup_us.h4.ondare": 60.0,
+        "pref_us.h16.adamw": -20.0, "sup_us.h16.adamw": 0.0,
+    })
+
+
+def test_step_configs_differ_only_in_the_added_steps(bp):
+    from mergeopt.training import RunConfig
+
+    configs = bp.step_configs()
+    labels = [label for label, _ in bp.OPTIMIZER_MIX]
+    assert sorted(configs) == sorted(
+        f"{shape}.{label}/{run}" for shape in ("h4", "h16") for label in labels
+        for run in ("short", "pref_long", "sup_long")
+    )
+    for key, d in configs.items():
+        config = key.split("/")[0]
+        cfg, short = RunConfig.from_dict(d), RunConfig.from_dict(configs[f"{config}/short"])
+        added = (cfg.dpo.steps - short.dpo.steps,
+                 cfg.phases.pretrain_steps + cfg.phases.sft_steps
+                 - short.phases.pretrain_steps - short.phases.sft_steps)
+        want = {"short": (0, 0), "pref_long": (bp.STEP_EXTRA, 0), "sup_long": (0, bp.STEP_EXTRA)}
+        assert added == want[key.split("/")[1]]
+        assert RunConfig.from_dict({**d, "dpo": configs[f"{config}/short"]["dpo"],
+                                    "phases": configs[f"{config}/short"]["phases"]}) == short

@@ -402,6 +402,25 @@ def test_out_dir_at_a_file_fails_before_training(tmp_path, capsys, monkeypatch, 
     assert f.read_bytes() == b"x"
 
 
+@pytest.mark.parametrize("under_link", [False, True], ids=["link", "under-link"])
+def test_out_dir_at_a_dangling_symlink_fails_before_training(
+    tmp_path, capsys, monkeypatch, under_link
+):
+    def no_data(cfg):
+        raise AssertionError("the task suite was built for a run that cannot be written")
+
+    monkeypatch.setattr(cli, "make_suite", no_data)
+    cfg_path = write_config(tmp_path)
+    link = tmp_path / "runlink"
+    link.symlink_to(tmp_path / "missing")
+    before = sorted(tmp_path.rglob("*"))
+    out = link / "sub" if under_link else link
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"io error: [Errno 20] Not a directory: '{link}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert not os.path.lexists(tmp_path / "missing")
+
+
 def forbid_sweep_points(monkeypatch):
     """Fail the test if a sweep runs any point. With one CPU every point runs
     in this process, through the patched _run_sweep_point."""

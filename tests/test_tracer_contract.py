@@ -22,10 +22,9 @@ def test_tracer_installs_and_restores_every_span():
 def test_traced_call_counts_of_a_short_run():
     """Every span the benchmark reads fires once per unit of work: one batch
     gather per block of preference steps (20 steps of 32 rows are one
-    block); per preference step one forward/backward and one optimizer step,
-    whose keep-masks are filled without calling bernoulli_mask; per
-    supervised step one forward/backward and one Adam step; one dpo_loss per
-    evaluation row."""
+    block); one dpo_loss per evaluation row. The training steps call the
+    flat cores (dpo_loss_and_grad_into, ondare_step_inplace, ...), which the
+    tracer does not wrap, and fill keep-masks without bernoulli_mask."""
     from mergeopt.training import RunConfig, make_suite, train_run
 
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
@@ -47,10 +46,6 @@ def test_traced_call_counts_of_a_short_run():
     assert len(result.metrics.rows) == 3
     assert {n: c for n, c in counts.items() if c} == {
         "tasks.PreferenceSet.take": 1,
-        "policy.dpo_loss_and_grad": 20,
-        "optim.ondare_step": 20,
-        "policy.class_loss_and_grad": 10,
-        "optim.adam_step": 10,
         "policy.dpo_loss": 3,
         "policy.ToyPolicy.accuracy": 2 * 3,
         "params.ParameterSet.init": 1,

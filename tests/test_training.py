@@ -315,23 +315,23 @@ class TestTrainRun:
 
 
 STEP_FUNCTIONS = {
-    "adam": "adam_step",
-    "adamw": "adam_step",
-    "ondare": "ondare_step",
-    "onties": "onties_step",
-    "fullmerge": "full_merge_step",
-    "stepk-ondare": "stepk_step",
-    "stepk-onties": "stepk_step",
-    "childtuning": "childtuning_step",
+    "adam": "adam_step_inplace",
+    "adamw": "adam_step_inplace",
+    "ondare": "ondare_step_inplace",
+    "onties": "onties_step_inplace",
+    "fullmerge": "full_merge_step_inplace",
+    "stepk-ondare": "stepk_step_inplace",
+    "stepk-onties": "stepk_step_inplace",
+    "childtuning": "childtuning_step_inplace",
 }
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
 def test_every_step_calls_the_step_function_bound_at_run_start(monkeypatch, optimizer):
-    """Each optimizer calls its step function through its name in
+    """Each optimizer calls its step core through its name in
     mergeopt.training as bound when train_run starts, so a wrapper put there
     after import (the benchmark's tracer) sees every preference step. The
-    supervised phases call adam_step once per step too."""
+    supervised phases call adam_step_inplace once per step too."""
     name = STEP_FUNCTIONS[optimizer]
     inner, calls = getattr(training, name), []
 
@@ -346,4 +346,4 @@ def test_every_step_calls_the_step_function_bound_at_run_start(monkeypatch, opti
         phases=PhaseSettings(pretrain_steps=3, sft_steps=2),
     )
     train_run(make_suite(cfg), cfg)
-    assert len(calls) == 7 + (3 + 2 if name == "adam_step" else 0)
+    assert len(calls) == 7 + (3 + 2 if name == "adam_step_inplace" else 0)
