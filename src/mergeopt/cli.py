@@ -43,8 +43,8 @@ def _run(cfg: RunConfig) -> MetricsRecord:
     A run aborted by NonFiniteLoss leaves config.json and the partial
     metrics.csv, then re-raises; any other error, such as an out_dir at or
     under a file or a dangling symlink, which fails before training, leaves
-    nothing. train_run checks every
-    value it needs finite, so numpy's floating-point warnings are silenced.
+    nothing. train_run checks every value it needs finite, so numpy's
+    floating-point warnings are silenced.
     """
     nearest = os.path.abspath(cfg.out_dir)
     while not os.path.lexists(nearest):  # a dangling symlink stops the walk

@@ -421,6 +421,17 @@ def test_out_dir_at_a_dangling_symlink_fails_before_training(
     assert not os.path.lexists(tmp_path / "missing")
 
 
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
+    cli._parser.cache_clear()
+    missing = str(tmp_path / "missing.pset")
+    for _ in range(3):
+        assert main(["inspect", missing]) == 1
+    assert capsys.readouterr().err.count("io error: [Errno 2] No such file or directory") == 3
+    assert len(built) == 1
+
+
 def forbid_sweep_points(monkeypatch):
     """Fail the test if a sweep runs any point. With one CPU every point runs
     in this process, through the patched _run_sweep_point."""
