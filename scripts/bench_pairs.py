@@ -129,6 +129,19 @@ def export(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
+def pair_order(pairs: int):
+    """(pair, side) of every run of `pairs` alternating pairs, in run order:
+    the parent first in even pairs, the change first in odd pairs."""
+    for i in range(pairs):
+        for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+            yield i, s
+
+
+def counts(runs: list[dict]) -> dict:
+    """How many of runs were correct, and how many there were."""
+    return {"runs_correct": sum(r["correct"] for r in runs), "runs": len(runs)}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -192,16 +205,15 @@ def time_merges(checkouts: dict, work: Path, timed) -> tuple[list[dict], list[Pa
     work.mkdir()
     inputs = synthesize_merge_inputs(SEED0, work)
     runs = []
-    for i in range(MERGE_PAIRS):
-        for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-            for m in MERGE_METHODS:
-                out = work / f"{s}-{m}.pset"
-                r = timed(checkouts[s], merge_command(inputs, out, m))
-                r["output_blake2b"] = (hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
-                                       if r["correct"] else None)
-                out.unlink(missing_ok=True)
-                runs.append({"command": f"merge_{m}", "pair": i, "side": s, **r})
-                print(f"merge_{m} pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
+    for i, s in pair_order(MERGE_PAIRS):
+        for m in MERGE_METHODS:
+            out = work / f"{s}-{m}.pset"
+            r = timed(checkouts[s], merge_command(inputs, out, m))
+            r["output_blake2b"] = (hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
+                                   if r["correct"] else None)
+            out.unlink(missing_ok=True)
+            runs.append({"command": f"merge_{m}", "pair": i, "side": s, **r})
+            print(f"merge_{m} pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
     return runs, inputs
 
 
@@ -313,35 +325,32 @@ def main(argv=None) -> int:
             checkouts[s] = tmp / s
             export(revs[s], checkouts[s])
         for w in workloads:
-            for i in range(args.pairs):
+            for i, s in pair_order(args.pairs):
                 seed = SEED0 + i
-                for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    r = run_once(checkouts[s], w, seed, seconds)
-                    runs.append({"workload": w, "pair": i, "side": s, "seed": seed, **r})
-                    status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
-                    print(f"{w} pair {i} {s}: {status}", file=sys.stderr, flush=True)
-        for i in range(E2E_PAIRS):
-            seed = SEED0 + i
-            for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                for name, cmd in E2E_COMMANDS.items():
-                    r = timed(checkouts[s], cmd)
-                    r["passed"] = passed_count(r["summary"])
-                    e2e_runs.append({"command": name, "pair": i, "side": s, **r})
-                    print(f"{name} pair {i} {s}: {r['summary']}", file=sys.stderr, flush=True)
-                r = run_once(checkouts[s], E2E_WORKLOAD, seed, seconds)
-                e2e_runs.append({"workload": E2E_WORKLOAD, "pair": i, "side": s, "seed": seed, **r})
+                r = run_once(checkouts[s], w, seed, seconds)
+                runs.append({"workload": w, "pair": i, "side": s, "seed": seed, **r})
                 status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
-                print(f"{E2E_WORKLOAD} pair {i} {s}: {status}", file=sys.stderr, flush=True)
+                print(f"{w} pair {i} {s}: {status}", file=sys.stderr, flush=True)
+        for i, s in pair_order(E2E_PAIRS):
+            seed = SEED0 + i
+            for name, cmd in E2E_COMMANDS.items():
+                r = timed(checkouts[s], cmd)
+                r["passed"] = passed_count(r["summary"])
+                e2e_runs.append({"command": name, "pair": i, "side": s, **r})
+                print(f"{name} pair {i} {s}: {r['summary']}", file=sys.stderr, flush=True)
+            r = run_once(checkouts[s], E2E_WORKLOAD, seed, seconds)
+            e2e_runs.append({"workload": E2E_WORKLOAD, "pair": i, "side": s, "seed": seed, **r})
+            status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
+            print(f"{E2E_WORKLOAD} pair {i} {s}: {status}", file=sys.stderr, flush=True)
         for name in E2E_COMMANDS:
             mark_comparable([r for r in e2e_runs if r.get("command") == name])
         merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge", timed)
         e2e_runs += merge_runs
         configs, step_runs = step_configs(), []
-        for i in range(STEP_PAIRS):
-            for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                r = time_steps(checkouts[s], configs)
-                step_runs.append({"pair": i, "side": s, **r})
-                print(f"per-step pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
+        for i, s in pair_order(STEP_PAIRS):
+            r = time_steps(checkouts[s], configs)
+            step_runs.append({"pair": i, "side": s, **r})
+            print(f"per-step pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -349,7 +358,7 @@ def main(argv=None) -> int:
     for w in workloads:
         wr = [r for r in runs if r["workload"] == w]
         summary[w] = {
-            "runs_correct": sum(r["correct"] for r in wr), "runs": len(wr),
+            **counts(wr),
             "failed_operations": {s: sum(r["failed"] for r in wr if r["side"] == s) for s in SIDES},
             "attempted_operations": {s: sum(r["attempted"] for r in wr if r["side"] == s) for s in SIDES},
             "metrics": summarize(wr, bench["end_to_end"]),
@@ -358,12 +367,11 @@ def main(argv=None) -> int:
     for name, key, specs in [*((n, "command", TIMINGS) for n in E2E_COMMANDS),
                              (E2E_WORKLOAD, "workload", bench["end_to_end"])]:
         rs = [r for r in e2e_runs if r.get(key) == name]
-        e2e_summary[name] = {"runs_correct": sum(r["correct"] for r in rs), "runs": len(rs),
-                             "metrics": summarize(rs, specs)}
+        e2e_summary[name] = {**counts(rs), "metrics": summarize(rs, specs)}
     for m in MERGE_METHODS:
         rs = [r for r in e2e_runs if r.get("command") == f"merge_{m}"]
         e2e_summary[f"merge_{m}"] = {
-            "runs_correct": sum(r["correct"] for r in rs), "runs": len(rs),
+            **counts(rs),
             "outputs_identical": len({r["output_blake2b"] for r in rs}) == 1,
             "metrics": summarize(rs, TIMINGS),
         }

@@ -50,6 +50,7 @@ from .policy import (
     log_softmax,
 )
 from .tasks import (
+    DataSettings,
     LabeledSet,
     PreferenceSet,
     SuiteSizes,

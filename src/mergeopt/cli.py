@@ -102,7 +102,7 @@ def cmd_merge(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    if args.out:
+    if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     last = _run(cfg)
     print(

@@ -12,11 +12,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, InvalidProbability, NonFiniteResult
+from .errors import (
+    EmptyInput, InvalidConfig, NonFiniteResult, check_u64, is_real, validate_probability
+)
 from .masks import LayoutKeys, MaskGenerator, MaskKey, bernoulli_mask
 from .params import ParameterSet, check_aligned
 from .params import delta  # noqa: F401  (not called; bench/tracer.py wraps it here)
-from .tasks import is_count, is_real
 
 BLOCK = 1 << 15  # elements an offline merge works on at a time: 256 KiB of float64
 _LEAST_POSITIVE = 5e-324  # the least positive (subnormal) double
@@ -41,8 +42,6 @@ class MergeSpec:
     def __post_init__(self):
         if not isinstance(self.method, MergeMethod):
             raise InvalidConfig(f"method must be a MergeMethod, got {self.method!r}")
-        if not is_real(self.reserve_rate):
-            raise InvalidConfig(f"reserve rate must be a real number, got {self.reserve_rate!r}")
         validate_probability(self.reserve_rate)
         try:
             ws = tuple(self.weights)
@@ -52,16 +51,8 @@ class MergeSpec:
             raise InvalidConfig(f"weights must be finite and nonnegative, got {self.weights!r}")
         if not isinstance(self.rescale, bool):
             raise InvalidConfig(f"rescale must be a bool, got {self.rescale!r}")
-        if not is_count(self.seed, 0) or self.seed >= 2**64:
-            raise InvalidConfig(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        check_u64(self.seed, "seed")
         object.__setattr__(self, "weights", tuple(float(w) for w in ws))
-
-
-def validate_probability(p: float) -> float:
-    p = float(p)
-    if not (0.0 < p <= 1.0):
-        raise InvalidProbability(f"reserve rate must be in (0, 1], got {p}")
-    return p
 
 
 def sparsify_random(x, p: float, key: MaskKey, rescale: bool = False) -> np.ndarray:

@@ -12,14 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_u64
+
 _U64 = 1 << 64
-
-
-def _u64(value: int, what: str) -> bytes:
-    """value as the 8 little-endian bytes a key hashes; ValueError outside u64."""
-    if not 0 <= int(value) < _U64:
-        raise ValueError(f"{what} must fit in u64, got {value}")
-    return int(value).to_bytes(8, "little")
 
 
 @dataclass(frozen=True)
@@ -37,8 +32,8 @@ class MaskKey:
     stream: str = ""
 
     def __post_init__(self):
-        _u64(self.seed, "seed")
-        _u64(self.step, "step")
+        check_u64(self.seed, "seed")
+        check_u64(self.step, "step")
 
     def material(self) -> int:
         """128-bit key for the counter-based generator (see LayoutKeys)."""
@@ -58,7 +53,8 @@ class LayoutKeys:
     """
 
     def __init__(self, seed: int, names):
-        self._seeded = hashlib.blake2b(_u64(seed, "seed"), digest_size=16)
+        seed = check_u64(seed, "seed").to_bytes(8, "little")
+        self._seeded = hashlib.blake2b(seed, digest_size=16)
         self._names = tuple(names)
         self._suffixes: dict[str, list[bytes]] = {}
 
@@ -69,7 +65,7 @@ class LayoutKeys:
             tag = b"\x00" + stream.encode("utf-8")
             suffixes = self._suffixes[stream] = [n.encode("utf-8") + tag for n in self._names]
         stepped = self._seeded.copy()
-        stepped.update(_u64(step, "step"))
+        stepped.update(check_u64(step, "step").to_bytes(8, "little"))
         out = []
         for suffix in suffixes:
             h = stepped.copy()

@@ -18,13 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidProbability, NonFiniteGradient
-from .kernels import sign_consensus, sparsify_top_p, validate_probability
+from .errors import InvalidConfig, NonFiniteGradient, is_count, is_real, validate_probability
+from .kernels import sign_consensus, sparsify_top_p
 from .kernels import sparsify_random  # noqa: F401  (not called; bench/tracer.py wraps it here)
 from .masks import LayoutKeys, MaskGenerator
 from .masks import bernoulli_mask  # noqa: F401  (not called; bench/tracer.py wraps it here)
 from .params import ParameterSet, check_aligned
-from .tasks import is_count, is_real
 
 MASK_STREAM_UPDATE = "update"
 MASK_STREAM_REF = "ref"
@@ -86,8 +85,7 @@ class OnlineMergeConfig:
     def __post_init__(self):
         if not (is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise InvalidConfig(f"alpha must be in [0, 1], got {self.alpha!r}")
-        if not (is_real(self.reserve_rate) and 0.0 < self.reserve_rate <= 1.0):
-            raise InvalidProbability(f"reserve_rate must be in (0, 1], got {self.reserve_rate!r}")
+        validate_probability(self.reserve_rate, "reserve_rate")
         if not is_count(self.gap_step, 1):
             raise InvalidConfig(f"gap_step must be an integer >= 1, got {self.gap_step!r}")
 
@@ -111,8 +109,7 @@ class OptimizerState:
         self.m, self.v, self.delta_cache = np.zeros(size), np.zeros(size), np.zeros(size)
         self.t = 0
         self.tau_ref = None if tau_ref is None else tau_ref.vector()
-        self.seed = int(seed)
-        self._keys = LayoutKeys(self.seed, params.names)
+        self._keys = LayoutKeys(seed, params.names)
         self._masks = MaskGenerator()
         self._ref_sides: dict = {}
         # Adam's update delta and its second buffer, and per mask stream a
@@ -375,10 +372,9 @@ def ema_update(
     """The next EMA shadow, (1 - c) * shadow + c * theta, applied after a base
     step. The shadow is the run's, not the optimizer's: evaluation and the
     final checkpoint use it when EMA is enabled."""
-    c = float(coefficient)
-    if not (0.0 < c < 1.0):
-        raise ValueError(f"EMA coefficient must be in (0, 1), got {coefficient}")
+    if not (is_real(coefficient) and 0.0 < coefficient < 1.0):
+        raise ValueError(f"EMA coefficient must be in (0, 1), got {coefficient!r}")
     check_aligned(shadow, params)
     out = shadow.vector().copy()
-    ema_update_inplace(out, params.vector(), c)
+    ema_update_inplace(out, params.vector(), float(coefficient))
     return shadow.with_vector(out)

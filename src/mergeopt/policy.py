@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidBeta
+from .errors import InvalidBeta, is_real
 from .params import ParameterSet
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -65,14 +65,8 @@ class ToyPolicy:
         return cls(params, input_dim, hidden_dim, num_responses)
 
     def with_params(self, params: ParameterSet) -> "ToyPolicy":
-        """This policy's shapes over params; a set with this policy's layout
-        (as ParameterSet.with_vector makes) is not validated again."""
-        if not params.same_layout(self.params):
-            return ToyPolicy(params, self.input_dim, self.hidden_dim, self.num_responses)
-        out = object.__new__(ToyPolicy)
-        out.__dict__.update(self.__dict__)
-        out.params = params
-        return out
+        """This policy's shapes over params."""
+        return ToyPolicy(params, self.input_dim, self.hidden_dim, self.num_responses)
 
     def _views(self, v: np.ndarray):
         """w1, b1, w2, b2 as views of a flat vector in this policy's layout."""
@@ -84,13 +78,10 @@ class ToyPolicy:
             v[s_b2],
         )
 
-    def _forward(self, x: np.ndarray):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return (x, *_hidden_logits(self._views(self.params.vector()), x))
-
     def logits(self, x: np.ndarray) -> np.ndarray:
-        _, _, out = self._forward(x)
-        return out[0] if np.asarray(x).ndim == 1 else out
+        x = np.asarray(x, dtype=np.float64)
+        _, out = _hidden_logits(self._views(self.params.vector()), np.atleast_2d(x))
+        return out[0] if x.ndim == 1 else out
 
     def logprobs(self, x: np.ndarray) -> np.ndarray:
         return log_softmax(self.logits(x))
@@ -144,16 +135,15 @@ def _checked_batch(policy: ToyPolicy, ref_logprobs, batch, beta):
     loss cores take them, after checking beta and that ref_logprobs, the
     reference model's log-probabilities over the batch's rows, has one row
     per pair."""
-    beta = float(beta)
-    if not beta > 0:
-        raise InvalidBeta(f"beta must be positive, got {beta}")
+    if not (is_real(beta) and beta > 0):
+        raise InvalidBeta(f"beta must be a positive finite number, got {beta!r}")
     x = np.atleast_2d(np.asarray(batch.x, dtype=np.float64))
     chosen, rejected = np.asarray(batch.chosen, int), np.asarray(batch.rejected, int)
     ref = np.asarray(ref_logprobs, dtype=np.float64)
     need = x.shape[:-1] + (policy.num_responses,)
     if ref.shape != need:
         raise ValueError(f"reference log-probs have shape {ref.shape}, the batch needs {need}")
-    return x, chosen, rejected, ref, beta
+    return x, chosen, rejected, ref, float(beta)
 
 
 def dpo_loss(policy: ToyPolicy, ref_logprobs, batch, beta: float):
@@ -213,13 +203,6 @@ def dpo_loss_and_grad_into(weights, grads, x, chosen, rejected, ref, beta: float
     g_logits[rows, rejected] += -coeff
     _backprop_into(weights, grads, x, hidden, g_logits)
     return loss, margins
-
-
-def _backprop(policy: ToyPolicy, x, hidden, g_logits) -> ParameterSet:
-    """The gradient set from the logit gradients."""
-    grad = np.empty(policy.params.total_elements())
-    _backprop_into(policy._views(policy.params.vector()), policy._views(grad), x, hidden, g_logits)
-    return policy.params.with_vector(grad)
 
 
 def _backprop_into(weights, grads, x, hidden, g_logits) -> None:

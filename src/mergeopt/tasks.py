@@ -8,13 +8,11 @@ desk-scale stand-in for the reward-vs-forgetting trade-off.
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_u64, is_count, is_real
 
 _CLUSTER_NOISE = 0.5
 _CENTER_SCALE = 3.0
@@ -22,11 +20,6 @@ _ROTATION_STRENGTH = 0.35
 _SHIFT_SCALE = 0.8
 _UTILITY_CLUSTER_PENALTY = 4.0
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
-
-
-def is_count(value, least: int) -> bool:
-    """An integer, not a bool, of at least `least`."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def check_rows(where: str, rows: int, width: int) -> None:
@@ -37,16 +30,6 @@ def check_rows(where: str, rows: int, width: int) -> None:
         )
 
 
-def is_real(value) -> bool:
-    """A finite real number that is not a bool."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 @dataclass(frozen=True)
 class SuiteSizes:
     pretrain_train: int = 2000
@@ -55,6 +38,18 @@ class SuiteSizes:
     sft_eval: int = 500
     pref_train: int = 2000
     pref_eval: int = 500
+
+
+@dataclass(frozen=True)
+class DataSettings:
+    """The data section of a run config: what gen_task_suite builds from a
+    seed. check_data decides which settings it can build."""
+
+    input_dim: int = 6
+    hidden_dim: int = 16
+    num_responses: int = 4
+    preference_noise: float = 0.1
+    sizes: SuiteSizes = field(default_factory=SuiteSizes)
 
 
 @dataclass(frozen=True)
@@ -138,53 +133,43 @@ def _sample_preferences(rng, centers, utility_w, utility_b, n, noise) -> Prefere
     return PreferenceSet(x, chosen, rejected)
 
 
-def check_data(input_dim, hidden_dim, num_responses, sizes: SuiteSizes, preference_noise) -> None:
-    """Raise InvalidConfig unless gen_task_suite can build a suite from these."""
-    for name, value, least in (
-        ("input_dim", input_dim, 1),
-        ("hidden_dim", hidden_dim, 1),
-        ("num_responses", num_responses, 2),
-    ):
+def check_data(data: DataSettings) -> None:
+    """Raise InvalidConfig unless gen_task_suite can build a suite from data."""
+    for name, least in (("input_dim", 1), ("hidden_dim", 1), ("num_responses", 2)):
+        value = getattr(data, name)
         if not is_count(value, least):
             raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
-    if num_responses > input_dim:
+    d, h, c = data.input_dim, data.hidden_dim, data.num_responses
+    if c > d:
         raise InvalidConfig(
-            f"num_responses ({num_responses}) must not exceed input_dim ({input_dim}) "
+            f"num_responses ({c}) must not exceed input_dim ({d}) "
             "so cluster centers can be mutually orthogonal"
         )
-    if not (is_real(preference_noise) and 0.0 <= preference_noise < 0.5):
-        raise InvalidConfig(f"preference_noise must be in [0, 0.5), got {preference_noise!r}")
-    for f in fields(sizes):
-        rows = getattr(sizes, f.name)
+    noise = data.preference_noise
+    if not (is_real(noise) and 0.0 <= noise < 0.5):
+        raise InvalidConfig(f"preference_noise must be in [0, 0.5), got {noise!r}")
+    for f in fields(data.sizes):
+        rows = getattr(data.sizes, f.name)
         if not is_count(rows, 1):
             raise InvalidConfig(f"size {f.name} must be a positive integer, got {rows!r}")
-        check_rows(f"size {f.name}", rows, input_dim)
+        check_rows(f"size {f.name}", rows, d)
     # The suite draws input_dim x input_dim matrices, and the policy keeps its
     # h*d + h + C*h + C parameters in one vector.
-    check_rows("input_dim", input_dim, input_dim)
-    h, d, c = hidden_dim, input_dim, num_responses
+    check_rows("input_dim", d, d)
     check_rows("policy parameters", h * d + h + c * h + c, 1)
 
 
-def gen_task_suite(
-    seed: int,
-    input_dim: int = 6,
-    hidden_dim: int = 16,
-    num_responses: int = 4,
-    sizes: SuiteSizes | None = None,
-    preference_noise: float = 0.1,
-) -> TaskSuite:
-    """Deterministically generate the full suite from (seed, dimensions, sizes).
+def gen_task_suite(seed: int, data: DataSettings = DataSettings()) -> TaskSuite:
+    """Deterministically generate the full suite from (seed, data settings).
 
     Pretrain clusters sit on orthogonal directions so a nearest-center oracle
     is nearly perfect; the SFT task is the same clusters rotated and shifted.
     Preferences label the higher-utility response, flipped with probability
     preference_noise so the loss cannot saturate instantly.
     """
-    sizes = sizes or SuiteSizes()
-    check_data(input_dim, hidden_dim, num_responses, sizes, preference_noise)
-
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(check_u64(seed, "seed"))
+    check_data(data)
+    input_dim, num_responses, sizes = data.input_dim, data.num_responses, data.sizes
     q, _ = np.linalg.qr(rng.normal(size=(input_dim, input_dim)))
     centers_pre = _CENTER_SCALE * q[:num_responses]
     # Partial rotation (orthogonalized perturbation of I) keeps the SFT task
@@ -205,17 +190,17 @@ def gen_task_suite(
         sft_train=_sample_labeled(rng, centers_sft, sizes.sft_train),
         sft_eval=_sample_labeled(rng, centers_sft, sizes.sft_eval),
         pref_train=_sample_preferences(
-            rng, centers_sft, utility_w, utility_b, sizes.pref_train, preference_noise
+            rng, centers_sft, utility_w, utility_b, sizes.pref_train, data.preference_noise
         ),
         pref_eval=_sample_preferences(
-            rng, centers_sft, utility_w, utility_b, sizes.pref_eval, preference_noise
+            rng, centers_sft, utility_w, utility_b, sizes.pref_eval, data.preference_noise
         ),
         centers_pretrain=centers_pre,
         centers_sft=centers_sft,
         utility_w=utility_w,
         utility_b=utility_b,
         input_dim=input_dim,
-        hidden_dim=hidden_dim,
+        hidden_dim=data.hidden_dim,
         num_responses=num_responses,
     )
 

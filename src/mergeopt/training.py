@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteGradient, NonFiniteLoss
+from .errors import InvalidConfig, NonFiniteGradient, NonFiniteLoss, check_u64, is_count, is_real
 from .optim import (
     AdamHyper,
     MergeVariant,
@@ -41,9 +41,7 @@ from .optim import (  # noqa: F401  (not called; bench/tracer.py wraps them here
 from .params import ParameterSet, delta
 from .policy import ToyPolicy, class_loss_and_grad_into, dpo_loss, dpo_loss_and_grad_into
 from .policy import class_loss_and_grad, dpo_loss_and_grad  # noqa: F401  (as above)
-from .tasks import (
-    PreferenceSet, SuiteSizes, TaskSuite, check_data, check_rows, gen_task_suite, is_count, is_real
-)
+from .tasks import DataSettings, PreferenceSet, TaskSuite, check_data, check_rows, gen_task_suite
 
 # Each optimizer's binder (merge settings, theta_base's flat vector) -> step
 # core, which updates the flat parameters in place. It looks the core up here
@@ -146,15 +144,6 @@ class PhaseSettings:
 
 
 @dataclass(frozen=True)
-class DataSettings:
-    input_dim: int = 6
-    hidden_dim: int = 16
-    num_responses: int = 4
-    preference_noise: float = 0.1
-    sizes: SuiteSizes = field(default_factory=SuiteSizes)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 1
     out_dir: str = "run"
@@ -171,10 +160,9 @@ class RunConfig:
             raise InvalidConfig(
                 f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZER_NAMES}"
             )
-        if not isinstance(self.out_dir, str):
-            raise InvalidConfig(f"out_dir must be a string, got {self.out_dir!r}")
-        if not is_count(self.seed, 0) or self.seed >= 1 << 64:
-            raise InvalidConfig(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise InvalidConfig(f"out_dir must be a nonempty string, got {self.out_dir!r}")
+        check_u64(self.seed, "seed")
         for where, value, least in (
             ("dpo.steps", self.dpo.steps, 0),
             ("dpo.eval_every", self.dpo.eval_every, 1),
@@ -194,9 +182,8 @@ class RunConfig:
         c = self.ema_coefficient
         if c is not None and not (is_real(c) and 0.0 < c < 1.0):
             raise InvalidConfig(f"ema_coefficient must be in (0, 1), got {c!r}")
-        d = self.data
-        check_data(d.input_dim, d.hidden_dim, d.num_responses, d.sizes, d.preference_noise)
-        check_rows("dpo.batch_size", self.dpo.batch_size, d.input_dim)
+        check_data(self.data)
+        check_rows("dpo.batch_size", self.dpo.batch_size, self.data.input_dim)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -218,14 +205,7 @@ class TrainResult:
 
 
 def make_suite(cfg: RunConfig) -> TaskSuite:
-    return gen_task_suite(
-        seed=cfg.seed,
-        input_dim=cfg.data.input_dim,
-        hidden_dim=cfg.data.hidden_dim,
-        num_responses=cfg.data.num_responses,
-        sizes=cfg.data.sizes,
-        preference_noise=cfg.data.preference_noise,
-    )
+    return gen_task_suite(cfg.seed, cfg.data)
 
 
 def _block_steps(size: int, width: int) -> int:
@@ -300,8 +280,9 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
 
     Evaluation rows (at step 0 and every eval_every steps) use the evaluation
     splits; when EMA is enabled they evaluate the shadow parameters, and the
-    final checkpoint is the shadow. A non-finite training loss aborts with
-    NonFiniteLoss carrying the metrics collected so far.
+    final checkpoint is the shadow. A non-finite training loss, gradient or
+    evaluation row, step 0's included, aborts with NonFiniteLoss carrying the
+    rows collected so far.
 
     Each phase trains in place on flat vectors, through views made once;
     ParameterSets are made only for evaluation and the returned checkpoints.
@@ -349,18 +330,23 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
     beta, steps, eval_every = float(cfg.dpo.beta), cfg.dpo.steps, cfg.dpo.eval_every
     metrics = RunMetrics()
 
-    def evaluate(step: int) -> MetricsRecord:
-        """The row of the shadow at step, over a copy: with_vector makes the
-        vector it takes read-only."""
-        at = policy.with_params(theta_ref.with_vector(shadow.copy()))
-        return _evaluate(at, ref_eval, suite, beta, step)
-
     def abort(what: str, step: int, detail: str = "") -> NonFiniteLoss:
-        """The abort of step: what went non-finite, with the rows so far."""
+        """The abort of step: what went non-finite, with the rows so far. At
+        step 0 no step was good."""
         message = f"{what} went non-finite at step {step}{detail}"
-        return NonFiniteLoss(message, last_good_step=step - 1, metrics=metrics)
+        return NonFiniteLoss(message, last_good_step=step - 1 if step else None, metrics=metrics)
 
-    metrics.append(evaluate(0))
+    def evaluate(step: int) -> None:
+        """Append the row of the shadow at step, or abort if it is not
+        finite. It evaluates a copy: with_vector makes the vector it takes
+        read-only."""
+        at = policy.with_params(theta_ref.with_vector(shadow.copy()))
+        rec = _evaluate(at, ref_eval, suite, beta, step)
+        if not all(map(math.isfinite, rec.cells())):
+            raise abort("evaluation metrics", step)
+        metrics.append(rec)
+
+    evaluate(0)
     dpo_rng = np.random.default_rng([cfg.seed, 3])
     batches = _preference_batches(dpo_rng, steps, suite.pref_train, ref_train, cfg.dpo.batch_size)
     for step, (batch, ref) in enumerate(batches, 1):
@@ -374,9 +360,6 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
         if ema is not None:
             ema_fn(shadow, theta, ema)
         if step % eval_every == 0 or step == steps:
-            rec = evaluate(step)
-            if not all(map(math.isfinite, rec.cells())):
-                raise abort("evaluation metrics", step)
-            metrics.append(rec)
+            evaluate(step)
 
     return TrainResult(theta_base, theta_ref, theta_ref.with_vector(shadow), metrics)

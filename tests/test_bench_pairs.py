@@ -149,3 +149,14 @@ def test_step_configs_differ_only_in_the_added_steps(bp):
         assert added == want[key.split("/")[1]]
         assert RunConfig.from_dict({**d, "dpo": configs[f"{config}/short"]["dpo"],
                                     "phases": configs[f"{config}/short"]["phases"]}) == short
+
+
+def test_pair_order_puts_the_parent_first_in_even_pairs(bp):
+    assert list(bp.pair_order(3)) == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"), (2, "change"),
+    ]
+
+
+def test_counts(bp):
+    rs = [{"correct": True}, {"correct": False}, {"correct": True}]
+    assert bp.counts(rs) == {"runs_correct": 2, "runs": 3}

@@ -283,6 +283,44 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: supervised phase SFT loss went non-finite (inf) at step 2\n"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_step_zero_evaluation_is_checked(self, tmp_path, capsys):
+        # One pretrain step at learning rate 1e308 leaves finite parameters
+        # whose forward overflows, so the step-0 row is the first non-finite value.
+        sizes = dict.fromkeys(("pretrain_train", "sft_train", "pref_train"), 100)
+        sizes.update(dict.fromkeys(("pretrain_eval", "sft_eval", "pref_eval"), 50))
+        raw = {
+            "optimizer": "ondare", "out_dir": str(tmp_path / "boom"),
+            "phases": {"pretrain_steps": 1, "sft_steps": 0, "learning_rate": 1e308},
+            "data": {"hidden_dim": 4, "sizes": sizes},
+            "dpo": {"steps": 20, "eval_every": 10},
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: evaluation metrics went non-finite at step 0\n"
+        assert sorted(f.name for f in (tmp_path / "boom").iterdir()) == ["config.json", "metrics.csv"]
+        assert (tmp_path / "boom" / "metrics.csv").read_bytes() == (
+            b"step,dpo_loss,reward_margin,pref_accuracy,pretrain_accuracy,sft_accuracy\n"
+        )
+
+    def test_empty_out_dir_exits_two_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def no_data(cfg):
+            raise AssertionError("the task suite was built for an empty out_dir")
+
+        monkeypatch.setattr(cli, "make_suite", no_data)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        in_config = write_config(tmp_path, out_dir="")
+        assert main(["train", "--config", str(in_config)]) == 2
+        on_command_line = write_config(tmp_path, out_dir=str(tmp_path / "run"))
+        assert main(["train", "--config", str(on_command_line), "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: out_dir must be a nonempty string, got ''\n" * 2
+        assert not os.listdir(work)
+        assert not (tmp_path / "run").exists()
+
     def test_config_json_roundtrips(self, tmp_path):
         cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "run"))
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -319,6 +357,7 @@ INVALID_CONFIGS = {
     "dpo batch_size 2**62": {"dpo": {"batch_size": 2**62}},
     "hidden_dim 2**62": {"data": {"hidden_dim": 2**62}},
     "input_dim 2**40": {"data": {"input_dim": 2**40}},
+    "learning_rate 10**400": {"adam": {"learning_rate": 10**400}},
 }
 
 

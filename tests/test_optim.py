@@ -435,11 +435,11 @@ class TestStateInvariants:
     def test_mask_key_ranges_checked(self):
         params, tau = make_problem()
         for bad in (-1, 2**64):
-            with pytest.raises(ValueError, match="seed must fit in u64"):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 OptimizerState(params, tau_ref=tau, seed=bad)
         state = OptimizerState(params, tau_ref=tau, seed=2**64 - 1)
         state.t = 2**64 - 1
-        with pytest.raises(ValueError, match="step must fit in u64"):
+        with pytest.raises(ValueError, match=r"step must be an integer in \[0, 2\*\*64\)"):
             ondare_step(params, grad_stream(1, 1, params), state, HYP,
                         OnlineMergeConfig())
 
@@ -469,6 +469,20 @@ def test_adam_hyper_validation():
     ):
         with pytest.raises(InvalidConfig):
             AdamHyper(**bad)
+
+
+@pytest.mark.parametrize("step", [
+    lambda p, g, s: ondare_step(p, g, s, HYP, OnlineMergeConfig()),
+    lambda p, g, s: onties_step(p, g, s, HYP, OnlineMergeConfig()),
+    lambda p, g, s: full_merge_step(p, g, s, HYP, OnlineMergeConfig(), p),
+    lambda p, g, s: stepk_step(p, g, s, HYP, OnlineMergeConfig(), MergeVariant.ONDARE),
+], ids=["ondare", "onties", "fullmerge", "stepk"])
+def test_online_steps_need_a_reference_delta(step):
+    params, _ = make_problem()
+    state = OptimizerState(params)
+    with pytest.raises(ValueError, match="cached reference delta"):
+        step(params, grad_stream(0, 1, params), state)
+    assert state.t == 0
 
 
 def test_stepk_rejects_a_non_variant():

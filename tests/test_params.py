@@ -99,6 +99,28 @@ def test_shape_data_length_mismatch_rejected():
         ParameterSet([("w", (3,), [1.0, 2.0])])
 
 
+@pytest.mark.parametrize("entry, match", [
+    (("", (1,), [1.0]), "nonempty string"),
+    (("w", (2, 0), []), "nonpositive dimension"),
+], ids=["empty name", "zero dimension"])
+def test_bad_entry_rejected(entry, match):
+    with pytest.raises(ValueError, match=match):
+        ParameterSet([entry])
+
+
+@pytest.mark.parametrize("vector", [
+    np.zeros(3, dtype=np.float32), np.zeros(2), np.zeros((3, 1)),
+], ids=["float32", "short", "2-D"])
+def test_with_vector_needs_the_layout_s_flat_float64_vector(vector):
+    with pytest.raises(ValueError, match="flat float64 vector of 3"):
+        pset(w=[1.0, 2.0, 3.0]).with_vector(vector)
+
+
+def test_sets_of_different_layouts_are_unequal():
+    assert pset(w=[1.0, 2.0]) != pset(v=[1.0, 2.0])
+    assert ParameterSet([("w", (2,), [1.0, 2.0])]) != ParameterSet([("w", (1, 2), [1.0, 2.0])])
+
+
 def test_entry_order_is_part_of_identity():
     a = ParameterSet([("w", (1,), [1.0]), ("b", (1,), [2.0])])
     b = ParameterSet([("b", (1,), [2.0]), ("w", (1,), [1.0])])

@@ -11,7 +11,7 @@ from mergeopt import (
     dpo_loss,
     dpo_loss_and_grad,
 )
-from mergeopt.policy import _backprop, _sigmoid, log_softmax
+from mergeopt.policy import _backprop_into, _hidden_logits, _sigmoid, log_softmax
 from mergeopt.tasks import PreferenceSet
 
 
@@ -64,6 +64,12 @@ class TestLogprob:
         other = make_policy(d=3, h=5, c=3, seed=5).params
         with pytest.raises(ValueError, match="expected shape"):
             policy.with_params(other)
+
+    def test_parameters_must_be_named_w1_b1_w2_b2(self):
+        params = make_policy(d=3, h=4, c=3).params
+        renamed = ParameterSet((n.upper(), s, a) for n, s, a in params)
+        with pytest.raises(ValueError, match="policy parameters must be"):
+            ToyPolicy(renamed, 3, 4, 3)
 
     def test_probabilities_normalize(self):
         policy = make_policy(seed=3)
@@ -181,6 +187,13 @@ class TestDpoGrad:
         assert margins.size == 0
         assert all(np.all(a == 0.0) for _, _, a in grad)
 
+    def test_empty_batch_loss_is_zero(self):
+        policy = make_policy(seed=13)
+        empty = PreferenceSet(np.zeros((0, 3)), np.zeros(0, int), np.zeros(0, int))
+        loss, margins = dpo_loss(policy, policy.logprobs(empty.x), empty, 0.1)
+        assert loss == 0.0 and type(loss) is float
+        assert margins.shape == (0,)
+
     def test_reference_receives_no_gradient(self):
         policy = make_policy(seed=15)
         reference = make_policy(seed=16)
@@ -205,7 +218,9 @@ class TestDpoGrad:
         ref_lp[3, chosen[3]] = np.nan
         beta = 0.1
 
-        x, hidden, logits = policy._forward(batch.x)
+        x = batch.x
+        weights = policy._views(policy.params.vector())
+        hidden, logits = _hidden_logits(weights, x)
         lp = log_softmax(logits)
         rows = np.arange(len(x))
         margins = beta * (
@@ -216,12 +231,13 @@ class TestDpoGrad:
         g_logits = np.zeros_like(logits)
         np.add.at(g_logits, (rows, chosen), coeff)
         np.add.at(g_logits, (rows, rejected), -coeff)
-        expected = _backprop(policy, x, hidden, g_logits)
+        expected = np.empty(policy.params.total_elements())
+        _backprop_into(weights, policy._views(expected), x, hidden, g_logits)
 
         with np.errstate(invalid="ignore"):  # the NaN row's loss term
             _, got_margins, grad = dpo_loss_and_grad(policy, ref_lp, batch, beta)
         assert got_margins.tobytes() == margins.tobytes()
-        assert grad.vector().tobytes() == expected.vector().tobytes()
+        assert grad.vector().tobytes() == expected.tobytes()
 
 
 class TestBlockLogprobs:
