@@ -36,11 +36,18 @@ over one set of three 25 MB checkpoints plus base made by
 `bench/workloads.py`'s `synthesize_merge_inputs`. That is the offline-merge job outside the
 benchmark's in-process loop, interpreter start-up and imports included; each
 method's outputs must be byte-identical across every run of both trees.
+TRAIN_PAIRS alternating pairs then each time one fresh `python -m mergeopt
+train` process of the default config (an empty JSON object) per tree, timed
+the same way. Each is a single run in a fresh process, so it never reuses a
+reference part that an earlier run of the same process trained; its
+metrics.csv and theta_final.pset must be byte-identical across every run of
+both trees.
 
 Last, STEP_PAIRS alternating pairs time single training steps, a stand-in
 until the tracer sees the flat loop's per-step cores. Each pair starts one
 fresh process per tree, with one BLAS thread as `bench/run.py` has, which
-times `train_run` (CPU, best of STEP_REPEATS) for every `OPTIMIZER_MIX`
+times `train_run` (CPU, best of STEP_REPEATS), whose every call trains its
+own reference part, for every `OPTIMIZER_MIX`
 label of `bench/workloads.py` at its `h4` and `h16` `SHAPES`, three times
 over: at 200 preference steps and 100 + 100 supervised steps, at 1,200
 preference steps, and at 600 + 600 supervised steps. The differences over
@@ -85,6 +92,7 @@ E2E_COMMANDS = {
     "tier1": PYTEST,
 }
 MERGE_PAIRS = 10
+TRAIN_PAIRS = 10
 FLAG_SHARE = 0.8
 TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None}
            for n in ("cpu_s", "cal_cpu_s", "wall_s")]
@@ -192,6 +200,14 @@ def mark_comparable(runs: list[dict]) -> None:
             r["comparable"] = same
 
 
+def digest(paths) -> str:
+    """The 16-byte blake2b digest of the files' bytes, in order, as hex."""
+    h = hashlib.blake2b(digest_size=16)
+    for p in paths:
+        h.update(Path(p).read_bytes())
+    return h.hexdigest()
+
+
 def merge_command(inputs: list[Path], out: Path, method: str) -> list[str]:
     base, *models = inputs
     return [sys.executable, "-m", "mergeopt", "merge", *map(str, models), "--base", str(base),
@@ -209,12 +225,35 @@ def time_merges(checkouts: dict, work: Path, timed) -> tuple[list[dict], list[Pa
         for m in MERGE_METHODS:
             out = work / f"{s}-{m}.pset"
             r = timed(checkouts[s], merge_command(inputs, out, m))
-            r["output_blake2b"] = (hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
-                                   if r["correct"] else None)
+            r["output_blake2b"] = digest([out]) if r["correct"] else None
             out.unlink(missing_ok=True)
             runs.append({"command": f"merge_{m}", "pair": i, "side": s, **r})
             print(f"merge_{m} pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
     return runs, inputs
+
+
+def train_command(config: Path, out: Path) -> list[str]:
+    return [sys.executable, "-m", "mergeopt", "train", "--config", str(config), "--out", str(out)]
+
+
+def time_trains(checkouts: dict, work: Path, timed) -> list[dict]:
+    """TRAIN_PAIRS alternating pairs, each timing one train process of the
+    default config on each tree by timed (a time_command), with its config
+    and run directories in work; the runs, each with a digest of its
+    metrics.csv and theta_final.pset."""
+    work.mkdir()
+    config = work / "config.json"
+    config.write_text("{}\n")
+    runs = []
+    for i, s in pair_order(TRAIN_PAIRS):
+        out = work / f"{s}-run"
+        r = timed(checkouts[s], train_command(config, out))
+        r["output_blake2b"] = (digest([out / "metrics.csv", out / "theta_final.pset"])
+                               if r["correct"] else None)
+        shutil.rmtree(out, ignore_errors=True)
+        runs.append({"command": "train_default", "pair": i, "side": s, **r})
+        print(f"train_default pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
+    return runs
 
 
 def step_configs() -> dict:
@@ -345,7 +384,7 @@ def main(argv=None) -> int:
         for name in E2E_COMMANDS:
             mark_comparable([r for r in e2e_runs if r.get("command") == name])
         merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge", timed)
-        e2e_runs += merge_runs
+        e2e_runs += merge_runs + time_trains(checkouts, tmp / "train", timed)
         configs, step_runs = step_configs(), []
         for i, s in pair_order(STEP_PAIRS):
             r = time_steps(checkouts[s], configs)
@@ -368,9 +407,9 @@ def main(argv=None) -> int:
                              (E2E_WORKLOAD, "workload", bench["end_to_end"])]:
         rs = [r for r in e2e_runs if r.get(key) == name]
         e2e_summary[name] = {**counts(rs), "metrics": summarize(rs, specs)}
-    for m in MERGE_METHODS:
-        rs = [r for r in e2e_runs if r.get("command") == f"merge_{m}"]
-        e2e_summary[f"merge_{m}"] = {
+    for name in [f"merge_{m}" for m in MERGE_METHODS] + ["train_default"]:
+        rs = [r for r in e2e_runs if r.get("command") == name]
+        e2e_summary[name] = {
             **counts(rs),
             "outputs_identical": len({r["output_blake2b"] for r in rs}) == 1,
             "metrics": summarize(rs, TIMINGS),
@@ -385,12 +424,14 @@ def main(argv=None) -> int:
         "summary": summarize(step_runs, step_specs), "runs": step_runs,
     }
     merge_cmd = merge_command([Path(p.name) for p in merge_inputs], Path("out.pset"), "M")
+    train_cmd = train_command(Path("config.json"), Path("run"))  # config.json holds {}
     end_to_end = {
         "gated": False, "pairs": E2E_PAIRS, "seeds": [SEED0, SEED0 + E2E_PAIRS - 1],
-        "merge_pairs": MERGE_PAIRS,
+        "merge_pairs": MERGE_PAIRS, "train_pairs": TRAIN_PAIRS,
         "commands": {**{n: " ".join(["PYTHONPATH=src", "python3", *c[1:]])
                         for n, c in E2E_COMMANDS.items()},
-                     "merge_M": " ".join(["PYTHONPATH=src", "python3", *merge_cmd[1:]])},
+                     "merge_M": " ".join(["PYTHONPATH=src", "python3", *merge_cmd[1:]]),
+                     "train_default": " ".join(["PYTHONPATH=src", "python3", *train_cmd[1:]])},
         "summary": e2e_summary, "runs": e2e_runs, "per_step": per_step,
     }
     meta = {

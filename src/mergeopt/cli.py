@@ -23,7 +23,9 @@ import numpy as np
 from .errors import EmptyInput, InvalidConfig, MergeOptError, NonFiniteLoss
 from .kernels import MergeMethod, MergeSpec, offline_merge
 from .params import check_aligned, load_checkpoint, save_checkpoint
-from .training import MetricsRecord, RunConfig, csv_bytes, make_suite, train_run
+from .training import MetricsRecord, ReferenceModels, RunConfig, csv_bytes, make_suite
+from .training import train_preference, train_reference
+from .training import train_run  # noqa: F401  (not called; bench/tracer.py wraps it here)
 
 
 def _load_config(path) -> RunConfig:
@@ -35,6 +37,24 @@ def _load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
+# The reference part of the last run this process trained, under the key it
+# depends on, (seed, data, phases): one entry at most.
+_REFERENCES: dict = {}
+
+
+def _reference(cfg: RunConfig) -> ReferenceModels:
+    """train_reference of cfg's suite, shared by consecutive runs of the same
+    seed, data and phases. The slot is emptied before a build, so an old and
+    a new suite are never held at once, and a build that raises stores
+    nothing. Sharing needs no copy: the models are read-only flat vectors
+    and train_preference only reads the suite."""
+    key = (cfg.seed, cfg.data, cfg.phases)
+    if key not in _REFERENCES:
+        _REFERENCES.clear()
+        _REFERENCES[key] = train_reference(make_suite(cfg), cfg)
+    return _REFERENCES[key]
+
+
 def _run(cfg: RunConfig) -> MetricsRecord:
     """Train cfg and write its run directory, cfg.out_dir; the only code that
     writes one. Returns the last metrics row.
@@ -43,18 +63,19 @@ def _run(cfg: RunConfig) -> MetricsRecord:
     A run aborted by NonFiniteLoss leaves config.json and the partial
     metrics.csv, then re-raises; any other error, such as an out_dir at or
     under a file or a dangling symlink, which fails before training, leaves
-    nothing. train_run checks every value it needs finite, so numpy's
-    floating-point warnings are silenced.
+    nothing. Training checks every value it needs finite, so numpy's
+    floating-point warnings are silenced. The reference phases come from
+    _reference, so a run that follows one of the same seed, data and phases
+    skips them and writes the same bytes.
     """
     nearest = os.path.abspath(cfg.out_dir)
     while not os.path.lexists(nearest):  # a dangling symlink stops the walk
         nearest = os.path.dirname(nearest)
     if not os.path.isdir(nearest):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), nearest)
-    suite = make_suite(cfg)
     try:
         with np.errstate(all="ignore"):
-            result = train_run(suite, cfg)
+            result = train_preference(_reference(cfg), cfg)
     except NonFiniteLoss as e:
         aborted = e
     else:
@@ -135,12 +156,14 @@ def cmd_sweep(args) -> int:
     if len(set(seeds)) != len(seeds):
         raise InvalidConfig(f"--seeds must not repeat a value, got {seeds}")
     out_root = Path(args.out)
-    grid = itertools.product(
+    points = list(itertools.product(
         args.alpha or [base.merge.alpha],
         args.reserve or [base.merge.reserve_rate],
         args.gap_step or [base.merge.gap_step],
         args.beta or [base.dpo.beta],
-    )
+    ))
+    # Seed-major, so that consecutive points share their reference phases
+    # (see _reference); the summary lists them point-major.
     jobs = [
         replace(
             base,
@@ -149,8 +172,8 @@ def cmd_sweep(args) -> int:
             seed=seed,
             out_dir=str(out_root / f"point{i:04d}_seed{seed}"),
         )
-        for i, (alpha, reserve, gap, beta) in enumerate(grid)
         for seed in seeds
+        for i, (alpha, reserve, gap, beta) in enumerate(points)
     ]
     out_root.mkdir(parents=True, exist_ok=True)  # only once every point is valid
 
@@ -165,6 +188,7 @@ def cmd_sweep(args) -> int:
             except BrokenProcessPool as e:
                 dead = jobs[len(rows)].out_dir
                 raise MergeOptError(f"a sweep worker process died; {dead} did not finish") from e
+    rows = [rows[k * len(points) + i] for i in range(len(points)) for k in range(len(seeds))]
 
     summary = out_root / "sweep_summary.csv"
     summary.write_bytes(csv_bytes(_SUMMARY_COLUMNS, rows))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_u64
+from .errors import check_u64, validate_probability
 
 _U64 = 1 << 64
 
@@ -112,5 +112,7 @@ def bernoulli_mask(
     key: MaskKey | int, n: int, p: float, gen: MaskGenerator | None = None, out=None
 ) -> np.ndarray:
     """Boolean keep-mask where each element is independently kept with
-    probability p; written into out (n booleans) when given."""
+    probability p, a finite real in (0, 1] (InvalidProbability otherwise);
+    written into out (n booleans) when given."""
+    p = validate_probability(p, "keep rate")
     return np.less((gen or MaskGenerator()).stream(key).random(n), p, out=out)

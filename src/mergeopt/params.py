@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import FormatError, MisalignedSets
+from .errors import FormatError, MisalignedSets, is_count
 
 MAGIC = b"PSET1\n"
 # Payloads of at least this many bytes are mapped instead of read: in a scan of
@@ -154,16 +154,17 @@ class ParameterSet:
 
 
 def _entry_shape(name, shape, layout: dict) -> tuple[int, ...]:
-    """The shape of a new entry as a tuple, after checking that name is a
-    nonempty string not yet in layout and that no dimension is below 1."""
+    """The shape of a new entry as a tuple of ints, after checking that name
+    is a nonempty string not yet in layout and that every dimension is an
+    integer (not a bool) of at least 1."""
     if not isinstance(name, str) or not name:
         raise ValueError(f"tensor name must be a nonempty string, got {name!r}")
     if name in layout:
         raise ValueError(f"duplicate tensor name {name!r}")
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ValueError(f"{name}: shape {shape} has a nonpositive dimension")
-    return shape
+    shape = tuple(shape)
+    if not all(is_count(s, 1) for s in shape):
+        raise ValueError(f"{name}: shape {shape} has a non-integer or nonpositive dimension")
+    return tuple(map(int, shape))
 
 
 def check_aligned(a: ParameterSet, b: ParameterSet) -> None:

@@ -275,18 +275,21 @@ def _evaluate(policy: ToyPolicy, ref_eval: np.ndarray, suite: TaskSuite, beta, s
     )
 
 
-def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
-    """Run pretrain -> SFT -> preference optimization and collect metrics.
+@dataclass(frozen=True)
+class ReferenceModels:
+    """The reference part of a run: its suite, the pretrained model theta_base
+    and the SFT model theta_ref. It depends only on the run's seed, data and
+    phases, and the preference part only reads it, so runs that share those
+    may share it."""
 
-    Evaluation rows (at step 0 and every eval_every steps) use the evaluation
-    splits; when EMA is enabled they evaluate the shadow parameters, and the
-    final checkpoint is the shadow. A non-finite training loss, gradient or
-    evaluation row, step 0's included, aborts with NonFiniteLoss carrying the
-    rows collected so far.
+    suite: TaskSuite
+    theta_base: ParameterSet
+    theta_ref: ParameterSet
 
-    Each phase trains in place on flat vectors, through views made once;
-    ParameterSets are made only for evaluation and the returned checkpoints.
-    """
+
+def train_reference(suite: TaskSuite, cfg: RunConfig) -> ReferenceModels:
+    """Pretrain, then SFT, a policy initialized from cfg.seed. A non-finite
+    loss aborts with NonFiniteLoss, which carries no metrics."""
     init_rng = np.random.default_rng([cfg.seed, 0])
     policy = ToyPolicy.random_init(
         suite.input_dim, suite.hidden_dim, suite.num_responses, init_rng
@@ -305,7 +308,31 @@ def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
         policy, "SFT", suite.sft_train, cfg.phases.sft_steps, phase_hyper, sft_rng,
         cfg.phases.batch_size,
     )
-    theta_ref = policy.params
+    return ReferenceModels(suite, theta_base, policy.params)
+
+
+def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
+    """Run pretrain -> SFT -> preference optimization and collect metrics:
+    train_preference(train_reference(suite, cfg), cfg)."""
+    return train_preference(train_reference(suite, cfg), cfg)
+
+
+def train_preference(reference: ReferenceModels, cfg: RunConfig) -> TrainResult:
+    """Run preference optimization from reference, which it only reads, and
+    collect metrics.
+
+    Evaluation rows (at step 0 and every eval_every steps) use the evaluation
+    splits; when EMA is enabled they evaluate the shadow parameters, and the
+    final checkpoint is the shadow. A non-finite training loss, gradient or
+    evaluation row, step 0's included, aborts with NonFiniteLoss carrying the
+    rows collected so far.
+
+    Like each supervised phase, it trains in place on flat vectors, through
+    views made once; ParameterSets are made only for evaluation and the
+    returned checkpoint.
+    """
+    suite, theta_base, theta_ref = reference.suite, reference.theta_base, reference.theta_ref
+    policy = ToyPolicy(theta_ref, suite.input_dim, suite.hidden_dim, suite.num_responses)
     # The reference is frozen, so its log-probabilities are computed once:
     # over pref_train in blocks shaped like a training batch (see
     # block_logprobs), over pref_eval by the same call an evaluation makes.

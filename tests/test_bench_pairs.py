@@ -160,3 +160,38 @@ def test_pair_order_puts_the_parent_first_in_even_pairs(bp):
 def test_counts(bp):
     rs = [{"correct": True}, {"correct": False}, {"correct": True}]
     assert bp.counts(rs) == {"runs_correct": 2, "runs": 3}
+
+
+def test_train_command_is_a_default_train_the_cli_parses(bp, tmp_path):
+    from mergeopt import cli
+
+    cmd = bp.train_command(tmp_path / "config.json", tmp_path / "run")
+    assert cmd[:4] == [sys.executable, "-m", "mergeopt", "train"]
+    args = cli.build_parser().parse_args(cmd[3:])
+    assert (args.func, args.config, args.out) == (
+        cli.cmd_train, str(tmp_path / "config.json"), str(tmp_path / "run")
+    )
+
+
+def test_time_trains_alternates_and_digests_each_run_s_outputs(bp, tmp_path):
+    calls = []
+
+    def timed(checkout, cmd):
+        config, out = Path(cmd[cmd.index("--config") + 1]), Path(cmd[cmd.index("--out") + 1])
+        calls.append((checkout, config.read_text()))
+        out.mkdir()
+        (out / "metrics.csv").write_bytes(b"step\n")
+        (out / "theta_final.pset").write_bytes(checkout.encode())
+        return {"returncode": 0, "correct": True, "metrics": {}}
+
+    rs = bp.time_trains({"parent": "p", "change": "c"}, tmp_path / "work", timed)
+    assert [(r["pair"], r["side"]) for r in rs] == list(bp.pair_order(bp.TRAIN_PAIRS))
+    assert [c for c, _ in calls] == [{"parent": "p", "change": "c"}[r["side"]] for r in rs]
+    assert all(text == "{}\n" for _, text in calls)
+    assert all(r["command"] == "train_default" for r in rs)
+    (tmp_path / "m").write_bytes(b"step\n")
+    for s in "pc":
+        (tmp_path / s).write_bytes(s.encode())
+    want = {s: bp.digest([tmp_path / "m", tmp_path / s]) for s in "pc"}
+    assert [r["output_blake2b"] for r in rs] == [want[r["side"][0]] for r in rs]
+    assert sorted(p.name for p in (tmp_path / "work").iterdir()) == ["config.json"]

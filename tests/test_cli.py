@@ -387,6 +387,7 @@ def test_out_of_memory_exits_one_without_traceback(tmp_path, capsys, monkeypatch
         raise MemoryError
 
     monkeypatch.setattr(cli, "make_suite", no_memory)
+    monkeypatch.setattr(cli, "_REFERENCES", {})  # no reference left by an earlier run
     cfg_path = write_config(tmp_path)
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
@@ -395,10 +396,10 @@ def test_out_of_memory_exits_one_without_traceback(tmp_path, capsys, monkeypatch
 
 
 def test_nonfinite_gradient_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
-    def bad_gradient(suite, cfg):
+    def bad_gradient(reference, cfg):
         raise NonFiniteGradient("w1: gradient contains NaN or infinity")
 
-    monkeypatch.setattr(cli, "train_run", bad_gradient)
+    monkeypatch.setattr(cli, "train_preference", bad_gradient)
     cfg_path = write_config(tmp_path)
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
@@ -591,6 +592,35 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(sweep_dir), *grid]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not sweep_dir.exists()
+
+    def test_points_run_by_seed_and_are_listed_by_point(self, tmp_path, monkeypatch):
+        built, train_reference = [], cli.train_reference
+
+        def counted(suite, cfg):
+            built.append(cfg.seed)
+            return train_reference(suite, cfg)
+
+        monkeypatch.setattr(cli, "train_reference", counted)
+        monkeypatch.setattr(cli, "_REFERENCES", {})
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        cfg_path = write_config(tmp_path, optimizer="ondare")
+        sweep_dir = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", str(cfg_path), "--out", str(sweep_dir),
+             "--alpha", "1e-6", "1e-4", "--seeds", "2", "1"]
+        ) == 0
+        assert built == [2, 1]
+        rows = [r.split(",") for r in (sweep_dir / "sweep_summary.csv").read_text().splitlines()]
+        assert [(r[0], r[4], r[5]) for r in rows[1:]] == [
+            ("1e-06", "2", "ok"), ("1e-06", "1", "ok"), ("0.0001", "2", "ok"), ("0.0001", "1", "ok"),
+        ]
+        assert sorted(p.name for p in sweep_dir.iterdir() if p.is_dir()) == [
+            "point0000_seed1", "point0000_seed2", "point0001_seed1", "point0001_seed2",
+        ]
+        for i, alpha in enumerate((1e-6, 1e-4)):
+            for seed in (1, 2):
+                echoed = json.loads((sweep_dir / f"point{i:04d}_seed{seed}" / "config.json").read_text())
+                assert (echoed["merge"]["alpha"], echoed["seed"]) == (alpha, seed)
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, optimizer="ondare")

@@ -108,6 +108,19 @@ def test_bad_entry_rejected(entry, match):
         ParameterSet([entry])
 
 
+@pytest.mark.parametrize("shape, data", [
+    ((2.9,), [1.0, 2.0]), ((True,), [1.0]), (("2",), [1.0, 2.0]), ((2, 1.0), [1.0, 2.0]),
+], ids=["fraction", "bool", "string", "integral float"])
+def test_non_integer_dimension_rejected(shape, data):
+    with pytest.raises(ValueError, match="non-integer or nonpositive dimension"):
+        ParameterSet([("w", shape, data)])
+
+
+def test_numpy_integer_dimensions_become_ints():
+    p = ParameterSet([("w", (np.int64(2), np.uint8(1)), [1.0, 2.0])])
+    assert p.shape("w") == (2, 1) and all(type(s) is int for s in p.shape("w"))
+
+
 @pytest.mark.parametrize("vector", [
     np.zeros(3, dtype=np.float32), np.zeros(2), np.zeros((3, 1)),
 ], ids=["float32", "short", "2-D"])

@@ -21,6 +21,7 @@ from mergeopt import (
     RunConfig,
     SuiteSizes,
     ToyPolicy,
+    bernoulli_mask,
     childtuning_step,
     dpo_loss,
     dpo_loss_and_grad,
@@ -63,6 +64,7 @@ REALS = {
     "MergeSpec reserve_rate": (
         InvalidProbability, lambda v: MergeSpec(MergeMethod.DARE, reserve_rate=v)
     ),
+    "bernoulli_mask": (InvalidProbability, lambda v: bernoulli_mask(MaskKey(0, "w"), 4, v)),
     "sparsify_random": (InvalidProbability, lambda v: sparsify_random([1.0], v, MaskKey(0, "w"))),
     "sparsify_top_p": (InvalidProbability, lambda v: sparsify_top_p([1.0], v)),
     "childtuning_step": (
@@ -95,3 +97,15 @@ def test_integer_seed_and_numpy_seed_build_the_same_suite():
     a, b = gen_task_suite(7, TINY_DATA), gen_task_suite(np.uint64(7), TINY_DATA)
     assert a.pretrain_train.x.tobytes() == b.pretrain_train.x.tobytes()
     assert a.pref_eval.x.tobytes() == b.pref_eval.x.tobytes()
+
+
+RATES = [name for name in REALS if REALS[name][0] is InvalidProbability]
+
+
+@pytest.mark.parametrize("name", RATES)
+def test_rate_entry_point_rejects_values_outside_the_unit_interval(name):
+    error, call = REALS[name]
+    for value in [0, 0.0, -0.5, 1.5, 7.0, float("nan"), float("inf")]:
+        with pytest.raises(error):
+            call(value)
+    call(1)
