@@ -54,6 +54,13 @@ preference steps, and at 600 + 600 supervised steps. The differences over
 the STEP_EXTRA added steps give the microseconds of one preference step
 (`pref_us.<shape>.<label>`, evaluations included at the shape's
 `eval_every`) and of one supervised step (`sup_us.<shape>.<label>`).
+The same process then times the shared-reference variant: per shape, one
+reference part (`train_reference` of the 100 + 100-step phases), one OnDARE
+`train_preference` on it at 1,200 steps, and then `train_preference` of
+every label at 200 and at 1,200 steps on that one reference part, as runs
+of one seed share it through `mergeopt.cli`'s memo. Its difference gives
+`pref_shared_us.<shape>.<label>`: one preference step that reads the
+reference's log-prob rows and keep-masks instead of computing them.
 """
 
 from __future__ import annotations
@@ -103,21 +110,40 @@ STEP_EXTRA = 1000  # steps the long runs add to the short one
 # Each timed run's preference steps and phase lengths (pretrain = SFT steps).
 STEP_RUNS = {"short": (200, 100), "pref_long": (200 + STEP_EXTRA, 100),
              "sup_long": (200, 100 + STEP_EXTRA // 2)}
-STEP_METRICS = {"pref_long": "pref_us", "sup_long": "sup_us"}
-# Run in a checkout with its src/ importable: argv[1] is a JSON object of
-# RunConfig dicts; prints each one's best train_run CPU time, in seconds.
+# The shared-reference runs, each a copy of a STEP_RUNS run that
+# train_preference times on one reference part per shape.
+SHARED_RUNS = {"shared_short": "short", "shared_long": "pref_long"}
+# Each long run: its metric, and the run whose time it subtracts.
+STEP_METRICS = {"pref_long": ("pref_us", "short"), "sup_long": ("sup_us", "short"),
+                "shared_long": ("pref_shared_us", "shared_short")}
+# Run in a checkout with its src/ importable: argv[1] and argv[2] are JSON
+# objects of RunConfig dicts, keyed "<shape>.<label>/<run>", for train_run
+# and for the shared runs; prints each one's best CPU time, in seconds.
 STEP_CHILD = """
 import json, sys, time
-from mergeopt.training import RunConfig, make_suite, train_run
-runs = {}
+from mergeopt.training import RunConfig, make_suite, train_preference, train_reference, train_run
+runs, references = {}, {}
 for key, d in json.loads(sys.argv[1]).items():
     cfg = RunConfig.from_dict(d)
     runs[key] = (make_suite(cfg), cfg)
-out = dict.fromkeys(runs, float("inf"))
+shared = {}
+for key, d in json.loads(sys.argv[2]).items():
+    cfg, shape = RunConfig.from_dict(d), key.split(".")[0]
+    if shape not in references:
+        references[shape] = train_reference(make_suite(cfg), cfg)
+    shared[key] = (references[shape], cfg)
+for key, (reference, cfg) in shared.items():  # one OnDARE run per shape's reference
+    if key.endswith(".ondare/shared_long"):
+        train_preference(reference, cfg)
+out = dict.fromkeys([*runs, *shared], float("inf"))
 for _ in range(%d):  # repeats outermost, so a burst of load hits one sample of each
     for key, (suite, cfg) in runs.items():
         t0 = time.process_time()
         train_run(suite, cfg)
+        out[key] = min(out[key], time.process_time() - t0)
+    for key, (reference, cfg) in shared.items():
+        t0 = time.process_time()
+        train_preference(reference, cfg)
         out[key] = min(out[key], time.process_time() - t0)
 print(json.dumps(out))
 """ % STEP_REPEATS
@@ -271,24 +297,33 @@ def step_configs() -> dict:
     return out
 
 
+def shared_configs(configs: dict) -> dict:
+    """The shared runs: for each step_configs() key of a SHARED_RUNS run,
+    its config under "<shape>.<label>/<shared run>"."""
+    return {f"{key.split('/')[0]}/{shared}": configs[f"{key.split('/')[0]}/{run}"]
+            for key in configs if key.endswith("/short") for shared, run in SHARED_RUNS.items()}
+
+
 def step_metrics(seconds: dict) -> dict:
-    """From a child's times by step_configs() key, the microseconds of one
-    preference step and of one supervised step of each config: (long run -
-    short run) / STEP_EXTRA."""
+    """From a child's times by step_configs() and shared_configs() key, the
+    microseconds of one step of each config and STEP_METRICS long run: (long
+    run - its short run) / STEP_EXTRA."""
     out = {}
     for key, t in seconds.items():
         config, run = key.rsplit("/", 1)
         if run in STEP_METRICS:
-            us = (t - seconds[f"{config}/short"]) / STEP_EXTRA * 1e6
-            out[f"{STEP_METRICS[run]}.{config}"] = {"value": us}
+            metric, short = STEP_METRICS[run]
+            us = (t - seconds[f"{config}/{short}"]) / STEP_EXTRA * 1e6
+            out[f"{metric}.{config}"] = {"value": us}
     return out
 
 
-def time_steps(checkout: Path, configs: dict) -> dict:
-    """One fresh process in checkout timing configs; its per-step metrics."""
-    proc = subprocess.run([sys.executable, "-c", STEP_CHILD, json.dumps(configs)], cwd=checkout,
-                          env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
-                          text=True, timeout=3600)
+def time_steps(checkout: Path, configs: dict, shared: dict) -> dict:
+    """One fresh process in checkout timing configs by train_run and shared
+    by train_preference; its per-step metrics."""
+    proc = subprocess.run([sys.executable, "-c", STEP_CHILD, json.dumps(configs), json.dumps(shared)],
+                          cwd=checkout, env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True, timeout=3600)
     if proc.returncode != 0:
         return {"returncode": proc.returncode, "correct": False, "metrics": {},
                 "stderr": proc.stderr[-2000:]}
@@ -386,8 +421,9 @@ def main(argv=None) -> int:
         merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge", timed)
         e2e_runs += merge_runs + time_trains(checkouts, tmp / "train", timed)
         configs, step_runs = step_configs(), []
+        shared = shared_configs(configs)
         for i, s in pair_order(STEP_PAIRS):
-            r = time_steps(checkouts[s], configs)
+            r = time_steps(checkouts[s], configs, shared)
             step_runs.append({"pair": i, "side": s, **r})
             print(f"per-step pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
     finally:
@@ -415,11 +451,12 @@ def main(argv=None) -> int:
             "metrics": summarize(rs, TIMINGS),
         }
     step_specs = [{"name": f"{m}.{c}", "unit": "us", "better": "lower", "bound": None}
-                  for m in STEP_METRICS.values() for c in sorted({k.split("/")[0] for k in configs})]
+                  for m, _ in STEP_METRICS.values() for c in sorted({k.split("/")[0] for k in configs})]
     per_step = {
         "gated": False, "pairs": STEP_PAIRS, "repeats": STEP_REPEATS, "extra_steps": STEP_EXTRA,
         "runs_per_config": {run: {"dpo_steps": n, "phase_steps": p}
                             for run, (n, p) in STEP_RUNS.items()},
+        "shared_runs": SHARED_RUNS,
         "runs_correct": sum(r["correct"] for r in step_runs), "n_runs": len(step_runs),
         "summary": summarize(step_runs, step_specs), "runs": step_runs,
     }

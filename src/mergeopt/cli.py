@@ -44,10 +44,12 @@ _REFERENCES: dict = {}
 
 def _reference(cfg: RunConfig) -> ReferenceModels:
     """train_reference of cfg's suite, shared by consecutive runs of the same
-    seed, data and phases. The slot is emptied before a build, so an old and
-    a new suite are never held at once, and a build that raises stores
-    nothing. Sharing needs no copy: the models are read-only flat vectors
-    and train_preference only reads the suite."""
+    seed, data and phases, with the reference log-prob rows and the keep-mask
+    rows that the runs before computed. The slot is emptied before a build,
+    so an old and a new reference part are never held at once, and a build
+    that raises stores nothing. Sharing needs no copy: its arrays are
+    read-only and train_preference only reads it; each mask row is the draw
+    a run would make itself, so every run writes the same bytes."""
     key = (cfg.seed, cfg.data, cfg.phases)
     if key not in _REFERENCES:
         _REFERENCES.clear()

@@ -137,8 +137,9 @@ def sign_consensus(a, b):
     b = np.asarray(b, dtype=np.float64)
     agree = (np.sign(a) == np.sign(b)) | (a == 0.0) | (b == 0.0)
     abs_a, abs_b = np.abs(a), np.abs(b)
-    conflict = np.where(abs_a > abs_b, a, np.where(abs_b > abs_a, b, a + b))
-    out = np.where(agree, a + b, conflict)
+    total = a + b
+    conflict = np.where(abs_a > abs_b, a, np.where(abs_b > abs_a, b, total))
+    out = np.where(agree, total, conflict)
     if out.ndim == 0:
         return float(out)
     return out

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import check_u64, validate_probability
 
 _U64 = 1 << 64
+MASK_TABLE_BYTES = 1 << 20  # keep-mask rows a MaskTable keeps: 1 MiB
+_BLOCK_BYTES = 1 << 14  # a MaskTable allocates rows about this many bytes at a time
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ class MaskGenerator:
     Each draw resets the key and counter, so its bytes equal those of a fresh
     ``Philox(key=key.material())`` while skipping that constructor, which
     seeds a SeedSequence from OS entropy before the key overrides it. A
-    generator is not safe to share between threads: each optimizer state
-    owns its own.
+    generator is not safe to share between threads: each MaskTable owns
+    its own.
     """
 
     def __init__(self):
@@ -116,3 +118,65 @@ def bernoulli_mask(
     written into out (n booleans) when given."""
     p = validate_probability(p, "keep rate")
     return np.less((gen or MaskGenerator()).stream(key).random(n), p, out=out)
+
+
+class MaskTable:
+    """The flat keep-masks of one seed and layout (its (name, slice) pairs,
+    as ParameterSet.slices() gives them), for any step, stream and keep rate.
+
+    row(step, stream, p)'s slice for each tensor holds the bytes of
+    bernoulli_mask(MaskKey(seed, name, step, stream), n, p): each tensor's
+    keyed stream fills its slice of one uniform buffer, and one comparison
+    makes the row. A row is drawn on first use, straight into place, and
+    kept while the table's rows fit in MASK_TABLE_BYTES, so callers that
+    share a table draw each kept row once; past that budget rows are drawn
+    into the stream's reused buffer. Rows are read-only. A table owns one
+    MaskGenerator, so it is not safe to share between threads.
+    """
+
+    def __init__(self, seed: int, slices):
+        self.seed = check_u64(seed, "seed")
+        self.slices = tuple(slices)
+        self.keys = LayoutKeys(seed, [name for name, _ in self.slices])
+        self._gen = MaskGenerator()
+        self._u = np.empty(sum(s.stop - s.start for _, s in self.slices))
+        self._views = [self._u[s] for _, s in self.slices]
+        self._block = max(1, _BLOCK_BYTES // max(self._u.size, 1))
+        # Per (stream, keep rate), per block index step // _block: the block's
+        # rows, a read-only view of them, and which rows are drawn.
+        self._rows: dict = {}
+        self._kept = 0
+        self._spares: dict = {}  # per stream: a reused row and a read-only view of it
+
+    def row(self, step: int, stream: str, p: float) -> np.ndarray:
+        """The keep-mask at (step, stream) for the keep rate p, a float in
+        (0, 1] that the caller has checked. A kept row lives as long as the
+        table; a row past the budget is valid until the stream's next draw."""
+        blocks = self._rows.get((stream, p))
+        if blocks is None:
+            blocks = self._rows[stream, p] = {}
+        i, j = divmod(step, self._block)
+        block = blocks.get(i)
+        if block is not None and block[2][j]:
+            return block[1][j]
+        for material, out in zip(self.keys.materials(step, stream), self._views):
+            self._gen.stream(material).random(out=out)
+        if block is None and self._kept + self._block * self._u.size <= MASK_TABLE_BYTES:
+            self._kept += self._block * self._u.size
+            rows = np.empty((self._block, self._u.size), bool)
+            block = blocks[i] = (rows, _read_only(rows.view()), bytearray(self._block))
+        if block is None:
+            spare = self._spares.get(stream)
+            if spare is None:
+                rows = np.empty(self._u.size, bool)
+                spare = self._spares[stream] = (rows, _read_only(rows.view()))
+            np.less(self._u, p, out=spare[0])
+            return spare[1]
+        np.less(self._u, p, out=block[0][j])
+        block[2][j] = 1
+        return block[1][j]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a

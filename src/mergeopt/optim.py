@@ -18,10 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteGradient, is_count, is_real, validate_probability
+from .errors import (
+    InvalidConfig, NonFiniteGradient, check_u64, is_count, is_real, validate_probability
+)
 from .kernels import sign_consensus, sparsify_top_p
 from .kernels import sparsify_random  # noqa: F401  (not called; bench/tracer.py wraps it here)
-from .masks import LayoutKeys, MaskGenerator
+from .masks import MaskTable
 from .masks import bernoulli_mask  # noqa: F401  (not called; bench/tracer.py wraps it here)
 from .params import ParameterSet, check_aligned
 
@@ -94,28 +96,36 @@ class OptimizerState:
     """Flat float64 vectors over the layout of the parameters the state was
     made for: the Adam moments m and v, the step-K accumulator delta_cache
     and the read-only reference delta tau_ref (None without one); plus the
-    step counter, the mask generator, the merges' constant reference sides
+    step counter, the keep-mask table, the merges' constant reference sides
     (alpha * tau_ref for OnDARE, alpha * top-p(tau_ref) for OnTIES) and
     reused work buffers.
     The base model is deliberately not part of the state: the relaxed online
-    merge needs only tau_ref, never mutated."""
+    merge needs only tau_ref, never mutated.
 
-    def __init__(self, params: ParameterSet, tau_ref: Optional[ParameterSet] = None, seed: int = 0):
+    masks is a MaskTable of seed and the parameters' layout, which states of
+    the same seed and layout may share (a ReferenceModels holds one); by
+    default the state makes its own."""
+
+    def __init__(
+        self, params: ParameterSet, tau_ref: Optional[ParameterSet] = None, seed: int = 0,
+        masks: Optional[MaskTable] = None,
+    ):
         if tau_ref is not None:
             check_aligned(params, tau_ref)
         self._layout = params
         self._slices = params.slices()
+        if masks is None:
+            masks = MaskTable(seed, self._slices)
+        elif (masks.seed, masks.slices) != (check_u64(seed, "seed"), self._slices):
+            raise ValueError("the mask table was made for another seed or layout")
         size = params.total_elements()
         self.m, self.v, self.delta_cache = np.zeros(size), np.zeros(size), np.zeros(size)
         self.t = 0
         self.tau_ref = None if tau_ref is None else tau_ref.vector()
-        self._keys = LayoutKeys(seed, params.names)
-        self._masks = MaskGenerator()
+        self._masks, self._keys = masks, masks.keys
         self._ref_sides: dict = {}
-        # Adam's update delta and its second buffer, and per mask stream a
-        # uniform buffer, the keep-mask and each tensor's slice of the former.
+        # Adam's update delta and its second buffer.
         self._delta, self._work = np.empty(size), np.empty(size)
-        self._mask_slots: dict = {}
 
 
 def _adam(state: OptimizerState, g: np.ndarray, hyper: AdamHyper) -> np.ndarray:
@@ -158,20 +168,10 @@ def _adam_delta(theta, g, state, hyper, grad_rate=None) -> np.ndarray:
 
 
 def _keep_mask(state: OptimizerState, stream: str, p: float) -> np.ndarray:
-    """Flat keep-mask whose slice for each tensor is drawn from that tensor's
-    own (seed, name, step, stream) key, in the stream's reused buffer (valid
-    until the stream's next draw). Each tensor's keyed stream fills its slice
-    of one uniform buffer, and one comparison makes the whole mask: the bytes
-    of bernoulli_mask per tensor."""
-    slots = state._mask_slots.get(stream)
-    if slots is None:
-        u = np.empty(state.m.size)
-        views = [u[s] for _, s in state._slices]
-        slots = state._mask_slots[stream] = (u, np.empty(u.size, bool), views)
-    u, mask, views = slots
-    for material, out in zip(state._keys.materials(state.t, stream), views):
-        state._masks.stream(material).random(out=out)
-    return np.less(u, p, out=mask)
+    """The flat keep-mask at the state's step t: its table's row, whose slice
+    for each tensor is drawn from that tensor's own (seed, name, t, stream)
+    key (see MaskTable.row)."""
+    return state._masks.row(state.t, stream, p)
 
 
 def _ref_side(state, key, make) -> np.ndarray:

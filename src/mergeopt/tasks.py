@@ -108,11 +108,16 @@ def _utility_scores(x, centers_sft, utility_w, utility_b) -> np.ndarray:
     return scores
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _sample_labeled(rng, centers: np.ndarray, n: int) -> LabeledSet:
     c = len(centers)
     labels = rng.integers(0, c, size=n)
     x = centers[labels] + _CLUSTER_NOISE * rng.normal(size=(n, centers.shape[1]))
-    return LabeledSet(x, labels)
+    return LabeledSet(_read_only(x), _read_only(labels))
 
 
 def _sample_preferences(rng, centers, utility_w, utility_b, n, noise) -> PreferenceSet:
@@ -130,7 +135,7 @@ def _sample_preferences(rng, centers, utility_w, utility_b, n, noise) -> Prefere
         np.where(flip, rejected, chosen),
         np.where(flip, chosen, rejected),
     )
-    return PreferenceSet(x, chosen, rejected)
+    return PreferenceSet(x, _read_only(chosen), _read_only(rejected))
 
 
 def check_data(data: DataSettings) -> None:
@@ -165,7 +170,8 @@ def gen_task_suite(seed: int, data: DataSettings = DataSettings()) -> TaskSuite:
     Pretrain clusters sit on orthogonal directions so a nearest-center oracle
     is nearly perfect; the SFT task is the same clusters rotated and shifted.
     Preferences label the higher-utility response, flipped with probability
-    preference_noise so the loss cannot saturate instantly.
+    preference_noise so the loss cannot saturate instantly. Every array is
+    read-only, so runs may share a suite.
     """
     rng = np.random.default_rng(check_u64(seed, "seed"))
     check_data(data)
@@ -195,10 +201,10 @@ def gen_task_suite(seed: int, data: DataSettings = DataSettings()) -> TaskSuite:
         pref_eval=_sample_preferences(
             rng, centers_sft, utility_w, utility_b, sizes.pref_eval, data.preference_noise
         ),
-        centers_pretrain=centers_pre,
-        centers_sft=centers_sft,
-        utility_w=utility_w,
-        utility_b=utility_b,
+        centers_pretrain=_read_only(centers_pre),
+        centers_sft=_read_only(centers_sft),
+        utility_w=_read_only(utility_w),
+        utility_b=_read_only(utility_b),
         input_dim=input_dim,
         hidden_dim=data.hidden_dim,
         num_responses=num_responses,

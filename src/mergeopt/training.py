@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfig, NonFiniteGradient, NonFiniteLoss, check_u64, is_count, is_real
+from .masks import MaskTable
 from .optim import (
     AdamHyper,
     MergeVariant,
@@ -275,16 +276,34 @@ def _evaluate(policy: ToyPolicy, ref_eval: np.ndarray, suite: TaskSuite, beta, s
     )
 
 
-@dataclass(frozen=True)
 class ReferenceModels:
     """The reference part of a run: its suite, the pretrained model theta_base
-    and the SFT model theta_ref. It depends only on the run's seed, data and
-    phases, and the preference part only reads it, so runs that share those
-    may share it."""
+    and the SFT model theta_ref, and what the preference phase derives from
+    them alone: the reference policy, its log-prob rows over pref_eval
+    (ref_eval) and over pref_train (ref_train(batch_size)), and the keep-mask
+    table of the seed and layout (masks). It depends only on the run's seed,
+    data and phases, and the preference part only reads it, so runs that
+    share those may share it, and each row and mask is computed once for all
+    of them. Its arrays are read-only."""
 
-    suite: TaskSuite
-    theta_base: ParameterSet
-    theta_ref: ParameterSet
+    def __init__(self, suite: TaskSuite, theta_base: ParameterSet, theta_ref: ParameterSet, seed):
+        self.suite, self.theta_base, self.theta_ref = suite, theta_base, theta_ref
+        self.policy = ToyPolicy(theta_ref, suite.input_dim, suite.hidden_dim, suite.num_responses)
+        self.masks = MaskTable(seed, theta_ref.slices())
+        # The same call an evaluation makes.
+        self.ref_eval = self.policy.logprobs(suite.pref_eval.x)
+        self.ref_eval.setflags(write=False)
+        self._ref_train: dict = {}
+
+    def ref_train(self, batch_size: int) -> np.ndarray:
+        """The reference log-prob rows of pref_train, computed once per batch
+        size in blocks shaped like a training batch (see block_logprobs)."""
+        rows = self._ref_train.get(batch_size)
+        if rows is None:
+            rows = self.policy.block_logprobs(self.suite.pref_train.x, batch_size)
+            rows.setflags(write=False)
+            self._ref_train[batch_size] = rows
+        return rows
 
 
 def train_reference(suite: TaskSuite, cfg: RunConfig) -> ReferenceModels:
@@ -308,7 +327,7 @@ def train_reference(suite: TaskSuite, cfg: RunConfig) -> ReferenceModels:
         policy, "SFT", suite.sft_train, cfg.phases.sft_steps, phase_hyper, sft_rng,
         cfg.phases.batch_size,
     )
-    return ReferenceModels(suite, theta_base, policy.params)
+    return ReferenceModels(suite, theta_base, policy.params, cfg.seed)
 
 
 def train_run(suite: TaskSuite, cfg: RunConfig) -> TrainResult:
@@ -332,14 +351,9 @@ def train_preference(reference: ReferenceModels, cfg: RunConfig) -> TrainResult:
     returned checkpoint.
     """
     suite, theta_base, theta_ref = reference.suite, reference.theta_base, reference.theta_ref
-    policy = ToyPolicy(theta_ref, suite.input_dim, suite.hidden_dim, suite.num_responses)
-    # The reference is frozen, so its log-probabilities are computed once:
-    # over pref_train in blocks shaped like a training batch (see
-    # block_logprobs), over pref_eval by the same call an evaluation makes.
-    ref_train = policy.block_logprobs(suite.pref_train.x, cfg.dpo.batch_size)
-    ref_eval = policy.logprobs(suite.pref_eval.x)
-
-    state = OptimizerState(theta_ref, tau_ref=delta(theta_ref, theta_base), seed=cfg.seed)
+    policy, ref_eval = reference.policy, reference.ref_eval
+    masks = reference.masks if reference.masks.seed == cfg.seed else None
+    state = OptimizerState(theta_ref, delta(theta_ref, theta_base), cfg.seed, masks)
     step_fn = _OPTIMIZERS[cfg.optimizer](cfg.merge, theta_base.vector())
     loss_and_grad = dpo_loss_and_grad_into
 
@@ -375,7 +389,9 @@ def train_preference(reference: ReferenceModels, cfg: RunConfig) -> TrainResult:
 
     evaluate(0)
     dpo_rng = np.random.default_rng([cfg.seed, 3])
-    batches = _preference_batches(dpo_rng, steps, suite.pref_train, ref_train, cfg.dpo.batch_size)
+    batches = _preference_batches(
+        dpo_rng, steps, suite.pref_train, reference.ref_train(cfg.dpo.batch_size), cfg.dpo.batch_size
+    )
     for step, (batch, ref) in enumerate(batches, 1):
         loss, _ = loss_and_grad(weights, grads, batch.x, batch.chosen, batch.rejected, ref, beta)
         if not math.isfinite(loss):

@@ -195,3 +195,36 @@ def test_time_trains_alternates_and_digests_each_run_s_outputs(bp, tmp_path):
     want = {s: bp.digest([tmp_path / "m", tmp_path / s]) for s in "pc"}
     assert [r["output_blake2b"] for r in rs] == [want[r["side"][0]] for r in rs]
     assert sorted(p.name for p in (tmp_path / "work").iterdir()) == ["config.json"]
+
+
+def test_shared_configs_copy_the_short_and_preference_long_runs(bp):
+    configs = bp.step_configs()
+    shared = bp.shared_configs(configs)
+    labels = [label for label, _ in bp.OPTIMIZER_MIX]
+    assert sorted(shared) == sorted(
+        f"{shape}.{label}/{run}" for shape in ("h4", "h16") for label in labels
+        for run in ("shared_short", "shared_long")
+    )
+    for key, d in shared.items():
+        config, run = key.split("/")
+        assert d == configs[f"{config}/{bp.SHARED_RUNS[run]}"]
+
+
+def test_shared_step_metrics_subtract_the_shared_short_run(bp):
+    seconds = {"h4.ondare/short": 0.5, "h4.ondare/pref_long": 0.62,
+               "h4.ondare/shared_short": 0.3, "h4.ondare/shared_long": 0.37}
+    got = {k: v["value"] for k, v in bp.step_metrics(seconds).items()}
+    assert got == pytest.approx({"pref_us.h4.ondare": 120.0, "pref_shared_us.h4.ondare": 70.0})
+
+
+def test_step_child_times_every_run_and_shared_run(bp):
+    tiny = {"seed": 3, "dpo": {"steps": 4}, "phases": {"pretrain_steps": 2, "sft_steps": 2}}
+    configs = {f"h4.{label}/{run}": {**tiny, **over} for label, over in bp.OPTIMIZER_MIX[:3]
+               for run in ("short", "pref_long")}
+    shared = bp.shared_configs(configs)
+    r = bp.time_steps(SCRIPT.parent.parent, configs, shared)
+    assert r["correct"], r.get("stderr")
+    assert sorted(r["seconds"]) == sorted([*configs, *shared])
+    assert sorted(r["metrics"]) == sorted(
+        f"{m}.h4.{label}" for m in ("pref_us", "pref_shared_us") for label, _ in bp.OPTIMIZER_MIX[:3]
+    )

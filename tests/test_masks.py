@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mergeopt import MaskKey, bernoulli_mask
-from mergeopt.masks import LayoutKeys, MaskGenerator
+from mergeopt import masks
+from mergeopt.masks import LayoutKeys, MaskGenerator, MaskTable
 
 
 def test_equal_keys_give_identical_masks():
@@ -79,6 +80,7 @@ def test_reused_generator_matches_fresh_philox(seed):
     gen = MaskGenerator()
     names = ("w1", "b2", "layer.\u00fc")
     layout = LayoutKeys(seed, names)
+    table = MaskTable(seed, layout_slices(names, (1, 3, 257)))
     for step in (0, 1, 2, 12345, 2**64 - 1):
         for stream in ("update", "ref", "grad"):
             for name in names:
@@ -94,6 +96,7 @@ def test_reused_generator_matches_fresh_philox(seed):
                 bernoulli_mask(material, n, 0.3, gen, out=mask[lo : lo + n])
             oracle = [_fresh(MaskKey(seed, name, step, stream), n) < 0.3 for name, n in zip(names, sizes)]
             assert mask.tobytes() == np.concatenate(oracle).tobytes()
+            assert table.row(step, stream, 0.3).tobytes() == mask.tobytes()
     big = MaskKey(seed, "w1", 5, "update")
     assert gen.stream(big).random(262_144).tobytes() == _fresh(big, 262_144).tobytes()
 
@@ -108,3 +111,74 @@ def test_reused_generator_interleaved_keys():
     assert np.array_equal(
         bernoulli_mask(a, 1000, 0.3, gen), bernoulli_mask(a, 1000, 0.3)
     )
+
+
+def layout_slices(names, sizes):
+    """(name, slice) pairs of tensors of the given sizes laid out in order."""
+    bounds = [0]
+    for n in sizes:
+        bounds.append(bounds[-1] + n)
+    return [(name, slice(lo, hi)) for name, lo, hi in zip(names, bounds, bounds[1:])]
+
+
+NAMES, SIZES = ("w1", "b2", "layer.\u00fc"), (1, 3, 257)
+STEPS = (1, 2, 12345, 2**64 - 1)
+
+
+def oracle_row(seed, step, stream, p):
+    return np.concatenate([
+        bernoulli_mask(MaskKey(seed, name, step, stream), n, p) for name, n in zip(NAMES, SIZES)
+    ])
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.5, 1.0])
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+def test_table_rows_equal_bernoulli_masks_when_drawn_and_when_read(seed, p):
+    table = MaskTable(seed, layout_slices(NAMES, SIZES))
+    streams = ("update", "ref", "grad")
+    want = {(t, s): oracle_row(seed, t, s, p).tobytes() for t in STEPS for s in streams}
+    for (t, s), row in want.items():
+        assert table.row(t, s, p).tobytes() == row
+    table._gen = None  # every row is kept now, so reading one draws nothing
+    for (t, s), row in reversed(want.items()):
+        assert table.row(t, s, p).tobytes() == row
+
+
+def test_rows_of_other_keep_rates_and_sparse_steps_are_their_own(monkeypatch):
+    monkeypatch.setattr(masks, "_BLOCK_BYTES", 4 * sum(SIZES))  # 4 rows a block
+    table = MaskTable(5, layout_slices(NAMES, SIZES))
+    # Every 5th step first, as step-K draws, then every step at another rate
+    # and again at the first.
+    order = [(t, 0.5) for t in range(5, 41, 5)] + [(t, 0.3) for t in range(1, 41)]
+    order += [(t, 0.5) for t in range(1, 41)]
+    for t, p in order:
+        assert table.row(t, "update", p).tobytes() == oracle_row(5, t, "update", p).tobytes()
+    assert table._kept == 2 * 11 * 4 * sum(SIZES)  # steps 0-43 in blocks of 4, per rate
+
+
+def test_rows_past_the_budget_are_drawn_into_a_reused_buffer(monkeypatch):
+    monkeypatch.setattr(masks, "_BLOCK_BYTES", 4 * sum(SIZES))
+    monkeypatch.setattr(masks, "MASK_TABLE_BYTES", 3 * 4 * sum(SIZES))  # 3 blocks
+    table = MaskTable(7, layout_slices(NAMES, SIZES))
+    rows = {}
+    for t in range(1, 30):
+        for stream in ("update", "ref"):
+            row = table.row(t, stream, 0.5)
+            assert row.tobytes() == oracle_row(7, t, stream, 0.5).tobytes()
+            rows[t, stream] = row
+    assert table._kept == 3 * 4 * sum(SIZES)
+    # Steps 1-7 of "update" (blocks 0 and 1) and 1-3 of "ref" (block 0) are kept.
+    assert all(rows[t, "update"].tobytes() == oracle_row(7, t, "update", 0.5).tobytes()
+               for t in range(1, 8))
+    assert all(rows[t, "ref"].tobytes() == oracle_row(7, t, "ref", 0.5).tobytes()
+               for t in range(1, 4))
+    assert rows[28, "update"].base is rows[29, "update"].base  # one reused buffer
+    assert rows[29, "update"].base is not rows[29, "ref"].base
+
+
+@pytest.mark.parametrize("budget", [masks.MASK_TABLE_BYTES, 0])
+def test_table_rows_are_read_only(monkeypatch, budget):
+    monkeypatch.setattr(masks, "MASK_TABLE_BYTES", budget)
+    row = MaskTable(1, layout_slices(NAMES, SIZES)).row(1, "update", 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = not row[0]

@@ -25,6 +25,7 @@ from mergeopt import (
     sparsify_top_p,
     stepk_step,
 )
+from mergeopt.masks import MaskTable
 from mergeopt.optim import MASK_STREAM_REF, MASK_STREAM_UPDATE
 
 
@@ -500,3 +501,33 @@ def test_adam_hyper_defaults():
     assert AdamHyper.pseudocode_literal().learning_rate == 5e-7
     cfg = OnlineMergeConfig()
     assert (cfg.alpha, cfg.reserve_rate, cfg.gap_step) == (1e-6, 0.5, 1)
+
+
+@pytest.mark.parametrize("step", [
+    lambda p, g, s: ondare_step(p, g, s, HYP, OnlineMergeConfig(alpha=0.25)),
+    lambda p, g, s: full_merge_step(p, g, s, HYP, OnlineMergeConfig(alpha=0.25), p),
+    lambda p, g, s: stepk_step(p, g, s, HYP, OnlineMergeConfig(gap_step=3), MergeVariant.ONDARE),
+    lambda p, g, s: childtuning_step(p, g, s, HYP, 0.5),
+], ids=["ondare", "fullmerge", "stepk", "childtuning"])
+def test_a_state_on_a_used_mask_table_steps_as_one_with_its_own(step):
+    params, tau = make_problem(seed=2)
+    table = MaskTable(7, params.slices())
+    warm = OptimizerState(params, tau_ref=tau, seed=7, masks=table)
+    for t in range(1, 13):  # draws the update, reference and gradient rows of steps 1-12
+        ondare_step(params, grad_stream(5, t, params), warm, HYP, OnlineMergeConfig())
+        childtuning_step(params, grad_stream(5, t, params), warm, HYP, 0.5)
+    shared = OptimizerState(params, tau_ref=tau, seed=7, masks=table)
+    own = OptimizerState(params, tau_ref=tau, seed=7)
+    p_shared = p_own = params
+    for t in range(1, 13):
+        p_shared = step(p_shared, grad_stream(6, t, params), shared)
+        p_own = step(p_own, grad_stream(6, t, params), own)
+        assert p_shared == p_own
+
+
+def test_a_mask_table_of_another_seed_or_layout_is_rejected():
+    params, tau = make_problem()
+    other, _ = make_problem(n=9)
+    for masks in (MaskTable(8, params.slices()), MaskTable(7, other.slices())):
+        with pytest.raises(ValueError, match="another seed or layout"):
+            OptimizerState(params, tau_ref=tau, seed=7, masks=masks)

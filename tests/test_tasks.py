@@ -86,3 +86,15 @@ def test_sft_task_is_rotated_and_shifted():
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(InvalidConfig):
         gen_task_suite(1, DataSettings(**kwargs))
+
+
+def test_every_suite_array_is_read_only():
+    suite = gen_task_suite(3, DataSettings(sizes=SMALL))
+    arrays = [suite.centers_pretrain, suite.centers_sft, suite.utility_w, suite.utility_b]
+    for split in (suite.pretrain_train, suite.pretrain_eval, suite.sft_train, suite.sft_eval,
+                  suite.pref_train, suite.pref_eval):
+        arrays += list(vars(split).values())
+    assert len(arrays) == 4 + 4 * 2 + 2 * 3
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]

@@ -17,6 +17,8 @@ from mergeopt.training import (
     RunConfig,
     _block_steps,
     make_suite,
+    train_preference,
+    train_reference,
     train_run,
 )
 from mergeopt.tasks import SuiteSizes
@@ -347,3 +349,33 @@ def test_every_step_calls_the_step_function_bound_at_run_start(monkeypatch, opti
     )
     train_run(make_suite(cfg), cfg)
     assert len(calls) == 7 + (3 + 2 if name == "adam_step_inplace" else 0)
+
+
+def same_result(a, b) -> bool:
+    return a.theta_final == b.theta_final and a.metrics.to_csv_bytes() == b.metrics.to_csv_bytes()
+
+
+def test_a_reference_computes_its_rows_and_masks_once_for_all_its_runs():
+    cfg = fast_config(optimizer="ondare", dpo=DpoSettings(steps=20, eval_every=10))
+    reference = train_reference(make_suite(cfg), cfg)
+    train_preference(reference, cfg)
+    ref_train = reference.ref_train(cfg.dpo.batch_size)
+    assert reference.ref_train(cfg.dpo.batch_size) is ref_train
+    reference.masks._gen = None  # OnDARE drew every row the runs below read
+    for over in (dict(optimizer="fullmerge"), dict(optimizer="stepk-ondare"),
+                 dict(ema_coefficient=0.01)):
+        run = dataclasses.replace(cfg, **over)
+        assert same_result(train_preference(reference, run), train_run(make_suite(run), run))
+    rows = [reference.ref_eval, ref_train, reference.masks.row(20, "update", 0.5)]
+    for a in rows:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+def test_a_reference_run_under_another_seed_draws_its_own_masks():
+    cfg = fast_config(optimizer="ondare", dpo=DpoSettings(steps=20, eval_every=10))
+    other = dataclasses.replace(cfg, seed=2)
+    reference = train_reference(make_suite(cfg), cfg)
+    reference.masks._gen = None  # its table is cfg.seed's: the run must not read it
+    got = train_preference(reference, other)
+    assert same_result(got, train_preference(train_reference(make_suite(cfg), cfg), other))
