@@ -27,8 +27,12 @@ runs the informational `wide-h256` workload as above. The timed commands get
 the environment this script started with, so they run with the default BLAS
 threads although importing `bench/run.py` sets them to one here. Criterion
 9's alpha sweep is 12 OnDARE runs of 20,000 steps at hidden 4, the same step
-path as `alpha-sweep-h4`. Each pytest run records its passed-test count; a pair
-whose two sides passed different counts ran different work, so it is marked
+path as `alpha-sweep-h4`. Both pytest commands run the parent's `tests/` on
+both sides: the change side runs in a copy of the parent's tree that holds the
+change's `src/`, so tests a change adds or edits do not make the sides do
+different work. Each pytest run records its passed-test count and the ids of
+the tests it reported failed or in error; a pair whose two sides differ in
+either (a parent test that fails on the change side, say) is marked
 `comparable: false` and left out of the summary. In the same section,
 MERGE_PAIRS alternating pairs each time one fresh `python -m mergeopt merge`
 process per method (linear, DARE, TIES) on both trees, timed the same way,
@@ -53,7 +57,10 @@ over: at 200 preference steps and 100 + 100 supervised steps, at 1,200
 preference steps, and at 600 + 600 supervised steps. The differences over
 the STEP_EXTRA added steps give the microseconds of one preference step
 (`pref_us.<shape>.<label>`, evaluations included at the shape's
-`eval_every`) and of one supervised step (`sup_us.<shape>.<label>`).
+`eval_every`) and of one supervised step (`sup_us.<shape>.<label>`). The
+OnTIES label alone is also timed at the `h256` shape, in the first two runs
+only, for `pref_us.h256.onties`: there OnTIES's top-p sorts rows of about
+1,500 keys.
 The same process then times the shared-reference variant: per shape, one
 reference part (`train_reference` of the 100 + 100-step phases), one OnDARE
 `train_preference` on it at 1,200 steps, and then `train_preference` of
@@ -106,6 +113,8 @@ TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None}
 STEP_PAIRS = 10
 STEP_REPEATS = 3
 STEP_SHAPES = ("h4", "h16")
+# The one label timed at the wide shape, and its runs: pref_us only.
+WIDE_STEP = ("h256", "onties", ("short", "pref_long"))
 STEP_EXTRA = 1000  # steps the long runs add to the short one
 # Each timed run's preference steps and phase lengths (pretrain = SFT steps).
 STEP_RUNS = {"short": (200, 100), "pref_long": (200 + STEP_EXTRA, 100),
@@ -204,8 +213,21 @@ def time_command(checkout: Path, cmd: list[str], env: dict, cal, ref_s: float) -
     cal_cpu = cpu * ref_s / statistics.mean(around)
     last = proc.stdout.strip().splitlines()[-1:] or [""]
     return {"returncode": proc.returncode, "correct": proc.returncode == 0, "summary": last[0],
+            "failed": failed_tests(proc.stdout),
             "metrics": {"cpu_s": {"value": cpu}, "cal_cpu_s": {"value": cal_cpu},
                         "wall_s": {"value": wall}}}
+
+
+def failed_tests(stdout: str) -> list[str]:
+    """The ids pytest's short summary reports FAILED or ERROR, sorted; none
+    for output that is not pytest's."""
+    return sorted(re.findall(r"^(?:FAILED|ERROR) (\S+)", stdout, re.M))
+
+
+def with_src(tree: Path, src_tree: Path, dest: Path) -> None:
+    """Write into dest a copy of tree whose src/ is src_tree's."""
+    shutil.copytree(tree, dest, ignore=lambda d, names: ["src"] if Path(d) == tree else [])
+    shutil.copytree(src_tree / "src", dest / "src")
 
 
 def passed_count(summary: str) -> int | None:
@@ -216,12 +238,14 @@ def passed_count(summary: str) -> int | None:
 
 def mark_comparable(runs: list[dict]) -> None:
     """Set comparable on each run of a pair: whether both sides passed the
-    same number of tests."""
+    same number of tests and failed the same ones."""
     pairs = {}
     for r in runs:
         pairs.setdefault(r["pair"], []).append(r)
     for pair in pairs.values():
-        same = len(pair) == 2 and pair[0]["passed"] == pair[1]["passed"]
+        same = len(pair) == 2 and all(
+            pair[0].get(k) == pair[1].get(k) for k in ("passed", "failed")
+        )
         for r in pair:
             r["comparable"] = same
 
@@ -284,24 +308,29 @@ def time_trains(checkouts: dict, work: Path, timed) -> list[dict]:
 
 def step_configs() -> dict:
     """"<shape>.<label>/<run>" -> RunConfig dict, for every OPTIMIZER_MIX label
-    at each STEP_SHAPES shape and every STEP_RUNS run."""
+    at each STEP_SHAPES shape and every STEP_RUNS run, and for WIDE_STEP's
+    label at its shape and runs."""
+    mix = dict(OPTIMIZER_MIX)
+    grid = [(shape, label, STEP_RUNS) for shape in STEP_SHAPES for label in mix]
+    grid.append(WIDE_STEP)
     out = {}
-    for shape in STEP_SHAPES:
-        for label, over in OPTIMIZER_MIX:
-            base = _deep_update(_deep_update({"seed": SEED0}, SHAPES[shape]), over)
-            for run, (steps, phase) in STEP_RUNS.items():
-                out[f"{shape}.{label}/{run}"] = _deep_update(base, {
-                    "dpo": {"steps": steps},
-                    "phases": {"pretrain_steps": phase, "sft_steps": phase},
-                })
+    for shape, label, runs in grid:
+        base = _deep_update(_deep_update({"seed": SEED0}, SHAPES[shape]), mix[label])
+        for run in runs:
+            steps, phase = STEP_RUNS[run]
+            out[f"{shape}.{label}/{run}"] = _deep_update(base, {
+                "dpo": {"steps": steps},
+                "phases": {"pretrain_steps": phase, "sft_steps": phase},
+            })
     return out
 
 
 def shared_configs(configs: dict) -> dict:
-    """The shared runs: for each step_configs() key of a SHARED_RUNS run,
-    its config under "<shape>.<label>/<shared run>"."""
+    """The shared runs: for each step_configs() key of a SHARED_RUNS run at a
+    STEP_SHAPES shape, its config under "<shape>.<label>/<shared run>"."""
     return {f"{key.split('/')[0]}/{shared}": configs[f"{key.split('/')[0]}/{run}"]
-            for key in configs if key.endswith("/short") for shared, run in SHARED_RUNS.items()}
+            for key in configs if key.endswith("/short") and key.split(".")[0] in STEP_SHAPES
+            for shared, run in SHARED_RUNS.items()}
 
 
 def step_metrics(seconds: dict) -> dict:
@@ -405,10 +434,13 @@ def main(argv=None) -> int:
                 runs.append({"workload": w, "pair": i, "side": s, "seed": seed, **r})
                 status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
                 print(f"{w} pair {i} {s}: {status}", file=sys.stderr, flush=True)
+        # The parent's tests/ on both sides, over each side's src/.
+        tested = {"parent": checkouts["parent"], "change": tmp / "change-src"}
+        with_src(checkouts["parent"], checkouts["change"], tested["change"])
         for i, s in pair_order(E2E_PAIRS):
             seed = SEED0 + i
             for name, cmd in E2E_COMMANDS.items():
-                r = timed(checkouts[s], cmd)
+                r = timed(tested[s], cmd)
                 r["passed"] = passed_count(r["summary"])
                 e2e_runs.append({"command": name, "pair": i, "side": s, **r})
                 print(f"{name} pair {i} {s}: {r['summary']}", file=sys.stderr, flush=True)
@@ -457,6 +489,7 @@ def main(argv=None) -> int:
         "runs_per_config": {run: {"dpo_steps": n, "phase_steps": p}
                             for run, (n, p) in STEP_RUNS.items()},
         "shared_runs": SHARED_RUNS,
+        "wide_step": dict(zip(("shape", "label", "runs"), WIDE_STEP)),
         "runs_correct": sum(r["correct"] for r in step_runs), "n_runs": len(step_runs),
         "summary": summarize(step_runs, step_specs), "runs": step_runs,
     }

@@ -71,6 +71,11 @@ def sparsify_random(x, p: float, key: MaskKey, rescale: bool = False) -> np.ndar
     return out
 
 
+def _top_p_k(n: int, p: float) -> int:
+    """How many of n elements top-p keeps: ceil(p * n), at least one."""
+    return min(max(int(math.ceil(p * n)), 1), n)
+
+
 def _top_p_cut(x: np.ndarray, p: float, key: np.ndarray | None = None) -> tuple[float, int]:
     """The top-p selection of the flat values x: the ceil(p * n) largest
     magnitudes, NaNs ranking below every number, ties going to lower
@@ -81,10 +86,17 @@ def _top_p_cut(x: np.ndarray, p: float, key: np.ndarray | None = None) -> tuple[
     the k-th largest magnitude c in linear time; that is exactly the selection
     of a stable sort. key is scratch of x's size (made when None).
     """
-    n = x.size
-    k = min(max(int(math.ceil(p * n)), 1), n)
+    k = _top_p_k(x.size, p)
     key = np.copysign(x, -1.0, out=key)  # -|x| ascending; partition puts NaNs last, as a sort does
     key.partition(k - 1)
+    return _partitioned_cut(x, key, k)
+
+
+def _partitioned_cut(x: np.ndarray, key: np.ndarray, k: int) -> tuple[float, int]:
+    """_top_p_cut of x's k largest magnitudes, given key: -|x| partitioned
+    at k - 1, NaNs last (a sorted key is such a partition). key is
+    overwritten."""
+    n = x.size
     kth = key[k - 1]
     if math.isnan(kth):  # fewer than k numbers: all are kept, then the first NaNs
         tied = np.isnan(x)
@@ -126,6 +138,49 @@ def sparsify_top_p(x, p: float) -> np.ndarray:
         raise EmptyInput("sparsify_top_p needs at least one element")
     keep = _top_p_keep(np.abs(x), _top_p_cut(x, p), 0, np.empty(x.size, dtype=bool))
     return np.where(keep, x, 0.0)
+
+
+class SegmentedTopP:
+    """sparsify_top_p within each tensor of a flat vector, all tensors at
+    once, bit for bit as one call per tensor. This is the path for the small
+    tensors of an optimizer step, where per-call overhead dominates;
+    sparsify_top_p's partition stays the path for single large tensors.
+
+    Each call scatters -|x| into one NaN-padded row per tensor, sorts the rows
+    (NaNs last, as a partition puts them) and keeps |x[i]| >= c, c the k-th
+    largest magnitude of x[i]'s tensor. A row whose k-th key is NaN or tied
+    with the key after it is not that simple; its sorted row, a valid
+    partition, goes through _top_p_cut's resolution.
+    """
+
+    def __init__(self, slices, p: float):
+        p = validate_probability(p)
+        self._slices = tuple(slices)
+        sizes = np.array([s.stop - s.start for s in self._slices], dtype=np.intp)
+        self._sizes, self._ks = sizes, [_top_p_k(int(n), p) for n in sizes]
+        width = int(sizes.max(initial=0)) + 1  # a padding NaN after each row's last key
+        starts = np.cumsum(sizes) - sizes
+        offsets = np.arange(sizes.size) * width - starts
+        self._index = np.arange(sizes.sum()) + np.repeat(offsets, sizes)  # flat -> padded row
+        self._rows = np.full((sizes.size, width), np.nan)
+        self._flat = self._rows.reshape(-1)
+        kth_at = np.arange(sizes.size) * width + np.array(self._ks, dtype=np.intp) - 1
+        self._kth_at = np.stack([kth_at, kth_at + 1], axis=1)  # each k-th key and the one after
+        self._key = np.empty(sizes.sum())
+
+    def sparsify(self, x: np.ndarray) -> np.ndarray:
+        """x with every element that top-p within its tensor drops zeroed."""
+        key, rows, flat = np.copysign(x, -1.0, out=self._key), self._rows, self._flat
+        flat[self._index] = key
+        rows.sort(axis=1)  # the padding stays NaN: NaNs sort last
+        kth_after = flat[self._kth_at]
+        keep = np.less_equal(key, np.repeat(kth_after[:, 0], self._sizes))  # |x| >= c
+        for j, (kth, after) in enumerate(kth_after.tolist()):
+            if kth != kth or kth == after:  # a NaN k-th key, or a tie across the cut
+                sl, n = self._slices[j], self._sizes[j]
+                cut = _partitioned_cut(x[sl], rows[j, :n], self._ks[j])
+                _top_p_keep(np.abs(x[sl]), cut, 0, keep[sl])
+        return np.where(keep, x, 0.0)
 
 
 def sign_consensus(a, b):

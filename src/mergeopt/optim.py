@@ -21,8 +21,9 @@ import numpy as np
 from .errors import (
     InvalidConfig, NonFiniteGradient, check_u64, is_count, is_real, validate_probability
 )
-from .kernels import sign_consensus, sparsify_top_p
+from .kernels import SegmentedTopP, sign_consensus
 from .kernels import sparsify_random  # noqa: F401  (not called; bench/tracer.py wraps it here)
+from .kernels import sparsify_top_p  # noqa: F401  (not called; bench/tracer.py wraps it here)
 from .masks import MaskTable
 from .masks import bernoulli_mask  # noqa: F401  (not called; bench/tracer.py wraps it here)
 from .params import ParameterSet, check_aligned
@@ -96,9 +97,9 @@ class OptimizerState:
     """Flat float64 vectors over the layout of the parameters the state was
     made for: the Adam moments m and v, the step-K accumulator delta_cache
     and the read-only reference delta tau_ref (None without one); plus the
-    step counter, the keep-mask table, the merges' constant reference sides
-    (alpha * tau_ref for OnDARE, alpha * top-p(tau_ref) for OnTIES) and
-    reused work buffers.
+    step counter, the keep-mask table, the merges' constants (the reference
+    sides alpha * tau_ref for OnDARE and alpha * top-p(tau_ref) for OnTIES,
+    and OnTIES's SegmentedTopP over the layout) and reused work buffers.
     The base model is deliberately not part of the state: the relaxed online
     merge needs only tau_ref, never mutated.
 
@@ -123,7 +124,7 @@ class OptimizerState:
         self.t = 0
         self.tau_ref = None if tau_ref is None else tau_ref.vector()
         self._masks, self._keys = masks, masks.keys
-        self._ref_sides: dict = {}
+        self._constants: dict = {}
         # Adam's update delta and its second buffer.
         self._delta, self._work = np.empty(size), np.empty(size)
 
@@ -174,14 +175,14 @@ def _keep_mask(state: OptimizerState, stream: str, p: float) -> np.ndarray:
     return state._masks.row(state.t, stream, p)
 
 
-def _ref_side(state, key, make) -> np.ndarray:
-    """The constant reference side of a merge, made once per key. Keys carry
-    alpha's sign because -0.0 == 0.0 but scales tau_ref to zeros of the
-    other sign."""
-    ref = state._ref_sides.get(key)
-    if ref is None:
-        ref = state._ref_sides[key] = make()
-    return ref
+def _constant(state, key, make):
+    """A constant of the state's merges, made once per key. Reference-side
+    keys carry alpha's sign because -0.0 == 0.0 but scales tau_ref to zeros
+    of the other sign."""
+    value = state._constants.get(key)
+    if value is None:
+        value = state._constants[key] = make()
+    return value
 
 
 def _ondare_merge(state, cfg, x) -> np.ndarray:
@@ -191,7 +192,7 @@ def _ondare_merge(state, cfg, x) -> np.ndarray:
     (1 - alpha) * 0.0 and alpha * 0.0, so the reference side's zeros carry
     alpha's sign."""
     a, p = cfg.alpha, cfg.reserve_rate
-    ref = _ref_side(state, ("ondare", a, math.copysign(1.0, a)), lambda: a * state.tau_ref)
+    ref = _constant(state, ("ondare", a, math.copysign(1.0, a)), lambda: a * state.tau_ref)
     out = np.where(_keep_mask(state, MASK_STREAM_UPDATE, p), (1.0 - a) * x, 0.0)
     out += np.where(_keep_mask(state, MASK_STREAM_REF, p), ref, a * 0.0)
     return out
@@ -199,16 +200,13 @@ def _ondare_merge(state, cfg, x) -> np.ndarray:
 
 def _onties_merge(state, cfg, x) -> np.ndarray:
     """Sign consensus of (1 - alpha) * top-p(x) and alpha * top-p(tau_ref),
-    top-p taken within each tensor; the reference side is made once per
-    (alpha, reserve rate)."""
-
-    def top_p(v):
-        return np.concatenate([sparsify_top_p(v[s], cfg.reserve_rate) for _, s in state._slices])
-
-    a = cfg.alpha
-    key = ("onties", a, math.copysign(1.0, a), cfg.reserve_rate)
-    ref = _ref_side(state, key, lambda: a * top_p(state.tau_ref))
-    return sign_consensus((1.0 - a) * top_p(x), ref)
+    top-p taken within each tensor by one SegmentedTopP per reserve rate; the
+    reference side is made once per (alpha, reserve rate)."""
+    a, p = cfg.alpha, cfg.reserve_rate
+    top_p = _constant(state, ("top-p", p), lambda: SegmentedTopP((s for _, s in state._slices), p))
+    key = ("onties", a, math.copysign(1.0, a), p)
+    ref = _constant(state, key, lambda: a * top_p.sparsify(state.tau_ref))
+    return sign_consensus((1.0 - a) * top_p.sparsify(x), ref)
 
 
 _MERGES = {MergeVariant.ONDARE: _ondare_merge, MergeVariant.ONTIES: _onties_merge}

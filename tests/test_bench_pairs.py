@@ -64,6 +64,44 @@ def test_mark_comparable_needs_both_sides_with_equal_counts(bp):
     ]
 
 
+def test_mark_comparable_needs_the_same_failed_tests(bp):
+    # Pair 1: a parent test fails on the change side only, with the counts equal.
+    rs = [
+        {"pair": 0, "side": "parent", "passed": 5, "failed": ["t::a"]},
+        {"pair": 0, "side": "change", "passed": 5, "failed": ["t::a"]},
+        {"pair": 1, "side": "parent", "passed": 5, "failed": ["t::a"]},
+        {"pair": 1, "side": "change", "passed": 5, "failed": ["t::b"]},
+    ]
+    bp.mark_comparable(rs)
+    assert [r["comparable"] for r in rs] == [True, True, False, False]
+
+
+def test_failed_tests_reads_pytest_short_summary(bp):
+    out = ("..F.E\n=== short test summary info ===\n"
+           "FAILED tests/test_x.py::test_b[1] - assert 0\n"
+           "ERROR tests/test_y.py - ImportError\n"
+           "1 failed, 3 passed, 1 error in 0.5s\n")
+    assert bp.failed_tests(out) == ["tests/test_x.py::test_b[1]", "tests/test_y.py"]
+    assert bp.failed_tests("wrote out.pset\n") == []
+
+
+def test_with_src_is_the_tree_with_the_other_src(bp, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree, text in ((parent, "parent"), (change, "change")):
+        for rel in ("src/pkg/mod.py", "tests/test_a.py", "README.md"):
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_text(text)
+    (change / "tests" / "test_new.py").write_text("change")
+    (change / "src" / "pkg" / "new.py").write_text("change")
+    (parent / "tests" / "src").mkdir()  # only the top-level src/ is replaced
+    bp.with_src(parent, change, tmp_path / "out")
+    got = {str(p.relative_to(tmp_path / "out")): p.read_text()
+           for p in (tmp_path / "out").rglob("*") if p.is_file()}
+    assert got == {"src/pkg/mod.py": "change", "src/pkg/new.py": "change",
+                   "tests/test_a.py": "parent", "README.md": "parent"}
+    assert (tmp_path / "out" / "tests" / "src").is_dir()
+
+
 def test_win_needs_share_and_gap_beyond_parent_spread(bp):
     s = bp.summarize(runs(PARENT, [v - 1.0 for v in PARENT]), [metric()])["m"]
     assert (s["wins"], s["losses"], s["pairs"]) == (5, 0, 5)
@@ -135,10 +173,11 @@ def test_step_configs_differ_only_in_the_added_steps(bp):
 
     configs = bp.step_configs()
     labels = [label for label, _ in bp.OPTIMIZER_MIX]
-    assert sorted(configs) == sorted(
-        f"{shape}.{label}/{run}" for shape in ("h4", "h16") for label in labels
-        for run in ("short", "pref_long", "sup_long")
-    )
+    assert sorted(configs) == sorted([
+        *(f"{shape}.{label}/{run}" for shape in ("h4", "h16") for label in labels
+          for run in ("short", "pref_long", "sup_long")),
+        "h256.onties/short", "h256.onties/pref_long",
+    ])
     for key, d in configs.items():
         config = key.split("/")[0]
         cfg, short = RunConfig.from_dict(d), RunConfig.from_dict(configs[f"{config}/short"])
@@ -149,6 +188,17 @@ def test_step_configs_differ_only_in_the_added_steps(bp):
         assert added == want[key.split("/")[1]]
         assert RunConfig.from_dict({**d, "dpo": configs[f"{config}/short"]["dpo"],
                                     "phases": configs[f"{config}/short"]["phases"]}) == short
+
+
+def test_wide_step_is_onties_at_the_h256_shape(bp):
+    from mergeopt.training import RunConfig
+
+    configs = bp.step_configs()
+    short = RunConfig.from_dict(configs["h256.onties/short"])
+    assert (short.optimizer, short.data.hidden_dim, short.dpo.batch_size) == ("onties", 256, 256)
+    seconds = {"h256.onties/short": 2.0, "h256.onties/pref_long": 2.25}
+    got = {k: v["value"] for k, v in bp.step_metrics(seconds).items()}
+    assert got == pytest.approx({"pref_us.h256.onties": 250.0})
 
 
 def test_pair_order_puts_the_parent_first_in_even_pairs(bp):

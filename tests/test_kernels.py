@@ -21,6 +21,7 @@ from mergeopt import (
     sparsify_random,
     sparsify_top_p,
 )
+from mergeopt.kernels import SegmentedTopP
 
 
 def pset(**named):
@@ -152,6 +153,70 @@ class TestSparsifyTopP:
     )
     def test_table_matches_stable_argsort(self, x, p):
         assert sparsify_top_p(x, p).tobytes() == top_p_by_stable_sort(x, p).tobytes()
+
+
+def slices_of(widths):
+    stops = np.cumsum(widths)
+    return [slice(int(b - n), int(b)) for n, b in zip(widths, stops)]
+
+
+def top_p_per_tensor(x, widths, p):
+    return np.concatenate([sparsify_top_p(x[s], p) for s in slices_of(widths)])
+
+
+@st.composite
+def segmented_inputs(draw):
+    """1-6 tensors of 1-300 elements, each of one kind: tied half steps with
+    a share of signed zeros, infinities and NaNs; all elements equal; or an
+    Adam first step, whose every magnitude is the learning rate."""
+    widths = draw(st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    parts = []
+    for n in widths:
+        kind = draw(st.sampled_from(["tied", "equal", "first-step"]))
+        if kind == "tied":
+            share = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+            parts.append(tied_input(n, rng.integers(2**31), share))
+        elif kind == "equal":
+            parts.append(np.full(n, draw(st.sampled_from([1.0, -1.0, 0.0, -0.0, np.inf, np.nan]))))
+        else:
+            parts.append(rng.choice([-0.02, 0.02], size=n))
+    return widths, np.concatenate(parts)
+
+
+TOP_P_RATES = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-6, 0.5, 1.0]), st.floats(1e-6, 1.0))
+
+
+class TestSegmentedTopP:
+    """One row sort for every tensor keeps what sparsify_top_p keeps of each."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(segmented_inputs(), TOP_P_RATES)
+    def test_matches_top_p_per_tensor(self, inputs, p):
+        widths, x = inputs
+        got = SegmentedTopP(slices_of(widths), p).sparsify(x)
+        assert got.tobytes() == top_p_per_tensor(x, widths, p).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(segmented_inputs(), min_size=2, max_size=4), TOP_P_RATES)
+    def test_reuse_over_calls(self, inputs, p):
+        # Its buffers are reused: each call must see only its own vector.
+        widths = inputs[0][0]
+        top_p = SegmentedTopP(slices_of(widths), p)
+        for _, x in inputs:
+            x = np.resize(x, sum(widths))
+            assert top_p.sparsify(x).tobytes() == top_p_per_tensor(x, widths, p).tobytes()
+
+    def test_input_not_mutated_and_no_tensors(self):
+        x = np.array([3.0, -1.0, 2.0, np.nan])
+        before = x.tobytes()
+        SegmentedTopP(slices_of([2, 2]), 0.5).sparsify(x)
+        assert x.tobytes() == before
+        assert SegmentedTopP([], 0.5).sparsify(np.zeros(0)).size == 0
+
+    def test_invalid_probability(self):
+        with pytest.raises(InvalidProbability):
+            SegmentedTopP(slices_of([3]), 0.0)
 
 
 class TestSignConsensus:

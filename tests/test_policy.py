@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -76,6 +77,46 @@ class TestLogprob:
         x = np.random.default_rng(4).normal(size=3)
         total = sum(math.exp(lp) for lp in policy.logprobs(x))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def row_max_log_softmax(logits):
+    """log_softmax with the max taken along the last axis, as it was before
+    the transposed max."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+SPECIAL_ROWS = np.array(list(itertools.product(SPECIAL_VALUES, repeat=4)))  # every 4-wide row
+
+
+class TestLogSoftmaxBytes:
+    """The transposed max gives the bytes of the row max."""
+
+    @pytest.mark.parametrize("shape", [(2401, 4), (7, 343, 4), (49, 7, 7, 4)])
+    def test_every_special_row(self, shape):
+        logits = SPECIAL_ROWS.reshape(shape)
+        with np.errstate(invalid="ignore"):
+            got, want = log_softmax(logits), row_max_log_softmax(logits)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_dimensional_rows(self):
+        with np.errstate(invalid="ignore"):
+            for row in SPECIAL_ROWS[::7]:
+                assert log_softmax(row).tobytes() == row_max_log_softmax(row).tobytes()
+
+    @pytest.mark.parametrize("responses", range(2, 17))
+    def test_random_rows(self, responses):
+        rng = np.random.default_rng(responses)
+        for rows in (1, 3, 32, 257, 500):
+            logits = 10.0 * rng.normal(size=(rows, responses))
+            assert log_softmax(logits).tobytes() == row_max_log_softmax(logits).tobytes()
+        # Signed zeros, infinities and NaN in wide rows, where numpy's row
+        # max reduces in SIMD lanes and may pick the other zero.
+        logits = rng.choice(SPECIAL_VALUES, size=(500, responses))
+        with np.errstate(invalid="ignore"):
+            assert log_softmax(logits).tobytes() == row_max_log_softmax(logits).tobytes()
 
 
 class TestDpoLoss:
