@@ -11,7 +11,8 @@ that BENCHMARK.json gates, pair i runs
 
 once on each side, S being the benchmark's run_seconds, the parent first
 in even pairs and the change first in odd ones. The file holds the
-metadata, every run's result, and for each workload and end-to-end metric
+metadata (with each side's `src/mergeopt/*.py` line count, `src_lines`),
+every run's result, and for each workload and end-to-end metric
 both sides' median and quartiles, the change's wins and losses over the
 pairs (ties count for neither), and whether the change's median is within
 the metric's bound of the parent's. A metric is flagged a "win" or a "loss"
@@ -170,6 +171,11 @@ def export(rev: str, dest: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of tree's src/mergeopt/*.py, counted as `wc -l` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "mergeopt").glob("*.py"))
 
 
 def pair_order(pairs: int):
@@ -421,12 +427,13 @@ def main(argv=None) -> int:
 
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    runs, e2e_runs = [], []
+    runs, e2e_runs, lines = [], [], {}
     try:
         checkouts = {}
         for s in SIDES:
             checkouts[s] = tmp / s
             export(revs[s], checkouts[s])
+            lines[s] = src_lines(checkouts[s])
         for w in workloads:
             for i, s in pair_order(args.pairs):
                 seed = SEED0 + i
@@ -511,7 +518,7 @@ def main(argv=None) -> int:
         "command": "python3 bench/run.py --workload W --seed N --seconds S --trace 0",
         "order": "parent first in even pairs, change first in odd pairs",
         "python": platform.python_version(), "machine": platform.machine(),
-        "cpus": os.cpu_count(),
+        "cpus": os.cpu_count(), "src_lines": lines,
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     report = {"meta": meta, "summary": summary, "runs": runs, "end_to_end": end_to_end}

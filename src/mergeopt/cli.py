@@ -62,7 +62,7 @@ def _run(cfg: RunConfig) -> MetricsRecord:
     writes one. Returns the last metrics row.
 
     A finished run leaves config.json, the three checkpoints and metrics.csv.
-    A run aborted by NonFiniteLoss leaves config.json and the partial
+    A run aborted by NonFiniteLoss leaves config.json and the incomplete
     metrics.csv, then re-raises; any other error, such as an out_dir at or
     under a file or a dangling symlink, which fails before training, leaves
     nothing. Training checks every value it needs finite, so numpy's

@@ -2,9 +2,11 @@
 
 One optimizer step is a single logical transaction over the flat parameter
 vector: the step counter t moves by exactly one, one vectorized Adam update
-happens identically for every variant, and each step function then turns the
-update delta into the new parameters with its own merge. Masks stay keyed
-per tensor, so each tensor's slice of a flat mask is its own keyed stream.
+happens identically for every variant, and the step that bind(name, ...)
+returns for each of OPTIMIZER_NAMES then turns the update delta into the new
+parameters with its own merge; the public *_step functions bind theirs. Masks
+stay keyed per tensor, so each tensor's slice of a flat mask is its own keyed
+stream.
 EMA is not part of the optimizer: ema_update maps a shadow kept by the run
 to its next value.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -210,42 +212,80 @@ def _onties_merge(state, cfg, x) -> np.ndarray:
 
 
 _MERGES = {MergeVariant.ONDARE: _ondare_merge, MergeVariant.ONTIES: _onties_merge}
+OPTIMIZER_NAMES = ("adam", "adamw", "ondare", "onties", "fullmerge", "stepk-ondare",
+                   "stepk-onties", "childtuning")
 
 
-def _require_online(state: OptimizerState) -> None:
+def bind(
+    name: str, state: OptimizerState, hyper: AdamHyper,
+    merge: OnlineMergeConfig = OnlineMergeConfig(), base: Optional[ParameterSet] = None,
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The step of optimizer `name`: step(theta, g) updates the flat float64
+    parameters theta in place from the flat gradient g, both in the state's
+    layout, and checks only g's finiteness (theta += x is the same IEEE
+    addition as theta + x). Every other check is made here, once. fullmerge
+    re-anchors on base, the base model's parameters in the state's layout;
+    childtuning drops gradients at merge.reserve_rate."""
+    if name not in OPTIMIZER_NAMES:
+        raise InvalidConfig(f"unknown optimizer {name!r}; choose from {OPTIMIZER_NAMES}")
+    if name in ("adam", "adamw", "childtuning"):
+        rate = merge.reserve_rate if name == "childtuning" else None
+
+        def step(theta, g):
+            theta += _adam_delta(theta, g, state, hyper, rate)
+
+        return step
     if state.tau_ref is None:
         raise ValueError("online merging needs a cached reference delta in the state")
+    if name == "fullmerge":
+        if base is None:
+            raise ValueError("the full merge needs the base model's parameters, got no base")
+        check_aligned(state._layout, base)
+        anchor, ondare = base.vector(), _MERGES[MergeVariant.ONDARE]
+
+        def step(theta, g):
+            d = _adam_delta(theta, g, state, hyper)
+            np.add(anchor, ondare(state, merge, (theta - anchor) + d), out=theta)
+
+        return step
+    merge_fn = _MERGES[MergeVariant(name.removeprefix("stepk-"))]
+    if not name.startswith("stepk-"):
+        def step(theta, g):
+            theta += merge_fn(state, merge, _adam_delta(theta, g, state, hyper))
+
+        return step
+    gap = merge.gap_step
+
+    def step(theta, g):
+        d = _adam_delta(theta, g, state, hyper)
+        cache = state.delta_cache
+        if state.t % gap != 0:
+            cache += d
+            theta += d
+            return
+        theta -= cache  # roll back to the last merge point
+        d_total = d + cache
+        cache[:] = 0.0
+        theta += merge_fn(state, merge, d_total)
+
+    return step
 
 
-# The *_inplace functions are the step cores. Each takes the flat float64
-# parameter vector theta, which it updates in place, and the flat gradient g,
-# both in the state's layout, and checks nothing beyond the gradient's
-# finiteness. theta += x is the same IEEE addition as theta + x. The *_step
-# functions are the checked public steps over ParameterSets.
-
-
-def _stepped(params, grads, state, core, *args) -> ParameterSet:
-    """A step core applied to a copy of params' vector, laid out as params."""
+def _stepped(params, grads, state, step) -> ParameterSet:
+    """A step bound by a checked public *_step function over ParameterSets,
+    applied to a copy of params' vector and laid out as params."""
     check_aligned(params, grads)
     check_aligned(params, state._layout)
     theta = params.vector().copy()
-    core(theta, grads.vector(), state, *args)
+    step(theta, grads.vector())
     return params.with_vector(theta)
-
-
-def adam_step_inplace(theta, g, state: OptimizerState, hyper: AdamHyper) -> None:
-    theta += _adam_delta(theta, g, state, hyper)
 
 
 def adam_step(
     params: ParameterSet, grads: ParameterSet, state: OptimizerState, hyper: AdamHyper
 ) -> ParameterSet:
     """Plain Adam/AdamW: theta <- theta + delta, no merging."""
-    return _stepped(params, grads, state, adam_step_inplace, hyper)
-
-
-def ondare_step_inplace(theta, g, state, hyper, cfg: OnlineMergeConfig) -> None:
-    theta += _ondare_merge(state, cfg, _adam_delta(theta, g, state, hyper))
+    return _stepped(params, grads, state, bind("adam", state, hyper))
 
 
 def ondare_step(
@@ -257,12 +297,7 @@ def ondare_step(
 ) -> ParameterSet:
     """Random-sparsify both the update delta and the reference delta, then
     combine them linearly with weights (1 - alpha, alpha)."""
-    _require_online(state)
-    return _stepped(params, grads, state, ondare_step_inplace, hyper, cfg)
-
-
-def onties_step_inplace(theta, g, state, hyper, cfg: OnlineMergeConfig) -> None:
-    theta += _onties_merge(state, cfg, _adam_delta(theta, g, state, hyper))
+    return _stepped(params, grads, state, bind("ondare", state, hyper, cfg))
 
 
 def onties_step(
@@ -274,14 +309,7 @@ def onties_step(
 ) -> ParameterSet:
     """Top-p sparsify both sides and combine them with elementwise sign
     consensus instead of addition."""
-    _require_online(state)
-    return _stepped(params, grads, state, onties_step_inplace, hyper, cfg)
-
-
-def full_merge_step_inplace(theta, g, state, hyper, cfg: OnlineMergeConfig, base) -> None:
-    """full_merge_step's core; base is the base model's flat vector."""
-    d = _adam_delta(theta, g, state, hyper)
-    np.add(base, _ondare_merge(state, cfg, (theta - base) + d), out=theta)
+    return _stepped(params, grads, state, bind("onties", state, hyper, cfg))
 
 
 def full_merge_step(
@@ -299,22 +327,7 @@ def full_merge_step(
     Kept for reproducing the instability of merging the whole trajectory
     instead of just the current update.
     """
-    _require_online(state)
-    check_aligned(params, base)
-    return _stepped(params, grads, state, full_merge_step_inplace, hyper, cfg, base.vector())
-
-
-def stepk_step_inplace(theta, g, state, hyper, cfg: OnlineMergeConfig, variant) -> None:
-    d = _adam_delta(theta, g, state, hyper)
-    cache = state.delta_cache
-    if state.t % cfg.gap_step != 0:
-        cache += d
-        theta += d
-        return
-    theta -= cache  # roll back to the last merge point
-    d_total = d + cache
-    cache[:] = 0.0
-    theta += _MERGES[variant](state, cfg, d_total)
+    return _stepped(params, grads, state, bind("fullmerge", state, hyper, cfg, base))
 
 
 def stepk_step(
@@ -334,12 +347,7 @@ def stepk_step(
     """
     if variant not in _MERGES:
         raise ValueError(f"step-K requires MergeVariant.ONDARE or ONTIES, got {variant!r}")
-    _require_online(state)
-    return _stepped(params, grads, state, stepk_step_inplace, hyper, cfg, variant)
-
-
-def childtuning_step_inplace(theta, g, state, hyper, reserve_rate: float) -> None:
-    theta += _adam_delta(theta, g, state, hyper, reserve_rate)
+    return _stepped(params, grads, state, bind(f"stepk-{variant.value}", state, hyper, cfg))
 
 
 def childtuning_step(
@@ -353,8 +361,8 @@ def childtuning_step(
     rescale the survivors by 1/p before the Adam update. The mask sits on the
     gradient, unlike online merging which masks the update delta (without
     rescale)."""
-    rate = validate_probability(reserve_rate)
-    return _stepped(params, grads, state, childtuning_step_inplace, hyper, rate)
+    merge = OnlineMergeConfig(reserve_rate=reserve_rate)
+    return _stepped(params, grads, state, bind("childtuning", state, hyper, merge))
 
 
 def ema_update_inplace(shadow, theta, coefficient: float) -> None:

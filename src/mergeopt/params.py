@@ -202,7 +202,7 @@ def save_checkpoint(p: ParameterSet, path) -> None:
     then contiguous little-endian float64 payload in entry order.
 
     The file is written under a temporary name in path's directory and then
-    renamed over path, so a failed write leaves no partial checkpoint and a
+    renamed over path, so a failed write leaves no incomplete checkpoint and a
     set mapped from the file at path keeps its bytes. The new file's mode
     comes from the umask; a symlink at path is replaced, not followed."""
     entries = [

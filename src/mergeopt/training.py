@@ -10,26 +10,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidConfig, NonFiniteGradient, NonFiniteLoss, check_u64, is_count, is_real
 from .masks import MaskTable
-from .optim import (
-    AdamHyper,
-    MergeVariant,
-    OnlineMergeConfig,
-    OptimizerState,
-    adam_step_inplace,
-    childtuning_step_inplace,
-    ema_update_inplace,
-    full_merge_step_inplace,
-    ondare_step_inplace,
-    onties_step_inplace,
-    stepk_step_inplace,
-)
+from .optim import OPTIMIZER_NAMES, AdamHyper, OnlineMergeConfig, OptimizerState, bind
+from .optim import ema_update_inplace
 from .optim import (  # noqa: F401  (not called; bench/tracer.py wraps them here)
     adam_step,
     childtuning_step,
@@ -44,20 +33,6 @@ from .policy import ToyPolicy, class_loss_and_grad_into, dpo_loss, dpo_loss_and_
 from .policy import class_loss_and_grad, dpo_loss_and_grad  # noqa: F401  (as above)
 from .tasks import DataSettings, PreferenceSet, TaskSuite, check_data, check_rows, gen_task_suite
 
-# Each optimizer's binder (merge settings, theta_base's flat vector) -> step
-# core, which updates the flat parameters in place. It looks the core up here
-# when called, at the start of a run, so it sees names replaced after import.
-_OPTIMIZERS = {
-    "adam": lambda m, base: adam_step_inplace,
-    "adamw": lambda m, base: adam_step_inplace,
-    "ondare": lambda m, base: partial(ondare_step_inplace, cfg=m),
-    "onties": lambda m, base: partial(onties_step_inplace, cfg=m),
-    "fullmerge": lambda m, base: partial(full_merge_step_inplace, cfg=m, base=base),
-    "stepk-ondare": lambda m, base: partial(stepk_step_inplace, cfg=m, variant=MergeVariant.ONDARE),
-    "stepk-onties": lambda m, base: partial(stepk_step_inplace, cfg=m, variant=MergeVariant.ONTIES),
-    "childtuning": lambda m, base: partial(childtuning_step_inplace, reserve_rate=m.reserve_rate),
-}
-OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
 _GATHER_BUDGET = 1 << 15  # values a block of training batches gathers at a time: 256 KiB
 
 @dataclass(frozen=True)
@@ -249,7 +224,7 @@ def _supervised_phase(
     theta = policy.params.vector().copy()
     grad = np.empty(theta.size)
     weights, grads = policy._views(theta), policy._views(grad)
-    loss_and_grad, adam = class_loss_and_grad_into, adam_step_inplace
+    loss_and_grad, adam = class_loss_and_grad_into, bind("adam", state, hyper)
     rows, size = len(data), min(len(data), batch_size)
     batches = _batches(
         rng, steps, rows, size, data.x.shape[1] + 1, lambda idx: zip(data.x[idx], data.y[idx])
@@ -260,7 +235,7 @@ def _supervised_phase(
             raise NonFiniteLoss(
                 f"supervised phase {phase} loss went non-finite ({loss}) at step {step}"
             )
-        adam(theta, grad, state, hyper)
+        adam(theta, grad)
     return policy.with_params(policy.params.with_vector(theta))
 
 
@@ -354,7 +329,7 @@ def train_preference(reference: ReferenceModels, cfg: RunConfig) -> TrainResult:
     policy, ref_eval = reference.policy, reference.ref_eval
     masks = reference.masks if reference.masks.seed == cfg.seed else None
     state = OptimizerState(theta_ref, delta(theta_ref, theta_base), cfg.seed, masks)
-    step_fn = _OPTIMIZERS[cfg.optimizer](cfg.merge, theta_base.vector())
+    step_fn = bind(cfg.optimizer, state, cfg.adam, cfg.merge, theta_base)
     loss_and_grad = dpo_loss_and_grad_into
 
     # The parameters and their gradient, trained in place through views made
@@ -397,7 +372,7 @@ def train_preference(reference: ReferenceModels, cfg: RunConfig) -> TrainResult:
         if not math.isfinite(loss):
             raise abort("training loss", step)
         try:
-            step_fn(theta, grad, state, cfg.adam)
+            step_fn(theta, grad)
         except NonFiniteGradient as e:
             raise abort("gradient", step, f": {e}") from e
         if ema is not None:

@@ -201,6 +201,20 @@ def test_wide_step_is_onties_at_the_h256_shape(bp):
     assert got == pytest.approx({"pref_us.h256.onties": 250.0})
 
 
+def test_src_lines_counts_the_package_modules_only(bp, tmp_path):
+    for side, modules in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3"}),
+                          ("change", {"a.py": "x = 1\n"})):
+        package = tmp_path / side / "src" / "mergeopt"
+        package.mkdir(parents=True)
+        for name, text in modules.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not\ncounted\n")
+        (tmp_path / side / "tests").mkdir()
+        (tmp_path / side / "tests" / "test_a.py").write_text("counted = False\n")
+    assert bp.src_lines(tmp_path / "parent") == 2  # "z = 3" ends with no newline, as wc -l
+    assert bp.src_lines(tmp_path / "change") == 1
+
+
 def test_pair_order_puts_the_parent_first_in_even_pairs(bp):
     assert list(bp.pair_order(3)) == [
         (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"), (2, "change"),

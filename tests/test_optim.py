@@ -25,8 +25,9 @@ from mergeopt import (
     sparsify_top_p,
     stepk_step,
 )
+from mergeopt import optim, training
 from mergeopt.masks import MaskTable
-from mergeopt.optim import MASK_STREAM_REF, MASK_STREAM_UPDATE
+from mergeopt.optim import MASK_STREAM_REF, MASK_STREAM_UPDATE, OPTIMIZER_NAMES, bind
 
 
 def pset(**named):
@@ -492,6 +493,51 @@ def test_stepk_rejects_a_non_variant():
     with pytest.raises(ValueError, match="step-K"):
         stepk_step(params, grad_stream(0, 1, params), state, HYP, OnlineMergeConfig(), "ondare")
     assert state.t == 0
+
+
+ONLINE_WRAPPERS = {
+    "ondare": lambda p, s, base: ondare_step(p, p, s, HYP, OnlineMergeConfig()),
+    "onties": lambda p, s, base: onties_step(p, p, s, HYP, OnlineMergeConfig()),
+    "fullmerge": lambda p, s, base: full_merge_step(p, p, s, HYP, OnlineMergeConfig(), base),
+    "stepk-ondare": lambda p, s, base: stepk_step(
+        p, p, s, HYP, OnlineMergeConfig(), MergeVariant.ONDARE
+    ),
+    "stepk-onties": lambda p, s, base: stepk_step(
+        p, p, s, HYP, OnlineMergeConfig(), MergeVariant.ONTIES
+    ),
+}
+# case -> (name, state has tau_ref, base, error, message); base "own" is the
+# state's own layout, "other" a set of another layout.
+BIND_ERRORS = {
+    "unknown name": ("sgd", True, "own", InvalidConfig, "unknown optimizer 'sgd'"),
+    **{f"{name} without tau_ref": (name, False, "own", ValueError, "cached reference delta")
+       for name in ONLINE_WRAPPERS},
+    "fullmerge without base": ("fullmerge", True, None, ValueError, "base model"),
+    "fullmerge with misaligned base": ("fullmerge", True, "other", MisalignedSets, "entry"),
+}
+
+
+@pytest.mark.parametrize("case", list(BIND_ERRORS))
+def test_bind_checks_before_any_step_and_its_wrapper_raises_the_same(case):
+    """bind makes every check once, before a step runs, so the state is left
+    at t = 0; the public step over sets, which binds its step, raises the
+    same error. An unknown name has no public step."""
+    name, with_tau, base, error, match = BIND_ERRORS[case]
+    params, tau = make_problem()
+    base = {"own": params, "other": make_problem(n=9)[0], None: None}[base]
+    steps = [lambda s: bind(name, s, HYP, OnlineMergeConfig(), base)]
+    if name in ONLINE_WRAPPERS:
+        steps.append(lambda s: ONLINE_WRAPPERS[name](params, s, base))
+    for step in steps:
+        state = OptimizerState(params, tau_ref=tau if with_tau else None)
+        with pytest.raises(error, match=match):
+            step(state)
+        assert state.t == 0
+
+
+def test_training_reexports_optims_optimizer_names():
+    assert training.OPTIMIZER_NAMES is optim.OPTIMIZER_NAMES
+    assert len(set(OPTIMIZER_NAMES)) == 8
 
 
 def test_adam_hyper_defaults():

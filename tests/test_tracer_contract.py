@@ -23,8 +23,9 @@ def test_traced_call_counts_of_a_short_run():
     """Every span the benchmark reads fires once per unit of work: one batch
     gather per block of preference steps (20 steps of 32 rows are one
     block); one dpo_loss per evaluation row. The training steps call the
-    flat cores (dpo_loss_and_grad_into, ondare_step_inplace, ...), which the
-    tracer does not wrap, and fill keep-masks without bernoulli_mask."""
+    flat cores (dpo_loss_and_grad_into and the steps optim.bind returns),
+    which the tracer does not wrap, and fill keep-masks without
+    bernoulli_mask."""
     from mergeopt.training import RunConfig, make_suite, train_run
 
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)

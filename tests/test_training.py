@@ -316,39 +316,33 @@ class TestTrainRun:
         assert all(math.isfinite(r.reward_margin) for r in res.metrics.rows)
 
 
-STEP_FUNCTIONS = {
-    "adam": "adam_step_inplace",
-    "adamw": "adam_step_inplace",
-    "ondare": "ondare_step_inplace",
-    "onties": "onties_step_inplace",
-    "fullmerge": "full_merge_step_inplace",
-    "stepk-ondare": "stepk_step_inplace",
-    "stepk-onties": "stepk_step_inplace",
-    "childtuning": "childtuning_step_inplace",
-}
-
-
 @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
 def test_every_step_calls_the_step_function_bound_at_run_start(monkeypatch, optimizer):
-    """Each optimizer calls its step core through its name in
-    mergeopt.training as bound when train_run starts, so a wrapper put there
-    after import (the benchmark's tracer) sees every preference step. The
-    supervised phases call adam_step_inplace once per step too."""
-    name = STEP_FUNCTIONS[optimizer]
-    inner, calls = getattr(training, name), []
+    """Each phase binds its step through the name bind in mergeopt.training
+    when it starts, so a binder put there after import sees every step: the
+    pretrain and SFT phases bind "adam", the preference phase the run's
+    optimizer, and each step calls its phase's bound step once."""
+    inner, bound, calls = training.bind, [], []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return inner(*args, **kwargs)
+    def counting_bind(name, *args, **kwargs):
+        bound.append(name)
+        step = inner(name, *args, **kwargs)
 
-    monkeypatch.setattr(training, name, counted)
+        def counted(*step_args):
+            calls.append(name)
+            return step(*step_args)
+
+        return counted
+
+    monkeypatch.setattr(training, "bind", counting_bind)
     cfg = fast_config(
         optimizer=optimizer,
         dpo=DpoSettings(steps=7, eval_every=5),
         phases=PhaseSettings(pretrain_steps=3, sft_steps=2),
     )
     train_run(make_suite(cfg), cfg)
-    assert len(calls) == 7 + (3 + 2 if name == "adam_step_inplace" else 0)
+    assert bound == ["adam", "adam", optimizer]
+    assert calls == ["adam"] * (3 + 2) + [optimizer] * 7
 
 
 def same_result(a, b) -> bool:
