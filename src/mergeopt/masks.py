@@ -129,8 +129,8 @@ class MaskTable:
     keyed stream fills its slice of one uniform buffer, and one comparison
     makes the row. A row is drawn on first use, straight into place, and
     kept while the table's rows fit in MASK_TABLE_BYTES, so callers that
-    share a table draw each kept row once; past that budget rows are drawn
-    into the stream's reused buffer. Rows are read-only. A table owns one
+    share a table draw each kept row once; past that budget each draw is a
+    fresh array. Rows are read-only and never rewritten. A table owns one
     MaskGenerator, so it is not safe to share between threads.
     """
 
@@ -146,12 +146,11 @@ class MaskTable:
         # rows, a read-only view of them, and which rows are drawn.
         self._rows: dict = {}
         self._kept = 0
-        self._spares: dict = {}  # per stream: a reused row and a read-only view of it
 
     def row(self, step: int, stream: str, p: float) -> np.ndarray:
         """The keep-mask at (step, stream) for the keep rate p, a float in
         (0, 1] that the caller has checked. A kept row lives as long as the
-        table; a row past the budget is valid until the stream's next draw."""
+        table; a row past the budget is a fresh read-only array of its own."""
         blocks = self._rows.get((stream, p))
         if blocks is None:
             blocks = self._rows[stream, p] = {}
@@ -166,12 +165,7 @@ class MaskTable:
             rows = np.empty((self._block, self._u.size), bool)
             block = blocks[i] = (rows, _read_only(rows.view()), bytearray(self._block))
         if block is None:
-            spare = self._spares.get(stream)
-            if spare is None:
-                rows = np.empty(self._u.size, bool)
-                spare = self._spares[stream] = (rows, _read_only(rows.view()))
-            np.less(self._u, p, out=spare[0])
-            return spare[1]
+            return _read_only(np.less(self._u, p))
         np.less(self._u, p, out=block[0][j])
         block[2][j] = 1
         return block[1][j]

@@ -156,24 +156,20 @@ def test_rows_of_other_keep_rates_and_sparse_steps_are_their_own(monkeypatch):
     assert table._kept == 2 * 11 * 4 * sum(SIZES)  # steps 0-43 in blocks of 4, per rate
 
 
-def test_rows_past_the_budget_are_drawn_into_a_reused_buffer(monkeypatch):
+def test_rows_past_the_budget_keep_their_bytes(monkeypatch):
     monkeypatch.setattr(masks, "_BLOCK_BYTES", 4 * sum(SIZES))
     monkeypatch.setattr(masks, "MASK_TABLE_BYTES", 3 * 4 * sum(SIZES))  # 3 blocks
     table = MaskTable(7, layout_slices(NAMES, SIZES))
-    rows = {}
-    for t in range(1, 30):
-        for stream in ("update", "ref"):
-            row = table.row(t, stream, 0.5)
-            assert row.tobytes() == oracle_row(7, t, stream, 0.5).tobytes()
-            rows[t, stream] = row
+    draws = [(t, stream, p) for t in range(1, 30) for stream, p in
+             (("update", 0.5), ("update", 0.3), ("ref", 0.5))]
+    rows = {d: table.row(*d) for d in draws}
+    # Steps 1-3 of each (stream, keep rate) are kept (block 0 of each); the
+    # rest are past the budget.
     assert table._kept == 3 * 4 * sum(SIZES)
-    # Steps 1-7 of "update" (blocks 0 and 1) and 1-3 of "ref" (block 0) are kept.
-    assert all(rows[t, "update"].tobytes() == oracle_row(7, t, "update", 0.5).tobytes()
-               for t in range(1, 8))
-    assert all(rows[t, "ref"].tobytes() == oracle_row(7, t, "ref", 0.5).tobytes()
-               for t in range(1, 4))
-    assert rows[28, "update"].base is rows[29, "update"].base  # one reused buffer
-    assert rows[29, "update"].base is not rows[29, "ref"].base
+    # Every row handed out, kept or not, still holds its draw after all the
+    # later draws of its stream and of other keep rates.
+    for (t, stream, p), row in rows.items():
+        assert row.tobytes() == oracle_row(7, t, stream, p).tobytes(), (t, stream, p)
 
 
 @pytest.mark.parametrize("budget", [masks.MASK_TABLE_BYTES, 0])

@@ -2,21 +2,44 @@
 raises KeyError on one that is missing, so a change that unbinds a wrapped
 name fails here rather than when the benchmark runs."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
-def test_tracer_installs_and_restores_every_span():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_installs_and_restores_every_span():
+    tracer = _load_tracer()
     targets = [(ns, attr) for ns, attr, *_ in tracer._targets()]
     before = [ns.__dict__[attr] for ns, attr in targets]
     with tracer.Tracer():
         assert all(ns.__dict__[attr] is not fn for (ns, attr), fn in zip(targets, before))
     assert all(ns.__dict__[attr] is fn for (ns, attr), fn in zip(targets, before))
+
+
+def test_every_tracer_only_import_is_a_wrapped_name():
+    """A name imported on a `noqa: F401` line of mergeopt exists only for the
+    tracer to wrap, so each must be a (module, attribute) pair of _targets();
+    when the tracer stops wrapping one, its import goes too."""
+    tracer = _load_tracer()
+    wrapped = {(ns.__name__, attr) for ns, attr, *_ in tracer._targets()}
+    imported = set()
+    for path in sorted((ROOT / "src" / "mergeopt").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and "noqa: F401" in lines[node.lineno - 1]:
+                imported |= {(f"mergeopt.{path.stem}", a.asname or a.name) for a in node.names}
+    assert imported - wrapped == set()
 
 
 def test_traced_call_counts_of_a_short_run():
@@ -28,9 +51,7 @@ def test_traced_call_counts_of_a_short_run():
     bernoulli_mask."""
     from mergeopt.training import RunConfig, make_suite, train_run
 
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tracer()
     cfg = RunConfig.from_dict({
         "optimizer": "ondare",
         "data": {"hidden_dim": 4, "sizes": dict(
