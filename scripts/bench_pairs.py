@@ -69,6 +69,17 @@ every label at 200 and at 1,200 steps on that one reference part, as runs
 of one seed share it through `mergeopt.cli`'s memo. Its difference gives
 `pref_shared_us.<shape>.<label>`: one preference step that reads the
 reference's log-prob rows and keep-masks instead of computing them.
+
+Then SOUP_PAIRS alternating pairs time the soup merge in-process, ungated:
+each pair starts one fresh process per tree, which trains one optimizer
+round (every `OPTIMIZER_MIX` label, at `PROBE_RUN`'s short phases, whose
+checkpoints have the layout of the full runs) at each SOUP_SHAPES shape and
+saves its theta_b and theta_final checkpoints. It times, best of
+SOUP_REPEATS in CPU, the 9 `load_checkpoint` calls of one soup merge
+(`soup_us.<shape>.load`) and `offline_merge` of the loaded round by each
+method (`soup_us.<shape>.<method>`) with the arguments `mergeopt merge`
+gives it by default, seed SEED0. Each merge's output must be bit-identical
+across every run of both trees.
 """
 
 from __future__ import annotations
@@ -94,7 +105,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import (  # noqa: E402
-    MERGE_METHODS, OPTIMIZER_MIX, SHAPES, _deep_update, synthesize_merge_inputs
+    MERGE_METHODS, OPTIMIZER_MIX, PROBE_RUN, SHAPES, _deep_update, synthesize_merge_inputs
 )
 
 SIDES = ("parent", "change")
@@ -157,6 +168,50 @@ for _ in range(%d):  # repeats outermost, so a burst of load hits one sample of 
         out[key] = min(out[key], time.process_time() - t0)
 print(json.dumps(out))
 """ % STEP_REPEATS
+SOUP_PAIRS = 10
+SOUP_REPEATS = 200
+SOUP_SHAPES = ("h4", "h16")
+# Run in a checkout with its src/ importable: argv[1] is a JSON object of
+# shape -> {label: RunConfig dict} for one round, the first label's theta_b
+# the soup's base; argv[2] a directory for the checkpoints; argv[3] the
+# repeats. Prints each "<shape>.<part>"'s best CPU time, in seconds, and the
+# blake2b digest of each merge's flat vector.
+SOUP_CHILD = """
+import hashlib, json, sys, time
+from pathlib import Path
+from mergeopt import load_checkpoint, offline_merge, save_checkpoint
+from mergeopt.kernels import MergeMethod, MergeSpec
+from mergeopt.training import RunConfig, make_suite, train_run
+rounds, work, repeats = json.loads(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
+soups = {}
+for shape, configs in rounds.items():
+    paths = []
+    for label, d in configs.items():
+        cfg = RunConfig.from_dict(d)
+        result = train_run(make_suite(cfg), cfg)
+        if not paths:
+            paths.append(work / f"{shape}.theta_b.pset")
+            save_checkpoint(result.theta_base, paths[0])
+        paths.append(work / f"{shape}.{label}.pset")
+        save_checkpoint(result.theta_final, paths[-1])
+    soups[shape] = paths
+seconds, digests = {}, {}
+for _ in range(repeats):
+    for shape, paths in soups.items():
+        t0 = time.process_time()
+        base, *models = [load_checkpoint(p) for p in paths]
+        t = time.process_time() - t0
+        seconds[f"{shape}.load"] = min(seconds.get(f"{shape}.load", t), t)
+        for method in MergeMethod:
+            spec = MergeSpec(method, weights=(1.0 / len(models),) * len(models), seed=%d)
+            t0 = time.process_time()
+            merged = offline_merge(base, models, spec)
+            t = time.process_time() - t0
+            key = f"{shape}.{method.value}"
+            seconds[key] = min(seconds.get(key, t), t)
+            digests[key] = hashlib.blake2b(merged.vector().tobytes(), digest_size=16).hexdigest()
+print(json.dumps({"seconds": seconds, "digests": digests}))
+""" % SEED0
 
 
 def git(*args) -> str:
@@ -366,6 +421,34 @@ def time_steps(checkout: Path, configs: dict, shared: dict) -> dict:
     return {"returncode": 0, "correct": True, "seconds": seconds, "metrics": step_metrics(seconds)}
 
 
+def soup_configs() -> dict:
+    """shape -> {label: RunConfig dict} of one short optimizer round at each
+    SOUP_SHAPES shape: every OPTIMIZER_MIX label with PROBE_RUN's steps."""
+    return {shape: {label: _deep_update(_deep_update(_deep_update({"seed": SEED0}, SHAPES[shape]),
+                                                     over), PROBE_RUN)
+                    for label, over in OPTIMIZER_MIX}
+            for shape in SOUP_SHAPES}
+
+
+def time_soup(checkout: Path, rounds: dict, work: Path, repeats: int = SOUP_REPEATS) -> dict:
+    """One fresh process in checkout training rounds (as soup_configs() gives
+    them) into checkpoints in work, a new directory, and timing their soup
+    merges; its soup_us metrics and each merge's output digest."""
+    work.mkdir()
+    try:
+        proc = subprocess.run([sys.executable, "-c", SOUP_CHILD, json.dumps(rounds), str(work),
+                               str(repeats)], cwd=checkout, env={**os.environ, "PYTHONPATH": "src"},
+                              capture_output=True, text=True, timeout=3600)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    if proc.returncode != 0:
+        return {"returncode": proc.returncode, "correct": False, "metrics": {},
+                "stderr": proc.stderr[-2000:]}
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"returncode": 0, "correct": True, "digests": out["digests"],
+            "metrics": {f"soup_us.{k}": {"value": t * 1e6} for k, t in out["seconds"].items()}}
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
@@ -465,6 +548,11 @@ def main(argv=None) -> int:
             r = time_steps(checkouts[s], configs, shared)
             step_runs.append({"pair": i, "side": s, **r})
             print(f"per-step pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
+        rounds, soup_runs = soup_configs(), []
+        for i, s in pair_order(SOUP_PAIRS):
+            r = time_soup(checkouts[s], rounds, tmp / f"soup-{i}-{s}")
+            soup_runs.append({"pair": i, "side": s, **r})
+            print(f"soup pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -510,6 +598,16 @@ def main(argv=None) -> int:
                      "merge_M": " ".join(["PYTHONPATH=src", "python3", *merge_cmd[1:]]),
                      "train_default": " ".join(["PYTHONPATH=src", "python3", *train_cmd[1:]])},
         "summary": e2e_summary, "runs": e2e_runs, "per_step": per_step,
+        "soup": {
+            "gated": False, "pairs": SOUP_PAIRS, "repeats": SOUP_REPEATS, "rounds": rounds,
+            **counts(soup_runs),
+            "outputs_identical": len({json.dumps(r.get("digests"), sort_keys=True)
+                                      for r in soup_runs}) == 1,
+            "summary": summarize(soup_runs, [
+                {"name": f"soup_us.{shape}.{part}", "unit": "us", "better": "lower", "bound": None}
+                for shape in SOUP_SHAPES for part in ("load", *MERGE_METHODS)]),
+            "runs": soup_runs,
+        },
     }
     meta = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),

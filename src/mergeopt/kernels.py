@@ -208,81 +208,114 @@ def _zero_unless(bits: np.ndarray, keep: np.ndarray, mask: np.ndarray) -> None:
     np.bitwise_and(bits, np.negative(keep, dtype=np.uint64, out=mask), out=bits)
 
 
-def _linear_blocks(base, models, spec, out, largest) -> None:
+def _blocks(slices, n: int):
+    """Each block [lo, hi) of BLOCK elements of a flat vector of n elements,
+    which may cross tensor boundaries, with (j, sl, a, z) for each tensor j,
+    of flat slice sl, that overlaps it: the tensor's part of the block is
+    [lo + a, lo + z)."""
+    j = 0
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        segs = []
+        while j < len(slices) and slices[j].start < hi:
+            sl = slices[j]
+            segs.append((j, sl, max(sl.start, lo) - lo, min(sl.stop, hi) - lo))
+            if sl.stop > hi:  # the tensor continues into the next block
+                break
+            j += 1
+        yield lo, hi, segs
+
+
+def _linear_blocks(base, models, spec, out) -> None:
     """LINEAR and DARE: per block, acc = 0.0, then per model t = m - base,
     for DARE zeroed where its keep-mask is off and divided by p when
     rescaling, then t *= w and acc += t; base is added last. Each model's
-    mask is one keyed uniform stream per tensor, drawn block after block."""
+    mask is one keyed uniform stream per tensor, drawn into the tensor's part
+    of each block: on one generator that every model shares for a tensor
+    that ends in the block it starts in, else on the model's own generator,
+    made on first need, which carries the stream into the next block."""
     dare, p = spec.method is MergeMethod.DARE, spec.reserve_rate
     vecs, bv = [m.vector() for m in models], base.vector()
-    blk = min(BLOCK, largest)
+    blk = min(BLOCK, out.size)
     work, keep, mask = np.empty((2, blk)), np.empty(blk, dtype=bool), np.empty(blk, dtype=np.uint64)
-    gens = [MaskGenerator() for _ in models] if dare else []
-    keys = LayoutKeys(spec.seed, base.names)
-    materials = [keys.materials(i, "offline-dare") for i in range(len(gens))]
-    for j, (_, sl) in enumerate(base.slices()):
-        streams = [g.stream(m[j]) for g, m in zip(gens, materials)]
-        for lo in range(sl.start, sl.stop, BLOCK):
-            hi = min(lo + BLOCK, sl.stop)
-            acc, b, (t, u) = out[lo:hi], bv[lo:hi], work[:, : hi - lo]
-            acc.fill(0.0)
-            for i, (w, v) in enumerate(zip(spec.weights, vecs)):
-                np.subtract(v[lo:hi], b, out=t)
-                if dare:
-                    k = np.less(streams[i].random(out=u), p, out=keep[: hi - lo])
-                    _zero_unless(t.view(np.uint64), k, mask[: hi - lo])
-                    if spec.rescale:
-                        np.divide(t, p, out=t)
-                acc += np.multiply(t, w, out=t)
-            acc += b
+    if dare:
+        keys = LayoutKeys(spec.seed, base.names)
+        materials = [keys.materials(i, "offline-dare") for i in range(len(models))]
+        shared, gens, streams = MaskGenerator(), [None] * len(models), [None] * len(models)
+    for lo, hi, segs in _blocks([sl for _, sl in base.slices()], out.size):
+        acc, b, (t, u) = out[lo:hi], bv[lo:hi], work[:, : hi - lo]
+        acc.fill(0.0)
+        for i, (w, v) in enumerate(zip(spec.weights, vecs)):
+            np.subtract(v[lo:hi], b, out=t)
+            if dare:
+                for j, sl, a, z in segs:
+                    if sl.start < lo:  # the stream continues from the previous block
+                        stream = streams[i]
+                    elif sl.stop <= hi:
+                        stream = shared.stream(materials[i][j])
+                    else:
+                        gens[i] = gens[i] or MaskGenerator()
+                        stream = streams[i] = gens[i].stream(materials[i][j])
+                    stream.random(out=u[a:z])
+                k = np.less(u, p, out=keep[: hi - lo])
+                _zero_unless(t.view(np.uint64), k, mask[: hi - lo])
+                if spec.rescale:
+                    np.divide(t, p, out=t)
+            acc += np.multiply(t, w, out=t)
+        acc += b
 
 
-def _ties_blocks(base, models, spec, out, largest) -> None:
-    """TIES: per tensor, one pass finds each model's top-p cut of its delta;
-    then per block each delta is recomputed and trimmed, the elementwise
-    majority sign elected from the weighted trimmed mass, and the weighted
-    average of the entries with that sign written over base. Only the cuts
-    are held across models."""
+def _ties_blocks(base, models, spec, out) -> None:
+    """TIES: per block, which may cross tensor boundaries, each delta is
+    recomputed and trimmed by its tensor's top-p cut, the elementwise majority
+    sign elected from the weighted trimmed mass, and the weighted average of
+    the entries with that sign written over base. A tensor's cuts, one per
+    model, are found when its first block comes up; only the cuts are held
+    across models."""
     weights, vecs, bv = spec.weights, [m.vector() for m in models], base.vector()
-    blk = min(BLOCK, largest)
-    key = np.empty(largest)
+    slices = [sl for _, sl in base.slices()]
+    blk = min(BLOCK, out.size)
+    key = np.empty(max((sl.stop - sl.start for sl in slices), default=0))
     deltas, work = np.empty((2, len(vecs), blk)), np.empty((4, blk))
     keep, mask = np.empty(blk, dtype=bool), np.empty(blk, dtype=np.uint64)
     w_bits = [np.float64(w).view(np.uint64) for w in weights]
-    for _, sl in base.slices():
-        # The tensor's output slice holds each delta while its cut is found.
-        size = sl.stop - sl.start
-        cuts = [
-            _top_p_cut(np.subtract(v[sl], bv[sl], out=out[sl]), spec.reserve_rate, key[:size])
-            for v in vecs
-        ]
-        for lo in range(sl.start, sl.stop, BLOCK):
-            hi = min(lo + BLOCK, sl.stop)
-            b, k, m = bv[lo:hi], keep[: hi - lo], mask[: hi - lo]
-            (trimmed, weighted), (sign, num, den, x) = deltas[:, :, : hi - lo], work[:, : hi - lo]
-            bits, x_bits = trimmed.view(np.uint64), x.view(np.uint64)
-            num.fill(0.0)  # first the elected mass, whose sign goes to sign
-            for t, t_bits, wt, w, v, cut in zip(trimmed, bits, weighted, weights, vecs, cuts):
-                np.subtract(v[lo:hi], b, out=t)
-                _zero_unless(t_bits, _top_p_keep(np.abs(t, out=x), cut, lo - sl.start, k), m)
-                num += np.multiply(w, t, out=wt)
-            np.sign(num, out=sign)
-            # Survivors are nonzero with the elected sign: t * sign > 0, which
-            # NaNs fail. num sums their w * t, den their weights.
-            num.fill(0.0)
-            den.fill(0.0)
-            for t, wt_bits, wb in zip(trimmed, weighted.view(np.uint64), w_bits):
-                np.negative(np.greater(np.multiply(t, sign, out=x), 0.0, out=k), dtype=np.uint64, out=m)
-                np.bitwise_and(wt_bits, m, out=x_bits)
-                num += x
-                np.bitwise_and(m, wb, out=x_bits)
-                den += x
-            # Where den is 0 every survivor has weight 0 and is finite (0 * inf
-            # would have made the elected sign NaN), so num there is +0.0, and
-            # dividing it by the least positive double keeps it: that is num
-            # divided by den where den > 0, and num elsewhere.
-            np.maximum(den, _LEAST_POSITIVE, out=den)
-            np.add(np.divide(num, den, out=num), b, out=out[lo:hi])
+    cuts = [None] * len(slices)
+    for lo, hi, segs in _blocks(slices, out.size):
+        for j, sl, _, _ in segs:
+            if sl.start >= lo:  # its output slice holds each delta while its cut is found
+                cuts[j] = [
+                    _top_p_cut(np.subtract(v[sl], bv[sl], out=out[sl]), spec.reserve_rate,
+                               key[: sl.stop - sl.start])
+                    for v in vecs
+                ]
+        b, k, m = bv[lo:hi], keep[: hi - lo], mask[: hi - lo]
+        (trimmed, weighted), (sign, num, den, x) = deltas[:, :, : hi - lo], work[:, : hi - lo]
+        bits, x_bits = trimmed.view(np.uint64), x.view(np.uint64)
+        num.fill(0.0)  # first the elected mass, whose sign goes to sign
+        for i, (t, t_bits, wt, w, v) in enumerate(zip(trimmed, bits, weighted, weights, vecs)):
+            np.subtract(v[lo:hi], b, out=t)
+            np.abs(t, out=x)
+            for j, sl, a, z in segs:  # each tie limit counts from its tensor's start
+                _top_p_keep(x[a:z], cuts[j][i], lo + a - sl.start, k[a:z])
+            _zero_unless(t_bits, k, m)
+            num += np.multiply(w, t, out=wt)
+        np.sign(num, out=sign)
+        # Survivors are nonzero with the elected sign: t * sign > 0, which
+        # NaNs fail. num sums their w * t, den their weights.
+        num.fill(0.0)
+        den.fill(0.0)
+        for t, wt_bits, wb in zip(trimmed, weighted.view(np.uint64), w_bits):
+            np.negative(np.greater(np.multiply(t, sign, out=x), 0.0, out=k), dtype=np.uint64, out=m)
+            np.bitwise_and(wt_bits, m, out=x_bits)
+            num += x
+            np.bitwise_and(m, wb, out=x_bits)
+            den += x
+        # Where den is 0 every survivor has weight 0 and is finite (0 * inf
+        # would have made the elected sign NaN), so num there is +0.0, and
+        # dividing it by the least positive double keeps it: that is num
+        # divided by den where den > 0, and num elsewhere.
+        np.maximum(den, _LEAST_POSITIVE, out=den)
+        np.add(np.divide(num, den, out=num), b, out=out[lo:hi])
 
 
 def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
@@ -296,8 +329,8 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
 
     The mask for model i derives from (spec.seed, tensor name, i), so merges
     are reproducible. A result holding NaN or infinity raises NonFiniteResult.
-    Every method works over each tensor in blocks of BLOCK elements, in a few
-    buffers made once per merge.
+    Every method works over the flat vector in blocks of BLOCK elements,
+    which cross tensor boundaries, in a few buffers made once per merge.
     """
     models = list(models)
     if not models:
@@ -310,9 +343,8 @@ def offline_merge(base: ParameterSet, models, spec: MergeSpec) -> ParameterSet:
         check_aligned(base, m)
 
     out = np.empty(base.total_elements())
-    largest = max((sl.stop - sl.start for _, sl in base.slices()), default=0)
     merge = _ties_blocks if spec.method is MergeMethod.TIES else _linear_blocks
-    merge(base, models, spec, out, largest)
+    merge(base, models, spec, out)
     if not np.isfinite(out).all():
         raise NonFiniteResult(f"{spec.method.value} merge result contains NaN or infinity")
     return base.with_vector(out)

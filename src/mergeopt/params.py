@@ -231,14 +231,59 @@ def save_checkpoint(p: ParameterSet, path) -> None:
         raise
 
 
+# The last header load_checkpoint parsed and checked: its exact bytes, its
+# {name: shape} layout and its element count. A layout only: never a vector,
+# a map or a file descriptor.
+_last_header: tuple[bytes, dict, int] | None = None
+
+
+def _parse_header(path, raw: bytes) -> tuple[dict, int]:
+    """The {name: shape} layout and element count of a PSET1 header's bytes,
+    after checking every entry record."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"{path}: invalid header JSON ({e})") from e
+    if not isinstance(header, dict) or header.get("dtype") != "f64" or header.get("version") != 1:
+        raise FormatError(f"{path}: unsupported header (need dtype f64, version 1)")
+    raw_entries = header.get("entries")
+    if not isinstance(raw_entries, list):
+        raise FormatError(f"{path}: header has no entry list")
+    running = 0
+    layout: dict[str, tuple[int, ...]] = {}
+    for i, e in enumerate(raw_entries):
+        # Nonnegative JSON integers (type is int: not floats or bools), so the
+        # payload length check bounds every count passed to numpy.
+        if not (
+            isinstance(e, dict)
+            and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list)
+            and all(type(v) is int and v >= 0 for v in [*e["shape"], e.get("offset"), e.get("len")])
+        ):
+            raise FormatError(f"{path}: malformed entry record {i}")
+        name, shape, offset, length = e["name"], tuple(e["shape"]), e["offset"], e["len"]
+        if offset != running:
+            raise FormatError(f"{path}: entry {name!r} offset {offset}, expected {running}")
+        if length != math.prod(shape):
+            raise FormatError(f"{path}: entry {name!r} len {length} does not match shape {shape}")
+        try:
+            layout[name] = _entry_shape(name, shape, layout)
+        except ValueError as err:
+            raise FormatError(f"{path}: {err}") from err
+        running += length
+    return layout, running
+
+
 def load_checkpoint(path) -> ParameterSet:
     """Read a PSET1 file; bit-exact inverse of save_checkpoint.
 
     The header is read and checked first, and the payload size against the
-    file size before anything is allocated. A payload of MAP_MIN_BYTES or
-    more then backs the set's flat vector as a read-only map of the file,
-    which holds one file descriptor until the set is freed; a smaller one is
-    read straight into a new vector."""
+    file size before anything is allocated. Header bytes equal to the last
+    ones parsed skip the parse and its checks, which they passed. A payload
+    of MAP_MIN_BYTES or more then backs the set's flat vector as a read-only
+    map of the file, which holds one file descriptor until the set is freed;
+    a smaller one is read straight into a new vector."""
+    global _last_header
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         body_start = len(MAGIC) + 4
@@ -248,37 +293,12 @@ def load_checkpoint(path) -> ParameterSet:
         (hlen,) = struct.unpack_from("<I", head, len(MAGIC))
         if body_start + hlen > file_size:
             raise FormatError(f"{path}: truncated header")
-        try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
-        except (ValueError, RecursionError) as e:
-            raise FormatError(f"{path}: invalid header JSON ({e})") from e
-        if not isinstance(header, dict) or header.get("dtype") != "f64" or header.get("version") != 1:
-            raise FormatError(f"{path}: unsupported header (need dtype f64, version 1)")
-        raw_entries = header.get("entries")
-        if not isinstance(raw_entries, list):
-            raise FormatError(f"{path}: header has no entry list")
-        running = 0
-        layout: dict[str, tuple[int, ...]] = {}
-        for i, e in enumerate(raw_entries):
-            # Nonnegative JSON integers (type is int: not floats or bools), so the
-            # payload length check below bounds every count passed to numpy.
-            if not (
-                isinstance(e, dict)
-                and isinstance(e.get("name"), str)
-                and isinstance(e.get("shape"), list)
-                and all(type(v) is int and v >= 0 for v in [*e["shape"], e.get("offset"), e.get("len")])
-            ):
-                raise FormatError(f"{path}: malformed entry record {i}")
-            name, shape, offset, length = e["name"], tuple(e["shape"]), e["offset"], e["len"]
-            if offset != running:
-                raise FormatError(f"{path}: entry {name!r} offset {offset}, expected {running}")
-            if length != math.prod(shape):
-                raise FormatError(f"{path}: entry {name!r} len {length} does not match shape {shape}")
-            try:
-                layout[name] = _entry_shape(name, shape, layout)
-            except ValueError as err:
-                raise FormatError(f"{path}: {err}") from err
-            running += length
+        raw, last = f.read(hlen), _last_header
+        if last is not None and last[0] == raw:
+            layout, running = last[1], last[2]
+        else:
+            layout, running = _parse_header(path, raw)
+            _last_header = raw, layout, running
         payload = file_size - body_start - hlen
         if payload != running * 8:
             raise FormatError(f"{path}: payload is {payload} bytes, header declares {running * 8}")

@@ -292,3 +292,31 @@ def test_step_child_times_every_run_and_shared_run(bp):
     assert sorted(r["metrics"]) == sorted(
         f"{m}.h4.{label}" for m in ("pref_us", "pref_shared_us") for label, _ in bp.OPTIMIZER_MIX[:3]
     )
+
+
+def test_soup_configs_are_one_short_round_per_shape(bp):
+    from mergeopt.training import RunConfig
+
+    rounds = bp.soup_configs()
+    assert list(rounds) == ["h4", "h16"]
+    for shape, configs in rounds.items():
+        assert list(configs) == [label for label, _ in bp.OPTIMIZER_MIX]
+        for d in configs.values():
+            cfg = RunConfig.from_dict(d)
+            assert (cfg.seed, cfg.dpo.steps, cfg.phases.pretrain_steps) == (bp.SEED0, 50, 50)
+            assert cfg.data.hidden_dim == (4 if shape == "h4" else 16)
+
+
+def test_soup_child_times_the_loads_and_each_method(bp, tmp_path):
+    tiny = {"seed": 3, "dpo": {"steps": 2}, "phases": {"pretrain_steps": 2, "sft_steps": 2}}
+    rounds = {"h4": {label: {**tiny, **over} for label, over in bp.OPTIMIZER_MIX[:3]}}
+    runs = [bp.time_soup(SCRIPT.parent.parent, rounds, tmp_path / f"w{i}", repeats=2)
+            for i in range(2)]
+    for r in runs:
+        assert r["correct"], r.get("stderr")
+        assert sorted(r["metrics"]) == sorted(f"soup_us.h4.{part}"
+                                              for part in ("load", "linear", "dare", "ties"))
+        assert all(m["value"] > 0 for m in r["metrics"].values())
+    assert runs[0]["digests"] == runs[1]["digests"]
+    assert sorted(runs[0]["digests"]) == ["h4.dare", "h4.linear", "h4.ties"]
+    assert list(tmp_path.iterdir()) == []

@@ -105,7 +105,9 @@ def ref_offline_merge(base, models, spec):
 
 # ---- inputs ----
 
-SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+# Small sizes put several whole tensors in one block ahead of one that
+# straddles its end.
+SIZES = (1, 3, 48, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
 WEIGHTS = (0.0, 1e-320, 0.3, 0.5, 1.0, 2.0)
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
@@ -150,7 +152,7 @@ SPECS = (
 @pytest.mark.parametrize("p", [1e-6, 0.4, 0.5, 1.0])
 @settings(max_examples=25, deadline=None)
 @given(
-    st.lists(st.sampled_from(SIZES), min_size=1, max_size=2),
+    st.lists(st.sampled_from(SIZES), min_size=1, max_size=4),
     st.lists(st.sampled_from(WEIGHTS), min_size=1, max_size=3),
     st.sampled_from(["normal", "tied", "specials"]),
     st.integers(0, 2**32),
@@ -186,15 +188,18 @@ def rate_for(k, n):
     st.floats(0.0, 1.0),
     st.sampled_from([5.0, 0.0, np.nan]),
     st.lists(st.sampled_from(WEIGHTS[2:]), min_size=1, max_size=3),
+    st.lists(st.sampled_from((1, 3, 48)), max_size=3),
     st.integers(0, 2**32),
 )
-def test_ties_cut_inside_a_tied_run_across_blocks(run_lo, run_len, share, tie, weights, seed):
+def test_ties_cut_inside_a_tied_run_across_blocks(run_lo, run_len, share, tie, weights, prefix, seed):
     # The first delta holds a run of equal magnitude `tie` (random signs) that
-    # starts just before a block boundary and may cross two. Outside it,
-    # `above` elements rank above the run (magnitudes 10 to 20 for a run of
-    # 5.0, which the rest stay below; every number for a run of zeros or
-    # NaNs). The rate keeps all of those and a given share of the run, so
-    # the cut's tie limit lands anywhere in the run.
+    # starts just before a block boundary of its tensor and may cross two.
+    # Outside it, `above` elements rank above the run (magnitudes 10 to 20
+    # for a run of 5.0, which the rest stay below; every number for a run of
+    # zeros or NaNs). The rate keeps all of those and a given share of the
+    # run, so the cut's tie limit lands anywhere in the run. Small tensors of
+    # `prefix` sizes go ahead of the run's tensor, which then starts inside
+    # the first block: its tie limit counts from its own start.
     n = 3 * BLOCK + 7
     rng = np.random.default_rng(seed)
     run = np.arange(run_lo, run_lo + run_len)
@@ -202,6 +207,7 @@ def test_ties_cut_inside_a_tied_run_across_blocks(run_lo, run_len, share, tie, w
     above = n // 3 if tie == 5.0 else outside.size
     need = max(1, round(share * run_len))
     base = np.round(4.0 * rng.normal(size=n)) / 4.0  # so base + tie - base == tie
+    small = [np.round(4.0 * rng.normal(size=size)) / 4.0 for size in prefix]
     models = []
     for i, _ in enumerate(weights):
         d = rng.uniform(-1.0, 1.0, size=n)
@@ -210,9 +216,9 @@ def test_ties_cut_inside_a_tied_run_across_blocks(run_lo, run_len, share, tie, w
                 big = rng.choice(outside, size=above, replace=False)
                 d[big] = rng.choice([-1.0, 1.0], size=above) * rng.uniform(10.0, 20.0, size=above)
             d[run] = rng.choice([-1.0, 1.0], size=run_len) * tie
-        models.append(pset([base + d]))
+        models.append(pset([s + rng.uniform(-1.0, 1.0, size=s.size) for s in small] + [base + d]))
     spec = MergeSpec(MergeMethod.TIES, reserve_rate=rate_for(above + need, n), weights=tuple(weights))
-    check_merge(pset([base]), models, spec)
+    check_merge(pset([*small, base]), models, spec)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

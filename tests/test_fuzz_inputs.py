@@ -1,7 +1,8 @@
 """Seeded input fuzz through in-process main().
 
-Corrupted PSET1 files (through inspect and merge), mutated leaves of a tiny
-run config (through train), and bad merge and sweep arguments. Every case
+Corrupted PSET1 files (through inspect and merge, also right after a valid
+file, so that load_checkpoint's parsed-header memo is warm), mutated leaves
+of a tiny run config (through train), and bad merge and sweep arguments. Every case
 must return 0, 1 or 2 with no exception escaping main, and a failed merge or
 sweep must leave no output and no temporary file. The seeds and case counts
 are fixed, so every run tries the same inputs.
@@ -130,10 +131,14 @@ def test_corrupted_checkpoints_through_inspect_and_merge(tmp_path, capsys):
     base.write_bytes(good)
     rng = random.Random(1601)
     codes = set()
+    head = len(MAGIC) + 4 + struct.unpack_from("<I", good, len(MAGIC))[0]
+    warm = {"other header": 0, "same header": 0}  # rejected right after base loaded
     for _ in range(PSET_CASES):
-        bad.write_bytes(mutate_pset(rng, good))
+        data = mutate_pset(rng, good)
+        bad.write_bytes(data)
         codes.add(run(["inspect", str(bad)]))
-        run(["inspect", str(base), "--diff", str(bad)])
+        if run(["inspect", str(base), "--diff", str(bad)]) == 1:
+            warm["same header" if data[:head] == good[:head] else "other header"] += 1
         models = [str(bad), str(base)] if rng.random() < 0.5 else [str(bad)]
         if run(["merge", *models, "--base", str(base), "--out", str(out),
                 "--method", rng.choice(["linear", "dare", "ties"])]) == 0:
@@ -141,6 +146,7 @@ def test_corrupted_checkpoints_through_inspect_and_merge(tmp_path, capsys):
         assert not list(out_dir.iterdir())
         capsys.readouterr()
     assert {0, 1} <= codes
+    assert min(warm.values()) > 0, warm
 
 
 def leaves(d, prefix=()):

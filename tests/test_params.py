@@ -1,7 +1,9 @@
+import gc
 import json
 import mmap
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -290,6 +292,47 @@ def test_checkpoint_preserves_entry_order(tmp_path):
     p = ParameterSet([("z", (1,), [1.0]), ("a", (2,), [2.0, 3.0]), ("m", (1,), [4.0])])
     save_checkpoint(p, tmp_path / "o.pset")
     assert load_checkpoint(tmp_path / "o.pset").names == ("z", "a", "m")
+
+
+def test_a_repeated_header_still_checks_each_file_s_payload(tmp_path):
+    # The second pass meets short.pset's header bytes already parsed, from
+    # good.pset; the first meets them cold, after other.pset's.
+    good, short, other = tmp_path / "good.pset", tmp_path / "short.pset", tmp_path / "other.pset"
+    save_checkpoint(pset(w=[1.0, 2.0]), good)
+    short.write_bytes(good.read_bytes()[:-8])
+    save_checkpoint(pset(v=[1.0]), other)
+    messages = []
+    for before in (other, good):
+        load_checkpoint(before)
+        with pytest.raises(FormatError) as e:
+            load_checkpoint(short)
+        messages.append(str(e.value))
+    assert messages == [f"{short}: payload is 8 bytes, header declares 16"] * 2
+
+
+def test_a_dropped_mapped_set_frees_its_vector(tmp_path):
+    path = tmp_path / "p.pset"
+    _saved_with_payload(path, MAP_MIN_BYTES, aligned=True)
+    loaded = [load_checkpoint(path), load_checkpoint(path)]  # the second reuses the parsed header
+    assert all(_is_mapped(q) for q in loaded)
+    refs = [weakref.ref(q.vector()) for q in loaded]
+    del loaded
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_loads_alternating_between_two_layouts_keep_their_own(tmp_path):
+    # Both payloads are 32 bytes, so only the header tells the layouts apart.
+    sets = {
+        tmp_path / "a.pset": pset(w=np.arange(4.0).reshape(2, 2)),
+        tmp_path / "b.pset": ParameterSet([("x", (1, 3), [4.0, 5.0, 6.0]), ("y", (1,), [7.0])]),
+    }
+    for path, p in sets.items():
+        save_checkpoint(p, path)
+    for path, p in [*sets.items()] * 3:
+        q = load_checkpoint(path)
+        assert [(n, q.shape(n)) for n in q.names] == [(n, p.shape(n)) for n in p.names]
+        assert q == p
 
 
 def test_checkpoint_wrong_magic(tmp_path):
