@@ -600,7 +600,7 @@ def main(argv=None) -> int:
         "summary": e2e_summary, "runs": e2e_runs, "per_step": per_step,
         "soup": {
             "gated": False, "pairs": SOUP_PAIRS, "repeats": SOUP_REPEATS, "rounds": rounds,
-            **counts(soup_runs),
+            "runs_correct": sum(r["correct"] for r in soup_runs), "n_runs": len(soup_runs),
             "outputs_identical": len({json.dumps(r.get("digests"), sort_keys=True)
                                       for r in soup_runs}) == 1,
             "summary": summarize(soup_runs, [
