@@ -21,14 +21,16 @@ median differs from the parent's by more than the parent's quartile spread.
 
 Then an end-to-end section, which no bound gates, runs E2E_PAIRS more
 alternating pairs. Each times, on both trees, acceptance criterion 9 alone
-and the Tier-1 suite, in wall time, the child's CPU time, and that CPU time
-scaled by `bench/run.py`'s `Calibration` loop timed just before and just
-after the command (`cal_cpu_s`, as the gated workloads scale theirs), and
-runs the informational `wide-h256` workload as above. The timed commands get
-the environment this script started with, so they run with the default BLAS
-threads although importing `bench/run.py` sets them to one here. Criterion
-9's alpha sweep is 12 OnDARE runs of 20,000 steps at hidden 4, the same step
-path as `alpha-sweep-h4`. Both pytest commands run the parent's `tests/` on
+and the Tier-1 suite, in wall time and the child's CPU time (user + system,
+its own children included), and runs the informational `wide-h256` workload
+as above. The CPU time is not scaled by `bench/run.py`'s calibration loop:
+timed only around the command, that loop never sampled the machine while it
+ran, and over BENCH_17-25 the scaled figure spread wider than the raw one
+(quartile spread over median 0.19-0.31 for fresh merge and train processes,
+against 0.10-0.12 raw). The timed commands get this script's environment,
+so they run with the default BLAS threads. Criterion 9's alpha sweep is 12
+OnDARE runs of 20,000 steps at hidden 4, the same step path as
+`alpha-sweep-h4`. Both pytest commands run the parent's `tests/` on
 both sides: the change side runs in a copy of the parent's tree that holds the
 change's `src/`, so tests a change adds or edits do not make the sides do
 different work. Each pytest run records its passed-test count and the ids of
@@ -50,7 +52,8 @@ both trees.
 
 Last, STEP_PAIRS alternating pairs time single training steps, a stand-in
 until the tracer sees the flat loop's per-step cores. Each pair starts one
-fresh process per tree, with one BLAS thread as `bench/run.py` has, which
+fresh process per tree, with one BLAS thread as `bench/run.py` has (unless
+the caller set the count; see run_child), which
 times `train_run` (CPU, best of STEP_REPEATS), whose every call trains its
 own reference part, for every `OPTIMIZER_MIX`
 label of `bench/workloads.py` at its `h4` and `h16` `SHAPES`, three times
@@ -86,7 +89,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import functools
 import hashlib
 import json
 import os
@@ -121,7 +123,8 @@ MERGE_PAIRS = 10
 TRAIN_PAIRS = 10
 FLAG_SHARE = 0.8
 TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None}
-           for n in ("cpu_s", "cal_cpu_s", "wall_s")]
+           for n in ("cpu_s", "wall_s")]
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 STEP_PAIRS = 10
 STEP_REPEATS = 3
 STEP_SHAPES = ("h4", "h16")
@@ -259,24 +262,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"returncode": 0, "meta": meta, **result}
 
 
-def time_command(checkout: Path, cmd: list[str], env: dict, cal, ref_s: float) -> dict:
-    """Run cmd in checkout, in env with its src/ importable; its wall time, the
-    CPU time (user + system) of it and its own children, and that CPU time
-    scaled as bench/run.py scales a job's: by ref_s over the mean time of the
-    calibration loop cal, timed just before and just after the command."""
-    around = cal.burst(0.0)
+def time_command(checkout: Path, cmd: list[str]) -> dict:
+    """Run cmd in checkout, in this process's environment with its src/
+    importable; its wall time and the CPU time (user + system) of it and its
+    own children."""
     before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env={**env, "PYTHONPATH": "src"},
+    proc = subprocess.run(cmd, cwd=checkout, env={**os.environ, "PYTHONPATH": "src"},
                           capture_output=True, text=True, timeout=3600)
     wall, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    around += cal.burst(cpu)
-    cal_cpu = cpu * ref_s / statistics.mean(around)
     last = proc.stdout.strip().splitlines()[-1:] or [""]
     return {"returncode": proc.returncode, "correct": proc.returncode == 0, "summary": last[0],
             "failed": failed_tests(proc.stdout),
-            "metrics": {"cpu_s": {"value": cpu}, "cal_cpu_s": {"value": cal_cpu},
-                        "wall_s": {"value": wall}}}
+            "metrics": {"cpu_s": {"value": cpu}, "wall_s": {"value": wall}}}
 
 
 def failed_tests(stdout: str) -> list[str]:
@@ -408,17 +406,28 @@ def step_metrics(seconds: dict) -> dict:
     return out
 
 
-def time_steps(checkout: Path, configs: dict, shared: dict) -> dict:
-    """One fresh process in checkout timing configs by train_run and shared
-    by train_preference; its per-step metrics."""
-    proc = subprocess.run([sys.executable, "-c", STEP_CHILD, json.dumps(configs), json.dumps(shared)],
-                          cwd=checkout, env={**os.environ, "PYTHONPATH": "src"},
+def run_child(checkout: Path, script: str, args: list[str], result) -> dict:
+    """Run script with args in a fresh interpreter in checkout, with its src/
+    importable and, as bench/run.py runs its jobs, one BLAS thread unless
+    this process's environment sets the count; the run, with the fields that
+    result makes of the JSON on its last line of output."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+    for var in BLAS_THREADS:
+        env.setdefault(var, "1")
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=checkout, env=env,
                           capture_output=True, text=True, timeout=3600)
     if proc.returncode != 0:
         return {"returncode": proc.returncode, "correct": False, "metrics": {},
                 "stderr": proc.stderr[-2000:]}
-    seconds = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"returncode": 0, "correct": True, "seconds": seconds, "metrics": step_metrics(seconds)}
+    return {"returncode": 0, "correct": True,
+            **result(json.loads(proc.stdout.strip().splitlines()[-1]))}
+
+
+def time_steps(checkout: Path, configs: dict, shared: dict) -> dict:
+    """One fresh process in checkout timing configs by train_run and shared
+    by train_preference; its per-step metrics."""
+    return run_child(checkout, STEP_CHILD, [json.dumps(configs), json.dumps(shared)],
+                     lambda seconds: {"seconds": seconds, "metrics": step_metrics(seconds)})
 
 
 def soup_configs() -> dict:
@@ -436,17 +445,11 @@ def time_soup(checkout: Path, rounds: dict, work: Path, repeats: int = SOUP_REPE
     merges; its soup_us metrics and each merge's output digest."""
     work.mkdir()
     try:
-        proc = subprocess.run([sys.executable, "-c", SOUP_CHILD, json.dumps(rounds), str(work),
-                               str(repeats)], cwd=checkout, env={**os.environ, "PYTHONPATH": "src"},
-                              capture_output=True, text=True, timeout=3600)
+        return run_child(checkout, SOUP_CHILD, [json.dumps(rounds), str(work), str(repeats)],
+                         lambda out: {"digests": out["digests"], "metrics": {
+                             f"soup_us.{k}": {"value": t * 1e6} for k, t in out["seconds"].items()}})
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    if proc.returncode != 0:
-        return {"returncode": proc.returncode, "correct": False, "metrics": {},
-                "stderr": proc.stderr[-2000:]}
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"returncode": 0, "correct": True, "digests": out["digests"],
-            "metrics": {f"soup_us.{k}": {"value": t * 1e6} for k, t in out["seconds"].items()}}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -503,11 +506,6 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 2")
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
-    env = dict(os.environ)  # importing run sets one BLAS thread; timed commands keep the default
-    import run  # bench/run.py, for its calibration loop
-
-    timed = functools.partial(time_command, env=env, cal=run.Calibration(), ref_s=run.CAL_REF_S)
-
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     runs, e2e_runs, lines = [], [], {}
@@ -530,7 +528,7 @@ def main(argv=None) -> int:
         for i, s in pair_order(E2E_PAIRS):
             seed = SEED0 + i
             for name, cmd in E2E_COMMANDS.items():
-                r = timed(tested[s], cmd)
+                r = time_command(tested[s], cmd)
                 r["passed"] = passed_count(r["summary"])
                 e2e_runs.append({"command": name, "pair": i, "side": s, **r})
                 print(f"{name} pair {i} {s}: {r['summary']}", file=sys.stderr, flush=True)
@@ -540,8 +538,8 @@ def main(argv=None) -> int:
             print(f"{E2E_WORKLOAD} pair {i} {s}: {status}", file=sys.stderr, flush=True)
         for name in E2E_COMMANDS:
             mark_comparable([r for r in e2e_runs if r.get("command") == name])
-        merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge", timed)
-        e2e_runs += merge_runs + time_trains(checkouts, tmp / "train", timed)
+        merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge", time_command)
+        e2e_runs += merge_runs + time_trains(checkouts, tmp / "train", time_command)
         configs, step_runs = step_configs(), []
         shared = shared_configs(configs)
         for i, s in pair_order(STEP_PAIRS):

@@ -320,3 +320,60 @@ def test_soup_child_times_the_loads_and_each_method(bp, tmp_path):
     assert runs[0]["digests"] == runs[1]["digests"]
     assert sorted(runs[0]["digests"]) == ["h4.dare", "h4.linear", "h4.ties"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_time_command_reports_child_cpu_and_wall_time(bp, tmp_path):
+    assert [t["name"] for t in bp.TIMINGS] == ["cpu_s", "wall_s"]
+    ok = bp.time_command(tmp_path, [sys.executable, "-c", "pass"])
+    assert sorted(ok["metrics"]) == ["cpu_s", "wall_s"]
+    assert (ok["correct"], ok["returncode"]) == (True, 0)
+    assert all(m["value"] >= 0 for m in ok["metrics"].values())
+    assert ok["metrics"]["wall_s"]["value"] > 0
+    bad = bp.time_command(tmp_path, [sys.executable, "-c", "raise SystemExit(3)"])
+    assert (bad["correct"], bad["returncode"]) == (False, 3)
+    assert sorted(bad["metrics"]) == ["cpu_s", "wall_s"]
+
+
+@pytest.fixture
+def child_envs(bp, monkeypatch):
+    """The env of every subprocess.run call, each answered as a failed run."""
+    envs = []
+
+    def run(cmd, **kwargs):
+        envs.append(kwargs["env"])
+        return bp.subprocess.CompletedProcess(cmd, 1, stdout="", stderr="")
+
+    monkeypatch.setattr(bp.subprocess, "run", run)
+    for var in bp.BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    return envs
+
+
+def run_children(bp, tmp_path):
+    bp.time_steps(tmp_path, {}, {})
+    bp.time_soup(tmp_path, {}, tmp_path / "soup")
+
+
+def test_step_and_soup_children_get_one_blas_thread_by_default(bp, tmp_path, child_envs):
+    run_children(bp, tmp_path)
+    assert len(child_envs) == 2
+    for env in child_envs:
+        assert env["PYTHONPATH"] == "src"
+        assert {v: env[v] for v in bp.BLAS_THREADS} == dict.fromkeys(bp.BLAS_THREADS, "1")
+
+
+def test_step_and_soup_children_keep_the_callers_blas_threads(bp, tmp_path, child_envs,
+                                                               monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    run_children(bp, tmp_path)
+    for env in child_envs:
+        assert {v: env[v] for v in bp.BLAS_THREADS} == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}
+
+
+def test_timed_commands_get_the_callers_environment(bp, tmp_path, child_envs, monkeypatch):
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    r = bp.time_command(tmp_path, ["true"])
+    assert (r["correct"], r["returncode"]) == (False, 1)
+    assert child_envs == [{**bp.os.environ, "PYTHONPATH": "src"}]
+    assert [v for v in bp.BLAS_THREADS if v in child_envs[0]] == ["MKL_NUM_THREADS"]
