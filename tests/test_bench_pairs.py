@@ -349,26 +349,18 @@ def child_envs(bp, monkeypatch):
     return envs
 
 
-def run_children(bp, tmp_path):
+@pytest.mark.parametrize("caller", [{}, {"OMP_NUM_THREADS": "2"}])
+def test_step_and_soup_children_get_one_blas_thread_unless_set(bp, tmp_path, child_envs,
+                                                               monkeypatch, caller):
+    for var, value in caller.items():
+        monkeypatch.setenv(var, value)
     bp.time_steps(tmp_path, {}, {})
     bp.time_soup(tmp_path, {}, tmp_path / "soup")
-
-
-def test_step_and_soup_children_get_one_blas_thread_by_default(bp, tmp_path, child_envs):
-    run_children(bp, tmp_path)
     assert len(child_envs) == 2
     for env in child_envs:
         assert env["PYTHONPATH"] == "src"
-        assert {v: env[v] for v in bp.BLAS_THREADS} == dict.fromkeys(bp.BLAS_THREADS, "1")
-
-
-def test_step_and_soup_children_keep_the_callers_blas_threads(bp, tmp_path, child_envs,
-                                                               monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    run_children(bp, tmp_path)
-    for env in child_envs:
-        assert {v: env[v] for v in bp.BLAS_THREADS} == {
-            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}
+        assert {v: env[v] for v in bp.BLAS_THREADS} == {**dict.fromkeys(bp.BLAS_THREADS, "1"),
+                                                        **caller}
 
 
 def test_timed_commands_get_the_callers_environment(bp, tmp_path, child_envs, monkeypatch):
