@@ -4,85 +4,73 @@
 
 The parent and HEAD (the change) are exported with `git archive` into fresh
 temporary directories, so each side runs exactly its committed files, from
-its own `bench/`, and leaves nothing behind in the repository. For each workload
-that BENCHMARK.json gates, pair i runs
+its own `bench/`, and leaves nothing behind in the repository. The sections
+below run one after another. Each is a function of (side, pair) that returns
+its runs, and each runs the same --pairs alternating pairs: the parent first
+in even pairs, the change first in odd ones.
+
+The gated section: for each workload that BENCHMARK.json gates, pair i runs
 
     python3 bench/run.py --workload W --seed 601+i --seconds S --trace 0
 
-once on each side, S being the benchmark's run_seconds, the parent first
-in even pairs and the change first in odd ones. The file holds the
-metadata (with each side's `src/mergeopt/*.py` line count, `src_lines`),
-every run's result, and for each workload and end-to-end metric
-both sides' median and quartiles, the change's wins and losses over the
-pairs (ties count for neither), and whether the change's median is within
-the metric's bound of the parent's. A metric is flagged a "win" or a "loss"
-only when the change wins or loses at least FLAG_SHARE of the pairs and its
-median differs from the parent's by more than the parent's quartile spread.
+once on each side, S being the benchmark's run_seconds.
 
-Then an end-to-end section, which no bound gates, runs E2E_PAIRS more
-alternating pairs. Each times, on both trees, acceptance criterion 9 alone
-and the Tier-1 suite, in wall time and the child's CPU time (user + system,
-its own children included), and runs the informational `wide-h256` workload
-as above. The CPU time is not scaled by `bench/run.py`'s calibration loop:
-timed only around the command, that loop never sampled the machine while it
-ran, and over BENCH_17-25 the scaled figure spread wider than the raw one
-(quartile spread over median 0.19-0.31 for fresh merge and train processes,
-against 0.10-0.12 raw). The timed commands get this script's environment,
-so they run with the default BLAS threads. Criterion 9's alpha sweep is 12
-OnDARE runs of 20,000 steps at hidden 4, the same step path as
-`alpha-sweep-h4`. Both pytest commands run the parent's `tests/` on
-both sides: the change side runs in a copy of the parent's tree that holds the
-change's `src/`, so tests a change adds or edits do not make the sides do
-different work. Each pytest run records its passed-test count and the ids of
-the tests it reported failed or in error; a pair whose two sides differ in
-either (a parent test that fails on the change side, say) is marked
-`comparable: false` and left out of the summary. In the same section,
-MERGE_PAIRS alternating pairs each time one fresh `python -m mergeopt merge`
-process per method (linear, DARE, TIES) on both trees, timed the same way,
-over one set of three 25 MB checkpoints plus base made by
-`bench/workloads.py`'s `synthesize_merge_inputs`. That is the offline-merge job outside the
-benchmark's in-process loop, interpreter start-up and imports included; each
-method's outputs must be byte-identical across every run of both trees.
-TRAIN_PAIRS alternating pairs then each time one fresh `python -m mergeopt
-train` process of the default config (an empty JSON object) per tree, timed
-the same way. Each is a single run in a fresh process, so it never reuses a
-reference part that an earlier run of the same process trained; its
-metrics.csv and theta_final.pset must be byte-identical across every run of
-both trees.
+The end-to-end section, which no bound gates, times commands, in this
+script's environment, in wall time and raw child CPU time (user + system, its
+own children included; over BENCH_17-25 `bench/run.py`'s calibration loop
+timed around a command spread wider than raw CPU):
+- acceptance criterion 9 alone (12 OnDARE runs of 20,000 steps at hidden 4,
+  the step path of `alpha-sweep-h4`) and the Tier-1 suite, both from the
+  parent's `tests/`: the change side runs in a copy of the parent's tree that
+  holds the change's `src/`, so that added or edited tests add no work;
+- the informational `wide-h256` workload, run as the gated ones are;
+- one fresh `python -m mergeopt merge` process per method over three 25 MB
+  checkpoints plus base from `bench/workloads.py`'s `synthesize_merge_inputs`;
+- one fresh `python -m mergeopt train` process of the default config (an
+  empty JSON object), so no reference part is reused.
 
-Last, STEP_PAIRS alternating pairs time single training steps, a stand-in
-until the tracer sees the flat loop's per-step cores. Each pair starts one
-fresh process per tree, with one BLAS thread as `bench/run.py` has (unless
-the caller set the count; see run_child), which
-times `train_run` (CPU, best of STEP_REPEATS), whose every call trains its
-own reference part, for every `OPTIMIZER_MIX`
-label of `bench/workloads.py` at its `h4` and `h16` `SHAPES`, three times
-over: at 200 preference steps and 100 + 100 supervised steps, at 1,200
-preference steps, and at 600 + 600 supervised steps. The differences over
-the STEP_EXTRA added steps give the microseconds of one preference step
-(`pref_us.<shape>.<label>`, evaluations included at the shape's
-`eval_every`) and of one supervised step (`sup_us.<shape>.<label>`). The
-OnTIES label alone is also timed at the `h256` shape, in the first two runs
-only, for `pref_us.h256.onties`: there OnTIES's top-p sorts rows of about
-1,500 keys.
-The same process then times the shared-reference variant: per shape, one
-reference part (`train_reference` of the 100 + 100-step phases), one OnDARE
-`train_preference` on it at 1,200 steps, and then `train_preference` of
-every label at 200 and at 1,200 steps on that one reference part, as runs
-of one seed share it through `mergeopt.cli`'s memo. Its difference gives
-`pref_shared_us.<shape>.<label>`: one preference step that reads the
-reference's log-prob rows and keep-masks instead of computing them.
+The per-step section times single training steps. Each run is one fresh
+process with one BLAS thread (see run_child) that times `train_run` (CPU,
+best of STEP_REPEATS), each call training its own reference part: every
+`OPTIMIZER_MIX` label at the `h4` and `h16` `SHAPES` at 200 preference and
+100 + 100 supervised steps ("short") and at 1,200 preference steps
+("pref_long"), and SUP_LABEL alone at 600 + 600 supervised steps
+("sup_long"). Over the STEP_EXTRA added steps these give one preference step
+(`pref_us.<shape>.<label>`, evaluations included) and one supervised step
+(`sup_us.<shape>`: `train_reference` reads no optimizer setting), in
+microseconds. OnTIES alone is also timed at `h256`, short and pref_long, for
+`pref_us.h256.onties`. The same process then times `train_preference` of
+every label at 200 and 1,200 steps on one reference part per shape, after
+one OnDARE run on it, as runs of one seed share it through `mergeopt.cli`'s
+memo: `pref_shared_us.<shape>.<label>`.
 
-Then SOUP_PAIRS alternating pairs time the soup merge in-process, ungated:
-each pair starts one fresh process per tree, which trains one optimizer
-round (every `OPTIMIZER_MIX` label, at `PROBE_RUN`'s short phases, whose
-checkpoints have the layout of the full runs) at each SOUP_SHAPES shape and
-saves its theta_b and theta_final checkpoints. It times, best of
-SOUP_REPEATS in CPU, the 9 `load_checkpoint` calls of one soup merge
-(`soup_us.<shape>.load`) and `offline_merge` of the loaded round by each
-method (`soup_us.<shape>.<method>`) with the arguments `mergeopt merge`
-gives it by default, seed SEED0. Each merge's output must be bit-identical
-across every run of both trees.
+The soup section's run is one fresh process that trains one optimizer round
+(every `OPTIMIZER_MIX` label at `PROBE_RUN`'s steps) at each SOUP_SHAPES shape
+into checkpoints and times, best of SOUP_REPEATS in CPU, the 9
+`load_checkpoint` calls of one soup merge (`soup_us.<shape>.load`) and
+`offline_merge` by each method (`soup_us.<shape>.<method>`), seed SEED0.
+
+Every section's summary is made the same way, per run name (a run's
+workload or command): the count of correct runs; each side's failed and
+attempted operations for bench/run.py runs; for merge, train and soup runs,
+whether every run of both trees wrote the same bytes; for pytest runs,
+whether each pair's sides passed the same number of tests and failed the
+same ones (pairs that did not are left out); then, per metric, both sides' median and
+quartiles, the change's wins and losses over the pairs (ties count for
+neither), and whether the change's median is within the metric's bound of
+the parent's. A metric is flagged a "win" or a "loss" only when the change
+wins or loses at least FLAG_SHARE of the pairs and its median differs from
+the parent's by more than the parent's quartile spread.
+
+The file holds:
+- "meta": the revisions, pair count, seeds, each side's `src/mergeopt/*.py`
+  line count (`src_lines`) and the machine;
+- "summary" and "runs": the gated section, its summary keyed by workload;
+- "end_to_end": {"gated": false, "pairs", "commands", "summary", "runs",
+  "per_step", "soup"}, its summary keyed criterion_9, tier1, wide-h256,
+  merge_<method> and train_default. "per_step" and "soup" are each
+  {"gated": false, "pairs", their settings, "summary", "runs"}, the summary
+  keyed "per_step" or "soup".
 """
 
 from __future__ import annotations
@@ -112,22 +100,21 @@ from workloads import (  # noqa: E402
 
 SIDES = ("parent", "change")
 SEED0 = 601
-E2E_PAIRS = 3
 E2E_WORKLOAD = "wide-h256"
 PYTEST = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 E2E_COMMANDS = {
     "criterion_9": PYTEST + ["-k", "criterion_9", "tests/test_acceptance.py"],
     "tier1": PYTEST,
 }
-MERGE_PAIRS = 10
-TRAIN_PAIRS = 10
 FLAG_SHARE = 0.8
 TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None}
            for n in ("cpu_s", "wall_s")]
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-STEP_PAIRS = 10
 STEP_REPEATS = 3
 STEP_SHAPES = ("h4", "h16")
+# The one label whose sup_long run times sup_us.<shape>: train_reference
+# reads no optimizer setting, so one supervised step costs the same for all.
+SUP_LABEL = "adamw"
 # The one label timed at the wide shape, and its runs: pref_us only.
 WIDE_STEP = ("h256", "onties", ("short", "pref_long"))
 STEP_EXTRA = 1000  # steps the long runs add to the short one
@@ -171,7 +158,6 @@ for _ in range(%d):  # repeats outermost, so a burst of load hits one sample of 
         out[key] = min(out[key], time.process_time() - t0)
 print(json.dumps(out))
 """ % STEP_REPEATS
-SOUP_PAIRS = 10
 SOUP_REPEATS = 200
 SOUP_SHAPES = ("h4", "h16")
 # Run in a checkout with its src/ importable: argv[1] is a JSON object of
@@ -215,6 +201,8 @@ for _ in range(repeats):
             digests[key] = hashlib.blake2b(merged.vector().tobytes(), digest_size=16).hexdigest()
 print(json.dumps({"seconds": seconds, "digests": digests}))
 """ % SEED0
+# The run fields that digest a run's outputs: one hex digest, or a dict of them.
+OUTPUT_DIGESTS = ("output_blake2b", "digests")
 
 
 def git(*args) -> str:
@@ -249,6 +237,17 @@ def counts(runs: list[dict]) -> dict:
     return {"runs_correct": sum(r["correct"] for r in runs), "runs": len(runs)}
 
 
+def run_name(run: dict) -> str:
+    """The workload or command a run ran, by which a section summarizes it."""
+    return run.get("workload") or run["command"]
+
+
+def time_workload(checkout: Path, workload: str, pair: int, seconds: float) -> dict:
+    """One bench/run.py run of workload in checkout, seeded by its pair."""
+    seed = SEED0 + pair
+    return {"workload": workload, "seed": seed, **run_once(checkout, workload, seed, seconds)}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -275,6 +274,15 @@ def time_command(checkout: Path, cmd: list[str]) -> dict:
     return {"returncode": proc.returncode, "correct": proc.returncode == 0, "summary": last[0],
             "failed": failed_tests(proc.stdout),
             "metrics": {"cpu_s": {"value": cpu}, "wall_s": {"value": wall}}}
+
+
+def time_tests(tree: Path) -> list[dict]:
+    """Each E2E_COMMANDS pytest command timed in tree, with its passed-test count."""
+    runs = []
+    for name, cmd in E2E_COMMANDS.items():
+        r = time_command(tree, cmd)
+        runs.append({"command": name, **r, "passed": passed_count(r["summary"])})
+    return runs
 
 
 def failed_tests(stdout: str) -> list[str]:
@@ -323,54 +331,45 @@ def merge_command(inputs: list[Path], out: Path, method: str) -> list[str]:
             "--out", str(out), "--method", method, "--seed", str(SEED0)]
 
 
-def time_merges(checkouts: dict, work: Path, timed) -> tuple[list[dict], list[Path]]:
-    """MERGE_PAIRS alternating pairs, each timing one merge process per method
-    on each tree by timed (a time_command) over inputs made in work; the runs
-    and the inputs."""
-    work.mkdir()
-    inputs = synthesize_merge_inputs(SEED0, work)
+def time_merges(checkout: Path, inputs: list[Path], work: Path) -> list[dict]:
+    """One merge process per method timed in checkout over inputs, each output
+    written in work and deleted; the runs, each with its output's digest."""
     runs = []
-    for i, s in pair_order(MERGE_PAIRS):
-        for m in MERGE_METHODS:
-            out = work / f"{s}-{m}.pset"
-            r = timed(checkouts[s], merge_command(inputs, out, m))
-            r["output_blake2b"] = digest([out]) if r["correct"] else None
-            out.unlink(missing_ok=True)
-            runs.append({"command": f"merge_{m}", "pair": i, "side": s, **r})
-            print(f"merge_{m} pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
-    return runs, inputs
+    for m in MERGE_METHODS:
+        out = work / f"{m}.pset"
+        r = time_command(checkout, merge_command(inputs, out, m))
+        r["output_blake2b"] = digest([out]) if r["correct"] else None
+        out.unlink(missing_ok=True)
+        runs.append({"command": f"merge_{m}", **r})
+    return runs
 
 
 def train_command(config: Path, out: Path) -> list[str]:
     return [sys.executable, "-m", "mergeopt", "train", "--config", str(config), "--out", str(out)]
 
 
-def time_trains(checkouts: dict, work: Path, timed) -> list[dict]:
-    """TRAIN_PAIRS alternating pairs, each timing one train process of the
-    default config on each tree by timed (a time_command), with its config
-    and run directories in work; the runs, each with a digest of its
-    metrics.csv and theta_final.pset."""
-    work.mkdir()
-    config = work / "config.json"
+def time_train(checkout: Path, work: Path) -> dict:
+    """One train process of the default config timed in checkout, with its
+    config and run directories in work; the run, with a digest of its
+    metrics.csv and theta_final.pset, whose directory is then deleted."""
+    work.mkdir(exist_ok=True)
+    config, out = work / "config.json", work / "run"
     config.write_text("{}\n")
-    runs = []
-    for i, s in pair_order(TRAIN_PAIRS):
-        out = work / f"{s}-run"
-        r = timed(checkouts[s], train_command(config, out))
-        r["output_blake2b"] = (digest([out / "metrics.csv", out / "theta_final.pset"])
-                               if r["correct"] else None)
-        shutil.rmtree(out, ignore_errors=True)
-        runs.append({"command": "train_default", "pair": i, "side": s, **r})
-        print(f"train_default pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
-    return runs
+    r = time_command(checkout, train_command(config, out))
+    r["output_blake2b"] = (digest([out / "metrics.csv", out / "theta_final.pset"])
+                           if r["correct"] else None)
+    shutil.rmtree(out, ignore_errors=True)
+    return {"command": "train_default", **r}
 
 
 def step_configs() -> dict:
     """"<shape>.<label>/<run>" -> RunConfig dict, for every OPTIMIZER_MIX label
-    at each STEP_SHAPES shape and every STEP_RUNS run, and for WIDE_STEP's
-    label at its shape and runs."""
+    at each STEP_SHAPES shape and the short and pref_long runs, for SUP_LABEL
+    at each of those shapes and the sup_long run, and for WIDE_STEP's label at
+    its shape and runs."""
     mix = dict(OPTIMIZER_MIX)
-    grid = [(shape, label, STEP_RUNS) for shape in STEP_SHAPES for label in mix]
+    grid = [(shape, label, ("short", "pref_long")) for shape in STEP_SHAPES for label in mix]
+    grid += [(shape, SUP_LABEL, ("sup_long",)) for shape in STEP_SHAPES]
     grid.append(WIDE_STEP)
     out = {}
     for shape, label, runs in grid:
@@ -395,14 +394,16 @@ def shared_configs(configs: dict) -> dict:
 def step_metrics(seconds: dict) -> dict:
     """From a child's times by step_configs() and shared_configs() key, the
     microseconds of one step of each config and STEP_METRICS long run: (long
-    run - its short run) / STEP_EXTRA."""
+    run - its short run) / STEP_EXTRA, named by config, or by shape alone for
+    the supervised step (sup_us.<shape>), which no label changes."""
     out = {}
     for key, t in seconds.items():
         config, run = key.rsplit("/", 1)
         if run in STEP_METRICS:
             metric, short = STEP_METRICS[run]
             us = (t - seconds[f"{config}/{short}"]) / STEP_EXTRA * 1e6
-            out[f"{metric}.{config}"] = {"value": us}
+            name = config.split(".")[0] if run == "sup_long" else config
+            out[f"{metric}.{name}"] = {"value": us}
     return out
 
 
@@ -495,6 +496,42 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def metric_specs(runs: list[dict], declared: list[dict]) -> list[dict]:
+    """The spec of every metric that runs report: declared's, in its order,
+    where it names the metric; the rest, the per-step and soup timings, in
+    microseconds, lower better and unbound."""
+    reported = dict.fromkeys(m for r in runs for m in r["metrics"])
+    names = {spec["name"] for spec in declared}
+    return ([spec for spec in declared if spec["name"] in reported]
+            + [{"name": n, "unit": "us", "better": "lower", "bound": None}
+               for n in reported if n not in names])
+
+
+def section_summary(runs: list[dict], declared: list[dict]) -> dict:
+    """Per run name (a run's workload or command), in order of first run: the
+    counts; each side's failed and attempted operations for bench/run.py
+    runs; outputs_identical for runs that digest their outputs; each pair's
+    comparable mark for pytest runs; then summarize by metric_specs."""
+    groups = {}
+    for r in runs:
+        groups.setdefault(run_name(r), []).append(r)
+    out = {}
+    for name, rs in groups.items():
+        group = counts(rs)
+        if "attempted" in rs[0]:
+            for k in ("failed", "attempted"):
+                group[f"{k}_operations"] = {s: sum(r[k] for r in rs if r["side"] == s)
+                                            for s in SIDES}
+        for key in OUTPUT_DIGESTS:
+            if any(key in r for r in rs):
+                group["outputs_identical"] = len({json.dumps(r.get(key), sort_keys=True)
+                                                  for r in rs}) == 1
+        if any("passed" in r for r in rs):
+            mark_comparable(rs)
+        out[name] = {**group, "metrics": summarize(rs, metric_specs(rs, declared))}
+    return out
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -508,104 +545,64 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    runs, e2e_runs, lines = [], [], {}
+    runs, lines = {}, {}
     try:
-        checkouts = {}
+        checkouts = {s: tmp / s for s in SIDES}
         for s in SIDES:
-            checkouts[s] = tmp / s
             export(revs[s], checkouts[s])
             lines[s] = src_lines(checkouts[s])
-        for w in workloads:
-            for i, s in pair_order(args.pairs):
-                seed = SEED0 + i
-                r = run_once(checkouts[s], w, seed, seconds)
-                runs.append({"workload": w, "pair": i, "side": s, "seed": seed, **r})
-                status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
-                print(f"{w} pair {i} {s}: {status}", file=sys.stderr, flush=True)
         # The parent's tests/ on both sides, over each side's src/.
         tested = {"parent": checkouts["parent"], "change": tmp / "change-src"}
         with_src(checkouts["parent"], checkouts["change"], tested["change"])
-        for i, s in pair_order(E2E_PAIRS):
-            seed = SEED0 + i
-            for name, cmd in E2E_COMMANDS.items():
-                r = time_command(tested[s], cmd)
-                r["passed"] = passed_count(r["summary"])
-                e2e_runs.append({"command": name, "pair": i, "side": s, **r})
-                print(f"{name} pair {i} {s}: {r['summary']}", file=sys.stderr, flush=True)
-            r = run_once(checkouts[s], E2E_WORKLOAD, seed, seconds)
-            e2e_runs.append({"workload": E2E_WORKLOAD, "pair": i, "side": s, "seed": seed, **r})
-            status = "ok" if r["correct"] else f"FAILED rc={r['returncode']}"
-            print(f"{E2E_WORKLOAD} pair {i} {s}: {status}", file=sys.stderr, flush=True)
-        for name in E2E_COMMANDS:
-            mark_comparable([r for r in e2e_runs if r.get("command") == name])
-        merge_runs, merge_inputs = time_merges(checkouts, tmp / "merge", time_command)
-        e2e_runs += merge_runs + time_trains(checkouts, tmp / "train", time_command)
-        configs, step_runs = step_configs(), []
+        (tmp / "merge").mkdir()
+        merge_inputs = synthesize_merge_inputs(SEED0, tmp / "merge")
+        configs, rounds = step_configs(), soup_configs()
         shared = shared_configs(configs)
-        for i, s in pair_order(STEP_PAIRS):
-            r = time_steps(checkouts[s], configs, shared)
-            step_runs.append({"pair": i, "side": s, **r})
-            print(f"per-step pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
-        rounds, soup_runs = soup_configs(), []
-        for i, s in pair_order(SOUP_PAIRS):
-            r = time_soup(checkouts[s], rounds, tmp / f"soup-{i}-{s}")
-            soup_runs.append({"pair": i, "side": s, **r})
-            print(f"soup pair {i} {s}: rc={r['returncode']}", file=sys.stderr, flush=True)
+        # Each section: the part of the report it goes to, and its runs of one
+        # (side, pair).
+        sections = [
+            *(("gated", lambda s, i, w=w: [time_workload(checkouts[s], w, i, seconds)])
+              for w in workloads),
+            ("end_to_end", lambda s, i: time_tests(tested[s])),
+            ("end_to_end", lambda s, i: [time_workload(checkouts[s], E2E_WORKLOAD, i, seconds)]),
+            ("end_to_end", lambda s, i: time_merges(checkouts[s], merge_inputs, tmp / "merge")),
+            ("end_to_end", lambda s, i: [time_train(checkouts[s], tmp / "train")]),
+            ("per_step", lambda s, i: [
+                {"command": "per_step", **time_steps(checkouts[s], configs, shared)}]),
+            ("soup", lambda s, i: [
+                {"command": "soup", **time_soup(checkouts[s], rounds, tmp / f"soup-{i}-{s}")}]),
+        ]
+        for part, section in sections:
+            for i, s in pair_order(args.pairs):
+                for r in section(s, i):
+                    runs.setdefault(part, []).append({"pair": i, "side": s, **r})
+                    status = (r["summary"] if "passed" in r
+                              else "ok" if r["correct"] else f"FAILED rc={r['returncode']}")
+                    print(f"{run_name(r)} pair {i} {s}: {status}", file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    summary = {}
-    for w in workloads:
-        wr = [r for r in runs if r["workload"] == w]
-        summary[w] = {
-            **counts(wr),
-            "failed_operations": {s: sum(r["failed"] for r in wr if r["side"] == s) for s in SIDES},
-            "attempted_operations": {s: sum(r["attempted"] for r in wr if r["side"] == s) for s in SIDES},
-            "metrics": summarize(wr, bench["end_to_end"]),
-        }
-    e2e_summary = {}
-    for name, key, specs in [*((n, "command", TIMINGS) for n in E2E_COMMANDS),
-                             (E2E_WORKLOAD, "workload", bench["end_to_end"])]:
-        rs = [r for r in e2e_runs if r.get(key) == name]
-        e2e_summary[name] = {**counts(rs), "metrics": summarize(rs, specs)}
-    for name in [f"merge_{m}" for m in MERGE_METHODS] + ["train_default"]:
-        rs = [r for r in e2e_runs if r.get("command") == name]
-        e2e_summary[name] = {
-            **counts(rs),
-            "outputs_identical": len({r["output_blake2b"] for r in rs}) == 1,
-            "metrics": summarize(rs, TIMINGS),
-        }
-    step_specs = [{"name": f"{m}.{c}", "unit": "us", "better": "lower", "bound": None}
-                  for m, _ in STEP_METRICS.values() for c in sorted({k.split("/")[0] for k in configs})]
-    per_step = {
-        "gated": False, "pairs": STEP_PAIRS, "repeats": STEP_REPEATS, "extra_steps": STEP_EXTRA,
-        "runs_per_config": {run: {"dpo_steps": n, "phase_steps": p}
-                            for run, (n, p) in STEP_RUNS.items()},
-        "shared_runs": SHARED_RUNS,
-        "wide_step": dict(zip(("shape", "label", "runs"), WIDE_STEP)),
-        "runs_correct": sum(r["correct"] for r in step_runs), "n_runs": len(step_runs),
-        "summary": summarize(step_runs, step_specs), "runs": step_runs,
-    }
-    merge_cmd = merge_command([Path(p.name) for p in merge_inputs], Path("out.pset"), "M")
-    train_cmd = train_command(Path("config.json"), Path("run"))  # config.json holds {}
+    declared = [*bench["end_to_end"], *TIMINGS]
+    summary = {part: section_summary(rs, declared) for part, rs in runs.items()}
+
+    def section(part: str, **settings) -> dict:
+        return {"gated": False, "pairs": args.pairs, **settings,
+                "summary": summary[part], "runs": runs[part]}
+
+    # As the runs ran them, with merge_M the method and config.json holding {}.
+    inputs = [Path(p.name) for p in merge_inputs]
+    commands = {**E2E_COMMANDS, "merge_M": merge_command(inputs, Path("out.pset"), "M"),
+                "train_default": train_command(Path("config.json"), Path("run"))}
     end_to_end = {
-        "gated": False, "pairs": E2E_PAIRS, "seeds": [SEED0, SEED0 + E2E_PAIRS - 1],
-        "merge_pairs": MERGE_PAIRS, "train_pairs": TRAIN_PAIRS,
-        "commands": {**{n: " ".join(["PYTHONPATH=src", "python3", *c[1:]])
-                        for n, c in E2E_COMMANDS.items()},
-                     "merge_M": " ".join(["PYTHONPATH=src", "python3", *merge_cmd[1:]]),
-                     "train_default": " ".join(["PYTHONPATH=src", "python3", *train_cmd[1:]])},
-        "summary": e2e_summary, "runs": e2e_runs, "per_step": per_step,
-        "soup": {
-            "gated": False, "pairs": SOUP_PAIRS, "repeats": SOUP_REPEATS, "rounds": rounds,
-            "runs_correct": sum(r["correct"] for r in soup_runs), "n_runs": len(soup_runs),
-            "outputs_identical": len({json.dumps(r.get("digests"), sort_keys=True)
-                                      for r in soup_runs}) == 1,
-            "summary": summarize(soup_runs, [
-                {"name": f"soup_us.{shape}.{part}", "unit": "us", "better": "lower", "bound": None}
-                for shape in SOUP_SHAPES for part in ("load", *MERGE_METHODS)]),
-            "runs": soup_runs,
-        },
+        **section("end_to_end", commands={n: " ".join(["PYTHONPATH=src", "python3", *c[1:]])
+                                          for n, c in commands.items()}),
+        "per_step": section(
+            "per_step", repeats=STEP_REPEATS, extra_steps=STEP_EXTRA,
+            runs_per_config={run: {"dpo_steps": n, "phase_steps": p}
+                             for run, (n, p) in STEP_RUNS.items()},
+            shared_runs=SHARED_RUNS, sup_label=SUP_LABEL,
+            wide_step=dict(zip(("shape", "label", "runs"), WIDE_STEP))),
+        "soup": section("soup", repeats=SOUP_REPEATS, rounds=rounds),
     }
     meta = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -617,7 +614,8 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(), "src_lines": lines,
     }
     path = ROOT / f"BENCH_{args.pr}.json"
-    report = {"meta": meta, "summary": summary, "runs": runs, "end_to_end": end_to_end}
+    report = {"meta": meta, "summary": summary["gated"], "runs": runs["gated"],
+              "end_to_end": end_to_end}
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0

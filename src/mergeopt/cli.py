@@ -186,7 +186,9 @@ def cmd_sweep(args) -> int:
         rows = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                rows.extend(pool.map(_run_sweep_point, jobs))
+                # One contiguous seed-major block per worker, so that a seed's
+                # points share one reference unless its block is split.
+                rows.extend(pool.map(_run_sweep_point, jobs, chunksize=-(-len(jobs) // workers)))
             except BrokenProcessPool as e:
                 dead = jobs[len(rows)].out_dir
                 raise MergeOptError(f"a sweep worker process died; {dead} did not finish") from e

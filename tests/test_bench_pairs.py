@@ -2,6 +2,8 @@
 flags, what it leaves out and how it applies a metric's bound."""
 
 import importlib.util
+import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -163,8 +165,8 @@ def test_step_metrics_divide_the_added_time_by_the_added_steps(bp):
     got = {k: v["value"] for k, v in bp.step_metrics(seconds).items()}
     assert bp.STEP_EXTRA == 1000
     assert got == pytest.approx({
-        "pref_us.h4.ondare": 120.0, "sup_us.h4.ondare": 60.0,
-        "pref_us.h16.adamw": -20.0, "sup_us.h16.adamw": 0.0,
+        "pref_us.h4.ondare": 120.0, "sup_us.h4": 60.0,
+        "pref_us.h16.adamw": -20.0, "sup_us.h16": 0.0,
     })
 
 
@@ -175,7 +177,8 @@ def test_step_configs_differ_only_in_the_added_steps(bp):
     labels = [label for label, _ in bp.OPTIMIZER_MIX]
     assert sorted(configs) == sorted([
         *(f"{shape}.{label}/{run}" for shape in ("h4", "h16") for label in labels
-          for run in ("short", "pref_long", "sup_long")),
+          for run in ("short", "pref_long")),
+        *(f"{shape}.{bp.SUP_LABEL}/sup_long" for shape in ("h4", "h16")),
         "h256.onties/short", "h256.onties/pref_long",
     ])
     for key, d in configs.items():
@@ -237,7 +240,7 @@ def test_train_command_is_a_default_train_the_cli_parses(bp, tmp_path):
     )
 
 
-def test_time_trains_alternates_and_digests_each_run_s_outputs(bp, tmp_path):
+def test_time_trains_alternates_and_digests_each_run_s_outputs(bp, tmp_path, monkeypatch):
     calls = []
 
     def timed(checkout, cmd):
@@ -248,9 +251,11 @@ def test_time_trains_alternates_and_digests_each_run_s_outputs(bp, tmp_path):
         (out / "theta_final.pset").write_bytes(checkout.encode())
         return {"returncode": 0, "correct": True, "metrics": {}}
 
-    rs = bp.time_trains({"parent": "p", "change": "c"}, tmp_path / "work", timed)
-    assert [(r["pair"], r["side"]) for r in rs] == list(bp.pair_order(bp.TRAIN_PAIRS))
-    assert [c for c, _ in calls] == [{"parent": "p", "change": "c"}[r["side"]] for r in rs]
+    monkeypatch.setattr(bp, "time_command", timed)
+    checkouts = {"parent": "p", "change": "c"}
+    rs = [{"pair": i, "side": s, **bp.time_train(checkouts[s], tmp_path / "work")}
+          for i, s in bp.pair_order(4)]
+    assert [c for c, _ in calls] == [checkouts[r["side"]] for r in rs]
     assert all(text == "{}\n" for _, text in calls)
     assert all(r["command"] == "train_default" for r in rs)
     (tmp_path / "m").write_bytes(b"step\n")
@@ -369,3 +374,71 @@ def test_timed_commands_get_the_callers_environment(bp, tmp_path, child_envs, mo
     assert (r["correct"], r["returncode"]) == (False, 1)
     assert child_envs == [{**bp.os.environ, "PYTHONPATH": "src"}]
     assert [v for v in bp.BLAS_THREADS if v in child_envs[0]] == ["MKL_NUM_THREADS"]
+
+
+def test_main_runs_every_section_over_the_same_pairs(bp, tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    root.mkdir()
+    shutil.copy(SCRIPT.parent.parent / "BENCHMARK.json", root)
+    monkeypatch.setattr(bp, "ROOT", root)
+    monkeypatch.setattr(bp, "git", lambda *args: args[-1])
+
+    def export(rev, dest):
+        (dest / "src" / "mergeopt").mkdir(parents=True)
+        (dest / "src" / "mergeopt" / "a.py").write_text("x = 1\n")
+        (dest / "tests").mkdir()
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"returncode": 0, "correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"steps_per_s": {"value": float(seed)}}}
+
+    def time_command(checkout, cmd):
+        if "train" in cmd:  # each tree writes its own theta_final bytes
+            out = Path(cmd[cmd.index("--out") + 1])
+            out.mkdir()
+            (out / "metrics.csv").write_text("step\n")
+            (out / "theta_final.pset").write_text(checkout.name)
+        elif "merge" in cmd:
+            Path(cmd[cmd.index("--out") + 1]).write_text("merged")
+        return {"returncode": 0, "correct": True, "summary": "5 passed in 1.00s", "failed": [],
+                "metrics": {"cpu_s": {"value": 1.0}, "wall_s": {"value": 2.0}}}
+
+    def run_child(checkout, script, args, result):
+        if script == bp.STEP_CHILD:
+            out = dict.fromkeys([*json.loads(args[0]), *json.loads(args[1])], 1.0)
+        else:
+            out = {"seconds": {"h4.load": 1e-4}, "digests": {"h4.ties": "d"}}
+        return {"returncode": 0, "correct": True, **result(out)}
+
+    for name, stub in [("export", export), ("run_once", run_once), ("run_child", run_child),
+                       ("time_command", time_command),
+                       ("synthesize_merge_inputs", lambda seed, work: [work / "base.pset"])]:
+        monkeypatch.setattr(bp, name, stub)
+    assert bp.main(["--parent", "X", "--pr", "0", "--pairs", "2"]) == 0
+    assert not (SCRIPT.parent.parent / "BENCH_0.json").exists()
+    report = json.loads((root / "BENCH_0.json").read_text())
+    e2e = report["end_to_end"]
+    assert report["meta"]["pairs"] == e2e["pairs"] == e2e["per_step"]["pairs"] == 2
+    assert e2e["soup"]["pairs"] == 2
+    parts = [(report["summary"], report["runs"]), (e2e["summary"], e2e["runs"]),
+             *((e2e[p]["summary"], e2e[p]["runs"]) for p in ("per_step", "soup"))]
+    for summary, runs in parts:
+        for name, group in summary.items():
+            rs = [r for r in runs if bp.run_name(r) == name]
+            assert [(r["pair"], r["side"]) for r in rs] == list(bp.pair_order(2))
+            assert (group["runs_correct"], group["runs"]) == (4, 4)
+            assert group["metrics"] and all(m["pairs"] == 2 for m in group["metrics"].values())
+    assert list(report["summary"]) == report["meta"]["workloads"]
+    assert all(g["attempted_operations"] == {"parent": 6, "change": 6}
+               for g in report["summary"].values())
+    assert list(e2e["summary"]) == ["criterion_9", "tier1", "wide-h256", "merge_linear",
+                                    "merge_dare", "merge_ties", "train_default"]
+    assert {name: g["outputs_identical"] for part in (e2e, e2e["soup"])
+            for name, g in part["summary"].items() if "outputs_identical" in g} == {
+        "merge_linear": True, "merge_dare": True, "merge_ties": True, "train_default": False,
+        "soup": True,
+    }
+    assert [(r["command"], r["comparable"]) for r in e2e["runs"] if "comparable" in r] == [
+        ("criterion_9", True), ("tier1", True)] * 4
+    assert sorted(m for m in e2e["per_step"]["summary"]["per_step"]["metrics"]
+                  if m.startswith("sup_us")) == ["sup_us.h16", "sup_us.h4"]

@@ -622,6 +622,29 @@ class TestSweep:
                 echoed = json.loads((sweep_dir / f"point{i:04d}_seed{seed}" / "config.json").read_text())
                 assert (echoed["merge"]["alpha"], echoed["seed"]) == (alpha, seed)
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="workers must inherit the patch"
+    )
+    def test_pool_trains_each_seeds_reference_once(self, tmp_path, monkeypatch):
+        log, train_reference = tmp_path / "references.log", cli.train_reference
+
+        def logged(suite, cfg):
+            with log.open("a") as f:
+                f.write(f"{os.getpid()} {cfg.seed}\n")
+            return train_reference(suite, cfg)
+
+        monkeypatch.setattr(cli, "train_reference", logged)
+        monkeypatch.setattr(cli, "_REFERENCES", {})
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg_path = write_config(tmp_path, optimizer="ondare")
+        assert main(
+            ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
+             "--alpha", "1e-6", "1e-4", "--seeds", "1", "2"]
+        ) == 0
+        trained = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(seed for _, seed in trained) == ["1", "2"]
+        assert all(pid != str(os.getpid()) for pid, _ in trained)
+
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, optimizer="ondare")
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
