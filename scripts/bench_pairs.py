@@ -29,26 +29,26 @@ timed around a command spread wider than raw CPU):
 - one fresh `python -m mergeopt train` process of the default config (an
   empty JSON object), so no reference part is reused.
 
-The per-step section times single training steps. Each run is one fresh
-process with one BLAS thread (see run_child) that times `train_run` (CPU,
-best of STEP_REPEATS), each call training its own reference part: every
-`OPTIMIZER_MIX` label at the `h4` and `h16` `SHAPES` at 200 preference and
-100 + 100 supervised steps ("short") and at 1,200 preference steps
-("pref_long"), and SUP_LABEL alone at 600 + 600 supervised steps
-("sup_long"). Over the STEP_EXTRA added steps these give one preference step
-(`pref_us.<shape>.<label>`, evaluations included) and one supervised step
-(`sup_us.<shape>`: `train_reference` reads no optimizer setting), in
+The per-step section times single training steps and soup merges. Each run
+is one fresh process with one BLAS thread (see run_child) that times
+`train_run` (CPU, best of STEP_REPEATS), each call training its own
+reference part: every `OPTIMIZER_MIX` label at the `h4` and `h16` `SHAPES` at
+200 preference and 100 + 100 supervised steps ("short") and at 1,200
+preference steps ("pref_long"), and SUP_LABEL alone at 600 + 600 supervised
+steps ("sup_long"). Over the STEP_EXTRA added steps these give one preference
+step (`pref_us.<shape>.<label>`, evaluations included) and one supervised
+step (`sup_us.<shape>`: `train_reference` reads no optimizer setting), in
 microseconds. OnTIES alone is also timed at `h256`, short and pref_long, for
 `pref_us.h256.onties`. The same process then times `train_preference` of
 every label at 200 and 1,200 steps on one reference part per shape, after
 one OnDARE run on it, as runs of one seed share it through `mergeopt.cli`'s
-memo: `pref_shared_us.<shape>.<label>`.
-
-The soup section's run is one fresh process that trains one optimizer round
-(every `OPTIMIZER_MIX` label at `PROBE_RUN`'s steps) at each SOUP_SHAPES shape
-into checkpoints and times, best of SOUP_REPEATS in CPU, the 9
-`load_checkpoint` calls of one soup merge (`soup_us.<shape>.load`) and
-`offline_merge` by each method (`soup_us.<shape>.<method>`), seed SEED0.
+memo: `pref_shared_us.<shape>.<label>`. Last, per shape, it writes that
+reference part's theta_b and the theta_final of each label's 200-step run
+("shared_short") into checkpoints, the soup of one optimizer round, and
+times, best of SOUP_REPEATS in CPU, the 9 `load_checkpoint` calls of the
+soup merge (`soup_us.<shape>.load`) and `offline_merge` by each method
+(`soup_us.<shape>.<method>`), seed SEED0. The process's runs are named
+"per_step" and "soup".
 
 Every section's summary is made the same way, per run name (a run's
 workload or command): the count of correct runs; each side's failed and
@@ -67,10 +67,9 @@ The file holds:
   line count (`src_lines`) and the machine;
 - "summary" and "runs": the gated section, its summary keyed by workload;
 - "end_to_end": {"gated": false, "pairs", "commands", "summary", "runs",
-  "per_step", "soup"}, its summary keyed criterion_9, tier1, wide-h256,
-  merge_<method> and train_default. "per_step" and "soup" are each
-  {"gated": false, "pairs", their settings, "summary", "runs"}, the summary
-  keyed "per_step" or "soup".
+  "per_step"}, its summary keyed criterion_9, tier1, wide-h256,
+  merge_<method> and train_default. "per_step" is {"gated": false, "pairs",
+  its settings, "summary", "runs"}, the summary keyed "per_step" and "soup".
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 from workloads import (  # noqa: E402
-    MERGE_METHODS, OPTIMIZER_MIX, PROBE_RUN, SHAPES, _deep_update, synthesize_merge_inputs
+    MERGE_METHODS, OPTIMIZER_MIX, SHAPES, _deep_update, synthesize_merge_inputs
 )
 
 SIDES = ("parent", "change")
@@ -111,6 +110,7 @@ TIMINGS = [{"name": n, "unit": "s", "better": "lower", "bound": None}
            for n in ("cpu_s", "wall_s")]
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 STEP_REPEATS = 3
+SOUP_REPEATS = 200
 STEP_SHAPES = ("h4", "h16")
 # The one label whose sup_long run times sup_us.<shape>: train_reference
 # reads no optimizer setting, so one supervised step costs the same for all.
@@ -129,10 +129,18 @@ STEP_METRICS = {"pref_long": ("pref_us", "short"), "sup_long": ("sup_us", "short
                 "shared_long": ("pref_shared_us", "shared_short")}
 # Run in a checkout with its src/ importable: argv[1] and argv[2] are JSON
 # objects of RunConfig dicts, keyed "<shape>.<label>/<run>", for train_run
-# and for the shared runs; prints each one's best CPU time, in seconds.
+# and for the shared runs; argv[3] a directory for the soup's checkpoints;
+# argv[4] the soup's repeats. Prints each run's best CPU time, in seconds
+# ("steps"), and of each shape's soup (the theta_b of its shared reference
+# part and the theta_final of each shared_short run): each "<shape>.<part>"'s
+# best CPU time and the blake2b digest of each merge's flat vector ("soup").
 STEP_CHILD = """
-import json, sys, time
+import hashlib, json, sys, time
+from pathlib import Path
+from mergeopt import load_checkpoint, offline_merge, save_checkpoint
+from mergeopt.kernels import MergeMethod, MergeSpec
 from mergeopt.training import RunConfig, make_suite, train_preference, train_reference, train_run
+work, soup_repeats = Path(sys.argv[3]), int(sys.argv[4])
 runs, references = {}, {}
 for key, d in json.loads(sys.argv[1]).items():
     cfg = RunConfig.from_dict(d)
@@ -146,7 +154,7 @@ for key, d in json.loads(sys.argv[2]).items():
 for key, (reference, cfg) in shared.items():  # one OnDARE run per shape's reference
     if key.endswith(".ondare/shared_long"):
         train_preference(reference, cfg)
-out = dict.fromkeys([*runs, *shared], float("inf"))
+out, finals = dict.fromkeys([*runs, *shared], float("inf")), {}
 for _ in range(%d):  # repeats outermost, so a burst of load hits one sample of each
     for key, (suite, cfg) in runs.items():
         t0 = time.process_time()
@@ -154,38 +162,18 @@ for _ in range(%d):  # repeats outermost, so a burst of load hits one sample of 
         out[key] = min(out[key], time.process_time() - t0)
     for key, (reference, cfg) in shared.items():
         t0 = time.process_time()
-        train_preference(reference, cfg)
+        result = train_preference(reference, cfg)
         out[key] = min(out[key], time.process_time() - t0)
-print(json.dumps(out))
-""" % STEP_REPEATS
-SOUP_REPEATS = 200
-SOUP_SHAPES = ("h4", "h16")
-# Run in a checkout with its src/ importable: argv[1] is a JSON object of
-# shape -> {label: RunConfig dict} for one round, the first label's theta_b
-# the soup's base; argv[2] a directory for the checkpoints; argv[3] the
-# repeats. Prints each "<shape>.<part>"'s best CPU time, in seconds, and the
-# blake2b digest of each merge's flat vector.
-SOUP_CHILD = """
-import hashlib, json, sys, time
-from pathlib import Path
-from mergeopt import load_checkpoint, offline_merge, save_checkpoint
-from mergeopt.kernels import MergeMethod, MergeSpec
-from mergeopt.training import RunConfig, make_suite, train_run
-rounds, work, repeats = json.loads(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
-soups = {}
-for shape, configs in rounds.items():
-    paths = []
-    for label, d in configs.items():
-        cfg = RunConfig.from_dict(d)
-        result = train_run(make_suite(cfg), cfg)
-        if not paths:
-            paths.append(work / f"{shape}.theta_b.pset")
-            save_checkpoint(result.theta_base, paths[0])
-        paths.append(work / f"{shape}.{label}.pset")
-        save_checkpoint(result.theta_final, paths[-1])
-    soups[shape] = paths
+        if key.endswith("/shared_short"):
+            finals[key] = result.theta_final
+soups = {shape: [work / f"{shape}.theta_b.pset"] for shape in references}
+for shape, paths in soups.items():
+    save_checkpoint(references[shape].theta_base, paths[0])
+for key, theta in finals.items():
+    soups[key.split(".")[0]].append(work / f"{key.split('/')[0]}.pset")
+    save_checkpoint(theta, soups[key.split(".")[0]][-1])
 seconds, digests = {}, {}
-for _ in range(repeats):
+for _ in range(soup_repeats):
     for shape, paths in soups.items():
         t0 = time.process_time()
         base, *models = [load_checkpoint(p) for p in paths]
@@ -199,8 +187,8 @@ for _ in range(repeats):
             key = f"{shape}.{method.value}"
             seconds[key] = min(seconds.get(key, t), t)
             digests[key] = hashlib.blake2b(merged.vector().tobytes(), digest_size=16).hexdigest()
-print(json.dumps({"seconds": seconds, "digests": digests}))
-""" % SEED0
+print(json.dumps({"steps": out, "soup": {"seconds": seconds, "digests": digests}}))
+""" % (STEP_REPEATS, SEED0)
 # The run fields that digest a run's outputs: one hex digest, or a dict of them.
 OUTPUT_DIGESTS = ("output_blake2b", "digests")
 
@@ -407,11 +395,11 @@ def step_metrics(seconds: dict) -> dict:
     return out
 
 
-def run_child(checkout: Path, script: str, args: list[str], result) -> dict:
+def run_child(checkout: Path, script: str, args: list[str]) -> dict:
     """Run script with args in a fresh interpreter in checkout, with its src/
     importable and, as bench/run.py runs its jobs, one BLAS thread unless
-    this process's environment sets the count; the run, with the fields that
-    result makes of the JSON on its last line of output."""
+    this process's environment sets the count; the run, with the JSON object
+    on its last line of output as "out"."""
     env = {**os.environ, "PYTHONPATH": "src"}
     for var in BLAS_THREADS:
         env.setdefault(var, "1")
@@ -421,36 +409,31 @@ def run_child(checkout: Path, script: str, args: list[str], result) -> dict:
         return {"returncode": proc.returncode, "correct": False, "metrics": {},
                 "stderr": proc.stderr[-2000:]}
     return {"returncode": 0, "correct": True,
-            **result(json.loads(proc.stdout.strip().splitlines()[-1]))}
+            "out": json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
-def time_steps(checkout: Path, configs: dict, shared: dict) -> dict:
+def time_steps(checkout: Path, configs: dict, shared: dict, work: Path,
+               soup_repeats: int = SOUP_REPEATS) -> list[dict]:
     """One fresh process in checkout timing configs by train_run and shared
-    by train_preference; its per-step metrics."""
-    return run_child(checkout, STEP_CHILD, [json.dumps(configs), json.dumps(shared)],
-                     lambda seconds: {"seconds": seconds, "metrics": step_metrics(seconds)})
-
-
-def soup_configs() -> dict:
-    """shape -> {label: RunConfig dict} of one short optimizer round at each
-    SOUP_SHAPES shape: every OPTIMIZER_MIX label with PROBE_RUN's steps."""
-    return {shape: {label: _deep_update(_deep_update(_deep_update({"seed": SEED0}, SHAPES[shape]),
-                                                     over), PROBE_RUN)
-                    for label, over in OPTIMIZER_MIX}
-            for shape in SOUP_SHAPES}
-
-
-def time_soup(checkout: Path, rounds: dict, work: Path, repeats: int = SOUP_REPEATS) -> dict:
-    """One fresh process in checkout training rounds (as soup_configs() gives
-    them) into checkpoints in work, a new directory, and timing their soup
-    merges; its soup_us metrics and each merge's output digest."""
-    work.mkdir()
+    by train_preference, then each shape's soup of its shared_short runs,
+    with the checkpoints in work, which is left empty; its per_step run, with
+    the per-step metrics, and its soup run, with the soup_us metrics and each
+    merge's output digest."""
+    work.mkdir(exist_ok=True)
     try:
-        return run_child(checkout, SOUP_CHILD, [json.dumps(rounds), str(work), str(repeats)],
-                         lambda out: {"digests": out["digests"], "metrics": {
-                             f"soup_us.{k}": {"value": t * 1e6} for k, t in out["seconds"].items()}})
+        r = run_child(checkout, STEP_CHILD,
+                      [json.dumps(configs), json.dumps(shared), str(work), str(soup_repeats)])
     finally:
-        shutil.rmtree(work, ignore_errors=True)
+        for path in work.iterdir():
+            path.unlink()
+    if not r["correct"]:
+        return [{"command": command, **r} for command in ("per_step", "soup")]
+    out = r.pop("out")
+    soup = out["soup"]
+    return [{"command": "per_step", **r, "seconds": out["steps"],
+             "metrics": step_metrics(out["steps"])},
+            {"command": "soup", **r, "digests": soup["digests"], "metrics": {
+                f"soup_us.{k}": {"value": t * 1e6} for k, t in soup["seconds"].items()}}]
 
 
 def quartiles(values: list[float]) -> dict:
@@ -556,7 +539,7 @@ def main(argv=None) -> int:
         with_src(checkouts["parent"], checkouts["change"], tested["change"])
         (tmp / "merge").mkdir()
         merge_inputs = synthesize_merge_inputs(SEED0, tmp / "merge")
-        configs, rounds = step_configs(), soup_configs()
+        configs = step_configs()
         shared = shared_configs(configs)
         # Each section: the part of the report it goes to, and its runs of one
         # (side, pair).
@@ -567,10 +550,7 @@ def main(argv=None) -> int:
             ("end_to_end", lambda s, i: [time_workload(checkouts[s], E2E_WORKLOAD, i, seconds)]),
             ("end_to_end", lambda s, i: time_merges(checkouts[s], merge_inputs, tmp / "merge")),
             ("end_to_end", lambda s, i: [time_train(checkouts[s], tmp / "train")]),
-            ("per_step", lambda s, i: [
-                {"command": "per_step", **time_steps(checkouts[s], configs, shared)}]),
-            ("soup", lambda s, i: [
-                {"command": "soup", **time_soup(checkouts[s], rounds, tmp / f"soup-{i}-{s}")}]),
+            ("per_step", lambda s, i: time_steps(checkouts[s], configs, shared, tmp / "soup")),
         ]
         for part, section in sections:
             for i, s in pair_order(args.pairs):
@@ -601,8 +581,7 @@ def main(argv=None) -> int:
             runs_per_config={run: {"dpo_steps": n, "phase_steps": p}
                              for run, (n, p) in STEP_RUNS.items()},
             shared_runs=SHARED_RUNS, sup_label=SUP_LABEL,
-            wide_step=dict(zip(("shape", "label", "runs"), WIDE_STEP))),
-        "soup": section("soup", repeats=SOUP_REPEATS, rounds=rounds),
+            wide_step=dict(zip(("shape", "label", "runs"), WIDE_STEP)), soup_repeats=SOUP_REPEATS),
     }
     meta = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),

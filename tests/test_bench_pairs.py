@@ -1,6 +1,7 @@
 """The summary rules of scripts/bench_pairs.py, on synthetic runs: what it
 flags, what it leaves out and how it applies a metric's bound."""
 
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -286,12 +287,27 @@ def test_shared_step_metrics_subtract_the_shared_short_run(bp):
     assert got == pytest.approx({"pref_us.h4.ondare": 120.0, "pref_shared_us.h4.ondare": 70.0})
 
 
-def test_step_child_times_every_run_and_shared_run(bp):
-    tiny = {"seed": 3, "dpo": {"steps": 4}, "phases": {"pretrain_steps": 2, "sft_steps": 2}}
-    configs = {f"h4.{label}/{run}": {**tiny, **over} for label, over in bp.OPTIMIZER_MIX[:3]
-               for run in ("short", "pref_long")}
+@pytest.fixture(scope="module")
+def step_children(bp, tmp_path_factory):
+    """Two runs of the real per-step child on tiny configs of 3 labels at h4,
+    short (4 preference steps) and pref_long (6), with 2 soup repeats, each
+    with its own work directory: the configs, the work directories and each
+    run's two runs."""
+    tiny = {"seed": 3, "phases": {"pretrain_steps": 2, "sft_steps": 2}}
+    configs = {f"h4.{label}/{run}": {**tiny, **over, "dpo": {"steps": steps}}
+               for label, over in bp.OPTIMIZER_MIX[:3]
+               for run, steps in (("short", 4), ("pref_long", 6))}
+    works = [tmp_path_factory.mktemp(f"work{i}") for i in range(2)]
+    children = [bp.time_steps(SCRIPT.parent.parent, configs, bp.shared_configs(configs), work,
+                              soup_repeats=2) for work in works]
+    return configs, works, children
+
+
+def test_step_child_times_every_run_and_shared_run(bp, step_children):
+    configs, _, children = step_children
     shared = bp.shared_configs(configs)
-    r = bp.time_steps(SCRIPT.parent.parent, configs, shared)
+    r, _ = children[0]
+    assert r["command"] == "per_step"
     assert r["correct"], r.get("stderr")
     assert sorted(r["seconds"]) == sorted([*configs, *shared])
     assert sorted(r["metrics"]) == sorted(
@@ -299,32 +315,47 @@ def test_step_child_times_every_run_and_shared_run(bp):
     )
 
 
-def test_soup_configs_are_one_short_round_per_shape(bp):
-    from mergeopt.training import RunConfig
-
-    rounds = bp.soup_configs()
-    assert list(rounds) == ["h4", "h16"]
-    for shape, configs in rounds.items():
-        assert list(configs) == [label for label, _ in bp.OPTIMIZER_MIX]
-        for d in configs.values():
-            cfg = RunConfig.from_dict(d)
-            assert (cfg.seed, cfg.dpo.steps, cfg.phases.pretrain_steps) == (bp.SEED0, 50, 50)
-            assert cfg.data.hidden_dim == (4 if shape == "h4" else 16)
+def assert_soup_run(r):
+    """r is a correct soup run with the four h4 soup timings, each positive."""
+    assert r["command"] == "soup"
+    assert r["correct"], r.get("stderr")
+    assert sorted(r["metrics"]) == sorted(f"soup_us.h4.{part}"
+                                          for part in ("load", "linear", "dare", "ties"))
+    assert all(m["value"] > 0 for m in r["metrics"].values())
 
 
-def test_soup_child_times_the_loads_and_each_method(bp, tmp_path):
-    tiny = {"seed": 3, "dpo": {"steps": 2}, "phases": {"pretrain_steps": 2, "sft_steps": 2}}
-    rounds = {"h4": {label: {**tiny, **over} for label, over in bp.OPTIMIZER_MIX[:3]}}
-    runs = [bp.time_soup(SCRIPT.parent.parent, rounds, tmp_path / f"w{i}", repeats=2)
-            for i in range(2)]
+def test_soup_child_times_the_loads_and_each_method(bp, step_children):
+    _, works, children = step_children
+    runs = [soup for _, soup in children]
     for r in runs:
-        assert r["correct"], r.get("stderr")
-        assert sorted(r["metrics"]) == sorted(f"soup_us.h4.{part}"
-                                              for part in ("load", "linear", "dare", "ties"))
-        assert all(m["value"] > 0 for m in r["metrics"].values())
+        assert_soup_run(r)
     assert runs[0]["digests"] == runs[1]["digests"]
     assert sorted(runs[0]["digests"]) == ["h4.dare", "h4.linear", "h4.ties"]
-    assert list(tmp_path.iterdir()) == []
+    assert [list(work.iterdir()) for work in works] == [[], []]
+
+
+def test_step_child_merges_the_soup_of_its_short_round(bp, step_children):
+    from mergeopt import offline_merge
+    from mergeopt.kernels import MergeMethod, MergeSpec
+    from mergeopt.training import RunConfig, make_suite, train_run
+
+    configs, works, children = step_children
+    results = []
+    for label, _ in bp.OPTIMIZER_MIX[:3]:
+        cfg = RunConfig.from_dict(configs[f"h4.{label}/short"])
+        results.append(train_run(make_suite(cfg), cfg))
+    models = [r.theta_final for r in results]
+    want = {}
+    for method in MergeMethod:
+        spec = MergeSpec(method, weights=(1.0 / len(models),) * len(models), seed=bp.SEED0)
+        merged = offline_merge(results[0].theta_base, models, spec)
+        want[f"h4.{method.value}"] = hashlib.blake2b(merged.vector().tobytes(),
+                                                     digest_size=16).hexdigest()
+    for steps, soup in children:
+        assert steps["correct"], steps.get("stderr")
+        assert_soup_run(soup)
+    assert [soup["digests"] for _, soup in children] == [want, want]
+    assert [list(work.iterdir()) for work in works] == [[], []]
 
 
 def test_time_command_reports_child_cpu_and_wall_time(bp, tmp_path):
@@ -359,9 +390,9 @@ def test_step_and_soup_children_get_one_blas_thread_unless_set(bp, tmp_path, chi
                                                                monkeypatch, caller):
     for var, value in caller.items():
         monkeypatch.setenv(var, value)
-    bp.time_steps(tmp_path, {}, {})
-    bp.time_soup(tmp_path, {}, tmp_path / "soup")
-    assert len(child_envs) == 2
+    runs = bp.time_steps(tmp_path, {}, {}, tmp_path / "soup")
+    assert [(r["command"], r["correct"]) for r in runs] == [("per_step", False), ("soup", False)]
+    assert len(child_envs) == 1
     for env in child_envs:
         assert env["PYTHONPATH"] == "src"
         assert {v: env[v] for v in bp.BLAS_THREADS} == {**dict.fromkeys(bp.BLAS_THREADS, "1"),
@@ -403,12 +434,14 @@ def test_main_runs_every_section_over_the_same_pairs(bp, tmp_path, monkeypatch):
         return {"returncode": 0, "correct": True, "summary": "5 passed in 1.00s", "failed": [],
                 "metrics": {"cpu_s": {"value": 1.0}, "wall_s": {"value": 2.0}}}
 
-    def run_child(checkout, script, args, result):
-        if script == bp.STEP_CHILD:
-            out = dict.fromkeys([*json.loads(args[0]), *json.loads(args[1])], 1.0)
-        else:
-            out = {"seconds": {"h4.load": 1e-4}, "digests": {"h4.ties": "d"}}
-        return {"returncode": 0, "correct": True, **result(out)}
+    children = []
+
+    def run_child(checkout, script, args):
+        assert script == bp.STEP_CHILD
+        children.append(checkout.name)
+        steps = dict.fromkeys([*json.loads(args[0]), *json.loads(args[1])], 1.0)
+        soup = {"seconds": {"h4.load": 1e-4}, "digests": {"h4.ties": "d"}}
+        return {"returncode": 0, "correct": True, "out": {"steps": steps, "soup": soup}}
 
     for name, stub in [("export", export), ("run_once", run_once), ("run_child", run_child),
                        ("time_command", time_command),
@@ -419,9 +452,11 @@ def test_main_runs_every_section_over_the_same_pairs(bp, tmp_path, monkeypatch):
     report = json.loads((root / "BENCH_0.json").read_text())
     e2e = report["end_to_end"]
     assert report["meta"]["pairs"] == e2e["pairs"] == e2e["per_step"]["pairs"] == 2
-    assert e2e["soup"]["pairs"] == 2
+    assert "soup" not in e2e
+    assert children == [s for _, s in bp.pair_order(2)]
+    assert list(e2e["per_step"]["summary"]) == ["per_step", "soup"]
     parts = [(report["summary"], report["runs"]), (e2e["summary"], e2e["runs"]),
-             *((e2e[p]["summary"], e2e[p]["runs"]) for p in ("per_step", "soup"))]
+             (e2e["per_step"]["summary"], e2e["per_step"]["runs"])]
     for summary, runs in parts:
         for name, group in summary.items():
             rs = [r for r in runs if bp.run_name(r) == name]
@@ -433,7 +468,7 @@ def test_main_runs_every_section_over_the_same_pairs(bp, tmp_path, monkeypatch):
                for g in report["summary"].values())
     assert list(e2e["summary"]) == ["criterion_9", "tier1", "wide-h256", "merge_linear",
                                     "merge_dare", "merge_ties", "train_default"]
-    assert {name: g["outputs_identical"] for part in (e2e, e2e["soup"])
+    assert {name: g["outputs_identical"] for part in (e2e, e2e["per_step"])
             for name, g in part["summary"].items() if "outputs_identical" in g} == {
         "merge_linear": True, "merge_dare": True, "merge_ties": True, "train_default": False,
         "soup": True,
