@@ -60,7 +60,9 @@ quartiles, the change's wins and losses over the pairs (ties count for
 neither), and whether the change's median is within the metric's bound of
 the parent's. A metric is flagged a "win" or a "loss" only when the change
 wins or loses at least FLAG_SHARE of the pairs and its median differs from
-the parent's by more than the parent's quartile spread.
+the parent's by more than the parent's quartile spread. A child that
+outlives its timeout is killed and counts as a failed run, whose stderr
+says so.
 
 The file holds:
 - "meta": the revisions, pair count, seeds, each side's `src/mergeopt/*.py`
@@ -236,11 +238,20 @@ def time_workload(checkout: Path, workload: str, pair: int, seconds: float) -> d
     return {"workload": workload, "seed": seed, **run_once(checkout, workload, seed, seconds)}
 
 
+def run_text(cmd: list[str], timeout: float, **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run of cmd with its output captured as text. A child still
+    running after timeout seconds is killed: its run fails with returncode
+    -9, no output, and a stderr that names the timeout."""
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout, **kwargs)
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(cmd, -9, "", f"killed after its {timeout} s timeout")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=10 * seconds + 600)
+    proc = run_text(cmd, 10 * seconds + 600, cwd=checkout)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         return {"returncode": proc.returncode, "correct": False, "attempted": 0, "failed": 0,
@@ -254,13 +265,12 @@ def time_command(checkout: Path, cmd: list[str]) -> dict:
     importable; its wall time and the CPU time (user + system) of it and its
     own children."""
     before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env={**os.environ, "PYTHONPATH": "src"},
-                          capture_output=True, text=True, timeout=3600)
+    proc = run_text(cmd, 3600, cwd=checkout, env={**os.environ, "PYTHONPATH": "src"})
     wall, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     last = proc.stdout.strip().splitlines()[-1:] or [""]
     return {"returncode": proc.returncode, "correct": proc.returncode == 0, "summary": last[0],
-            "failed": failed_tests(proc.stdout),
+            "failed": failed_tests(proc.stdout), "stderr": proc.stderr[-2000:],
             "metrics": {"cpu_s": {"value": cpu}, "wall_s": {"value": wall}}}
 
 
@@ -403,8 +413,7 @@ def run_child(checkout: Path, script: str, args: list[str]) -> dict:
     env = {**os.environ, "PYTHONPATH": "src"}
     for var in BLAS_THREADS:
         env.setdefault(var, "1")
-    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=checkout, env=env,
-                          capture_output=True, text=True, timeout=3600)
+    proc = run_text([sys.executable, "-c", script, *args], 3600, cwd=checkout, env=env)
     if proc.returncode != 0:
         return {"returncode": proc.returncode, "correct": False, "metrics": {},
                 "stderr": proc.stderr[-2000:]}

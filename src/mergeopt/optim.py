@@ -13,7 +13,6 @@ to its next value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -99,10 +98,9 @@ class OptimizerState:
     """Flat float64 vectors over the layout of the parameters the state was
     made for: the Adam moments m and v, the step-K accumulator delta_cache
     and the read-only reference delta tau_ref (None without one); plus the
-    step counter, the keep-mask table, the merges' constants (the reference
-    sides alpha * tau_ref for OnDARE and alpha * top-p(tau_ref) for OnTIES,
-    and OnTIES's SegmentedTopP over the layout) and reused work buffers.
-    The base model is deliberately not part of the state: the relaxed online
+    step counter, the keep-mask table and reused work buffers. The merges'
+    constants are not state: bind makes them for the step it returns. The
+    base model is deliberately not part of the state: the relaxed online
     merge needs only tau_ref, never mutated.
 
     masks is a MaskTable of seed and the parameters' layout, which states of
@@ -125,8 +123,7 @@ class OptimizerState:
         self.m, self.v, self.delta_cache = np.zeros(size), np.zeros(size), np.zeros(size)
         self.t = 0
         self.tau_ref = None if tau_ref is None else tau_ref.vector()
-        self._masks, self._keys = masks, masks.keys
-        self._constants: dict = {}
+        self._masks = masks
         # Adam's update delta and its second buffer.
         self._delta, self._work = np.empty(size), np.empty(size)
 
@@ -160,7 +157,7 @@ def _adam_delta(theta, g, state, hyper, grad_rate=None) -> np.ndarray:
     the next step); theta is not changed."""
     state.t += 1
     if grad_rate is not None:
-        g = np.where(_keep_mask(state, MASK_STREAM_GRAD, grad_rate), g, 0.0) / grad_rate
+        g = np.where(state._masks.row(state.t, MASK_STREAM_GRAD, grad_rate), g, 0.0) / grad_rate
     if not np.isfinite(g).all():
         bad = next(n for n, s in state._slices if not np.isfinite(g[s]).all())
         raise NonFiniteGradient(f"{bad}: gradient contains NaN or infinity")
@@ -170,45 +167,36 @@ def _adam_delta(theta, g, state, hyper, grad_rate=None) -> np.ndarray:
     return d
 
 
-def _keep_mask(state: OptimizerState, stream: str, p: float) -> np.ndarray:
-    """The flat keep-mask at the state's step t: its table's row, whose slice
-    for each tensor is drawn from that tensor's own (seed, name, t, stream)
-    key (see MaskTable.row)."""
-    return state._masks.row(state.t, stream, p)
-
-
-def _constant(state, key, make):
-    """A constant of the state's merges, made once per key. Reference-side
-    keys carry alpha's sign because -0.0 == 0.0 but scales tau_ref to zeros
-    of the other sign."""
-    value = state._constants.get(key)
-    if value is None:
-        value = state._constants[key] = make()
-    return value
-
-
-def _ondare_merge(state, cfg, x) -> np.ndarray:
-    """(1 - alpha) * F(x) + alpha * F(tau_ref), F a random keep-mask on
-    independent streams. Neither side is rescaled: rescaling is essential
-    offline but destabilizes multi-step optimization. Masked-out elements are
-    (1 - alpha) * 0.0 and alpha * 0.0, so the reference side's zeros carry
-    alpha's sign."""
+def _ondare_merge(state, cfg) -> Callable[[np.ndarray], np.ndarray]:
+    """The merge x -> (1 - alpha) * F(x) + alpha * F(tau_ref) at the state's
+    step, F a random keep-mask (the state's table row) on independent
+    streams; the reference side alpha * tau_ref is made here, once. Neither
+    side is rescaled: rescaling is essential offline but destabilizes
+    multi-step optimization. Masked-out elements are (1 - alpha) * 0.0 and
+    alpha * 0.0, so the reference side's zeros carry alpha's sign."""
     a, p = cfg.alpha, cfg.reserve_rate
-    ref = _constant(state, ("ondare", a, math.copysign(1.0, a)), lambda: a * state.tau_ref)
-    out = np.where(_keep_mask(state, MASK_STREAM_UPDATE, p), (1.0 - a) * x, 0.0)
-    out += np.where(_keep_mask(state, MASK_STREAM_REF, p), ref, a * 0.0)
-    return out
+    ref = a * state.tau_ref
+
+    def merge(x):
+        out = np.where(state._masks.row(state.t, MASK_STREAM_UPDATE, p), (1.0 - a) * x, 0.0)
+        out += np.where(state._masks.row(state.t, MASK_STREAM_REF, p), ref, a * 0.0)
+        return out
+
+    return merge
 
 
-def _onties_merge(state, cfg, x) -> np.ndarray:
-    """Sign consensus of (1 - alpha) * top-p(x) and alpha * top-p(tau_ref),
-    top-p taken within each tensor by one SegmentedTopP per reserve rate; the
-    reference side is made once per (alpha, reserve rate)."""
-    a, p = cfg.alpha, cfg.reserve_rate
-    top_p = _constant(state, ("top-p", p), lambda: SegmentedTopP((s for _, s in state._slices), p))
-    key = ("onties", a, math.copysign(1.0, a), p)
-    ref = _constant(state, key, lambda: a * top_p.sparsify(state.tau_ref))
-    return sign_consensus((1.0 - a) * top_p.sparsify(x), ref)
+def _onties_merge(state, cfg) -> Callable[[np.ndarray], np.ndarray]:
+    """The merge x -> sign consensus of (1 - alpha) * top-p(x) and
+    alpha * top-p(tau_ref), top-p taken within each tensor by one
+    SegmentedTopP; it and the reference side are made here, once."""
+    a = cfg.alpha
+    top_p = SegmentedTopP((s for _, s in state._slices), cfg.reserve_rate)
+    ref = a * top_p.sparsify(state.tau_ref)
+
+    def merge(x):
+        return sign_consensus((1.0 - a) * top_p.sparsify(x), ref)
+
+    return merge
 
 
 _MERGES = {MergeVariant.ONDARE: _ondare_merge, MergeVariant.ONTIES: _onties_merge}
@@ -223,9 +211,10 @@ def bind(
     """The step of optimizer `name`: step(theta, g) updates the flat float64
     parameters theta in place from the flat gradient g, both in the state's
     layout, and checks only g's finiteness (theta += x is the same IEEE
-    addition as theta + x). Every other check is made here, once. fullmerge
-    re-anchors on base, the base model's parameters in the state's layout;
-    childtuning drops gradients at merge.reserve_rate."""
+    addition as theta + x). Every other check is made here, once, and so are
+    the merge's constants (its reference side, and OnTIES's top-p over the
+    layout). fullmerge re-anchors on base, the base model's parameters in
+    the state's layout; childtuning drops gradients at merge.reserve_rate."""
     if name not in OPTIMIZER_NAMES:
         raise InvalidConfig(f"unknown optimizer {name!r}; choose from {OPTIMIZER_NAMES}")
     if name in ("adam", "adamw", "childtuning"):
@@ -241,17 +230,17 @@ def bind(
         if base is None:
             raise ValueError("the full merge needs the base model's parameters, got no base")
         check_aligned(state._layout, base)
-        anchor, ondare = base.vector(), _MERGES[MergeVariant.ONDARE]
+        anchor, ondare = base.vector(), _MERGES[MergeVariant.ONDARE](state, merge)
 
         def step(theta, g):
             d = _adam_delta(theta, g, state, hyper)
-            np.add(anchor, ondare(state, merge, (theta - anchor) + d), out=theta)
+            np.add(anchor, ondare((theta - anchor) + d), out=theta)
 
         return step
-    merge_fn = _MERGES[MergeVariant(name.removeprefix("stepk-"))]
+    merge_fn = _MERGES[MergeVariant(name.removeprefix("stepk-"))](state, merge)
     if not name.startswith("stepk-"):
         def step(theta, g):
-            theta += merge_fn(state, merge, _adam_delta(theta, g, state, hyper))
+            theta += merge_fn(_adam_delta(theta, g, state, hyper))
 
         return step
     gap = merge.gap_step
@@ -266,14 +255,15 @@ def bind(
         theta -= cache  # roll back to the last merge point
         d_total = d + cache
         cache[:] = 0.0
-        theta += merge_fn(state, merge, d_total)
+        theta += merge_fn(d_total)
 
     return step
 
 
 def _stepped(params, grads, state, step) -> ParameterSet:
     """A step bound by a checked public *_step function over ParameterSets,
-    applied to a copy of params' vector and laid out as params."""
+    applied to a copy of params' vector and laid out as params. Each call
+    binds anew, so a merge's constants are made anew."""
     check_aligned(params, grads)
     check_aligned(params, state._layout)
     theta = params.vector().copy()

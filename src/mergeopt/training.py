@@ -254,15 +254,17 @@ def _evaluate(policy: ToyPolicy, ref_eval: np.ndarray, suite: TaskSuite, beta, s
 class ReferenceModels:
     """The reference part of a run: its suite, the pretrained model theta_base
     and the SFT model theta_ref, and what the preference phase derives from
-    them alone: the reference policy, its log-prob rows over pref_eval
-    (ref_eval) and over pref_train (ref_train(batch_size)), and the keep-mask
-    table of the seed and layout (masks). It depends only on the run's seed,
-    data and phases, and the preference part only reads it, so runs that
-    share those may share it, and each row and mask is computed once for all
-    of them. Its arrays are read-only."""
+    them alone: the reference delta tau_ref = theta_ref - theta_base, the
+    reference policy, its log-prob rows over pref_eval (ref_eval) and over
+    pref_train (ref_train(batch_size)), and the keep-mask table of the seed
+    and layout (masks). It depends only on the run's seed, data and phases,
+    and the preference part only reads it, so runs that share those may
+    share it, and tau_ref and each row and mask are computed once for all of
+    them. Its arrays are read-only."""
 
     def __init__(self, suite: TaskSuite, theta_base: ParameterSet, theta_ref: ParameterSet, seed):
         self.suite, self.theta_base, self.theta_ref = suite, theta_base, theta_ref
+        self.tau_ref = delta(theta_ref, theta_base)
         self.policy = ToyPolicy(theta_ref, suite.input_dim, suite.hidden_dim, suite.num_responses)
         self.masks = MaskTable(seed, theta_ref.slices())
         # The same call an evaluation makes.
@@ -328,7 +330,7 @@ def train_preference(reference: ReferenceModels, cfg: RunConfig) -> TrainResult:
     suite, theta_base, theta_ref = reference.suite, reference.theta_base, reference.theta_ref
     policy, ref_eval = reference.policy, reference.ref_eval
     masks = reference.masks if reference.masks.seed == cfg.seed else None
-    state = OptimizerState(theta_ref, delta(theta_ref, theta_base), cfg.seed, masks)
+    state = OptimizerState(theta_ref, reference.tau_ref, cfg.seed, masks)
     step_fn = bind(cfg.optimizer, state, cfg.adam, cfg.merge, theta_base)
     loss_and_grad = dpo_loss_and_grad_into
 

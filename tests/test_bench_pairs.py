@@ -407,18 +407,48 @@ def test_timed_commands_get_the_callers_environment(bp, tmp_path, child_envs, mo
     assert [v for v in bp.BLAS_THREADS if v in child_envs[0]] == ["MKL_NUM_THREADS"]
 
 
-def test_main_runs_every_section_over_the_same_pairs(bp, tmp_path, monkeypatch):
+@pytest.fixture
+def root(bp, tmp_path, monkeypatch):
+    """A repository root for main holding only BENCHMARK.json, whose revisions
+    export as trees of one module and an empty tests/, and whose merge inputs
+    are one unwritten path."""
     root = tmp_path / "root"
     root.mkdir()
     shutil.copy(SCRIPT.parent.parent / "BENCHMARK.json", root)
-    monkeypatch.setattr(bp, "ROOT", root)
-    monkeypatch.setattr(bp, "git", lambda *args: args[-1])
 
     def export(rev, dest):
         (dest / "src" / "mergeopt").mkdir(parents=True)
         (dest / "src" / "mergeopt" / "a.py").write_text("x = 1\n")
         (dest / "tests").mkdir()
 
+    for name, stub in [("ROOT", root), ("git", lambda *args: args[-1]), ("export", export),
+                       ("synthesize_merge_inputs", lambda seed, work: [work / "base.pset"])]:
+        monkeypatch.setattr(bp, name, stub)
+    return root
+
+
+def test_a_child_past_its_timeout_is_one_failed_run(bp, root, monkeypatch):
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(kwargs["timeout"])
+        if len(calls) == 1:
+            raise bp.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        return bp.subprocess.CompletedProcess(cmd, 1, stdout="", stderr="failed")
+
+    monkeypatch.setattr(bp.subprocess, "run", run)
+    assert bp.main(["--parent", "X", "--pr", "0", "--pairs", "2"]) == 0
+    report = json.loads((root / "BENCH_0.json").read_text())
+    first, *rest = report["runs"]
+    assert (first["correct"], first["returncode"]) == (False, -9)
+    assert first["stderr"] == f"killed after its {calls[0]} s timeout"
+    assert len(rest) == len(report["runs"]) - 1 > 0
+    assert all(r["stderr"] == "failed" for r in rest)
+    e2e = report["end_to_end"]
+    assert not any(r["correct"] for r in [*e2e["runs"], *e2e["per_step"]["runs"]])
+
+
+def test_main_runs_every_section_over_the_same_pairs(bp, root, monkeypatch):
     def run_once(checkout, workload, seed, seconds):
         return {"returncode": 0, "correct": True, "attempted": 3, "failed": 0,
                 "metrics": {"steps_per_s": {"value": float(seed)}}}
@@ -443,9 +473,8 @@ def test_main_runs_every_section_over_the_same_pairs(bp, tmp_path, monkeypatch):
         soup = {"seconds": {"h4.load": 1e-4}, "digests": {"h4.ties": "d"}}
         return {"returncode": 0, "correct": True, "out": {"steps": steps, "soup": soup}}
 
-    for name, stub in [("export", export), ("run_once", run_once), ("run_child", run_child),
-                       ("time_command", time_command),
-                       ("synthesize_merge_inputs", lambda seed, work: [work / "base.pset"])]:
+    for name, stub in [("run_once", run_once), ("run_child", run_child),
+                       ("time_command", time_command)]:
         monkeypatch.setattr(bp, name, stub)
     assert bp.main(["--parent", "X", "--pr", "0", "--pairs", "2"]) == 0
     assert not (SCRIPT.parent.parent / "BENCH_0.json").exists()

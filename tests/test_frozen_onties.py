@@ -71,9 +71,12 @@ def test_onties_runs_write_the_bytes_of_the_former_merge(tmp_path, monkeypatch, 
     got = written(cfg, suite, tmp_path / "segmented")
     calls = []
 
-    def former(*args):
-        calls.append(None)
-        return former_onties_merge(*args)
+    def former(state, cfg):
+        def merge(x):
+            calls.append(None)
+            return former_onties_merge(state, cfg, x)
+
+        return merge
 
     monkeypatch.setattr(optim, "_onties_merge", former)
     monkeypatch.setitem(optim._MERGES, MergeVariant.ONTIES, former)

@@ -22,7 +22,6 @@ from mergeopt.optim import (
     AdamHyper,
     OnlineMergeConfig,
     OptimizerState,
-    _keep_mask,
     _ondare_merge,
     adam_step,
     ondare_step,
@@ -132,7 +131,7 @@ def oracle_mask(params, seed, step, stream, p):
 def ref_keep_mask(state, stream, p):
     mask = np.empty(state.m.size, bool)
     gen = MaskGenerator()
-    for material, (_, s) in zip(state._keys.materials(state.t, stream), state._slices):
+    for material, (_, s) in zip(state._masks.keys.materials(state.t, stream), state._slices):
         bernoulli_mask(material, s.stop - s.start, p, gen, out=mask[s])
     return mask
 
@@ -278,12 +277,13 @@ def test_ondare_merge_matches_reference(hidden, alpha):
     state = OptimizerState(layout, tau_ref=tau_ref, seed=9)
     cfg = OnlineMergeConfig(alpha=alpha, reserve_rate=0.5)
     sign_shows = False
+    merge = _ondare_merge(state, cfg)
     for t in (1, 2, 3):
         state.t = t
         x = signed_zero_set(layout, rng).vector()
         masks = (oracle_mask(layout, 9, t, "update", 0.5), oracle_mask(layout, 9, t, "ref", 0.5))
         want = ref_ondare_merge(*masks, tau_ref.vector(), alpha, x)
-        assert same_bits(_ondare_merge(state, cfg, x), want)
+        assert same_bits(merge(x), want)
         flipped = ref_ondare_merge(*masks, tau_ref.vector(), -alpha, x)
         sign_shows |= not same_bits(flipped, want)
     # The inputs are such that alpha's sign shows in the result at alpha = ±0.0.
@@ -380,5 +380,5 @@ def test_keep_mask_matches_reference(hidden, seed, step, p):
         state.t = t
         for stream in ("update", "ref", "grad"):
             want = ref_keep_mask(state, stream, p)
-            assert _keep_mask(state, stream, p).tobytes() == want.tobytes()
+            assert state._masks.row(state.t, stream, p).tobytes() == want.tobytes()
             assert want.tobytes() == oracle_mask(layout, seed, t, stream, p).tobytes()

@@ -349,18 +349,26 @@ def same_result(a, b) -> bool:
     return a.theta_final == b.theta_final and a.metrics.to_csv_bytes() == b.metrics.to_csv_bytes()
 
 
-def test_a_reference_computes_its_rows_and_masks_once_for_all_its_runs():
+def test_a_reference_computes_its_rows_and_masks_once_for_all_its_runs(monkeypatch):
     cfg = fast_config(optimizer="ondare", dpo=DpoSettings(steps=20, eval_every=10))
     reference = train_reference(make_suite(cfg), cfg)
     train_preference(reference, cfg)
     ref_train = reference.ref_train(cfg.dpo.batch_size)
     assert reference.ref_train(cfg.dpo.batch_size) is ref_train
     reference.masks._gen = None  # OnDARE drew every row the runs below read
+
+    def no_delta(*args):
+        raise AssertionError("the reference part holds tau_ref")
+
     for over in (dict(optimizer="fullmerge"), dict(optimizer="stepk-ondare"),
                  dict(ema_coefficient=0.01)):
         run = dataclasses.replace(cfg, **over)
-        assert same_result(train_preference(reference, run), train_run(make_suite(run), run))
-    rows = [reference.ref_eval, ref_train, reference.masks.row(20, "update", 0.5)]
+        want = train_run(make_suite(run), run)
+        with monkeypatch.context() as m:
+            m.setattr(training, "delta", no_delta)
+            assert same_result(train_preference(reference, run), want)
+    rows = [reference.ref_eval, ref_train, reference.masks.row(20, "update", 0.5),
+            reference.tau_ref.vector()]
     for a in rows:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
