@@ -22,7 +22,11 @@ timed around a command spread wider than raw CPU):
 - acceptance criterion 9 alone (12 OnDARE runs of 20,000 steps at hidden 4,
   the step path of `alpha-sweep-h4`) and the Tier-1 suite, both from the
   parent's `tests/`: the change side runs in a copy of the parent's tree that
-  holds the change's `src/`, so that added or edited tests add no work;
+  holds the change's `src/`, so that added or edited tests add no work.
+  Before its first pair, one untimed Tier-1 run of each of those two trees lists
+  the tests it reports FAILED or ERROR (the parent's tests may pin internals
+  the change removed), and every timed pytest run leaves out the union of
+  those lists (`excluded_tests`), so both sides time the tests both pass;
 - the informational `wide-h256` workload, run as the gated ones are;
 - one fresh `python -m mergeopt merge` process per method over three 25 MB
   checkpoints plus base from `bench/workloads.py`'s `synthesize_merge_inputs`;
@@ -68,8 +72,8 @@ The file holds:
 - "meta": the revisions, pair count, seeds, each side's `src/mergeopt/*.py`
   line count (`src_lines`) and the machine;
 - "summary" and "runs": the gated section, its summary keyed by workload;
-- "end_to_end": {"gated": false, "pairs", "commands", "summary", "runs",
-  "per_step"}, its summary keyed criterion_9, tier1, wide-h256,
+- "end_to_end": {"gated": false, "pairs", "commands", "excluded_tests",
+  "summary", "runs", "per_step"}, its summary keyed criterion_9, tier1, wide-h256,
   merge_<method> and train_default. "per_step" is {"gated": false, "pairs",
   its settings, "summary", "runs"}, the summary keyed "per_step" and "soup".
 """
@@ -274,13 +278,28 @@ def time_command(checkout: Path, cmd: list[str]) -> dict:
             "metrics": {"cpu_s": {"value": cpu}, "wall_s": {"value": wall}}}
 
 
-def time_tests(tree: Path) -> list[dict]:
-    """Each E2E_COMMANDS pytest command timed in tree, with its passed-test count."""
+def time_tests(tree: Path, excluded: list[str]) -> list[dict]:
+    """Each E2E_COMMANDS pytest command timed in tree, without the excluded
+    tests, with its passed-test count."""
     runs = []
     for name, cmd in E2E_COMMANDS.items():
-        r = time_command(tree, cmd)
+        r = time_command(tree, cmd + exclusion_args(excluded))
         runs.append({"command": name, **r, "passed": passed_count(r["summary"])})
     return runs
+
+
+def excluded_tests(trees) -> list[str]:
+    """The ids that one untimed Tier-1 run in each tree reports FAILED or
+    ERROR, sorted, each once."""
+    runs = [time_command(tree, E2E_COMMANDS["tier1"]) for tree in trees]
+    return sorted({t for r in runs for t in r["failed"]})
+
+
+def exclusion_args(ids: list[str]) -> list[str]:
+    """pytest arguments that leave out each id: --deselect for a test, and
+    --ignore for a module that failed to collect, which has no test to
+    deselect."""
+    return [f"--deselect={t}" if "::" in t else f"--ignore={t}" for t in ids]
 
 
 def failed_tests(stdout: str) -> list[str]:
@@ -546,6 +565,14 @@ def main(argv=None) -> int:
         # The parent's tests/ on both sides, over each side's src/.
         tested = {"parent": checkouts["parent"], "change": tmp / "change-src"}
         with_src(checkouts["parent"], checkouts["change"], tested["change"])
+        excluded = None
+
+        def tests(s: str, i: int) -> list[dict]:  # first lists the tests to leave out
+            nonlocal excluded
+            if excluded is None:
+                excluded = excluded_tests(tested.values())
+            return time_tests(tested[s], excluded)
+
         (tmp / "merge").mkdir()
         merge_inputs = synthesize_merge_inputs(SEED0, tmp / "merge")
         configs = step_configs()
@@ -555,7 +582,7 @@ def main(argv=None) -> int:
         sections = [
             *(("gated", lambda s, i, w=w: [time_workload(checkouts[s], w, i, seconds)])
               for w in workloads),
-            ("end_to_end", lambda s, i: time_tests(tested[s])),
+            ("end_to_end", tests),
             ("end_to_end", lambda s, i: [time_workload(checkouts[s], E2E_WORKLOAD, i, seconds)]),
             ("end_to_end", lambda s, i: time_merges(checkouts[s], merge_inputs, tmp / "merge")),
             ("end_to_end", lambda s, i: [time_train(checkouts[s], tmp / "train")]),
@@ -580,11 +607,13 @@ def main(argv=None) -> int:
 
     # As the runs ran them, with merge_M the method and config.json holding {}.
     inputs = [Path(p.name) for p in merge_inputs]
-    commands = {**E2E_COMMANDS, "merge_M": merge_command(inputs, Path("out.pset"), "M"),
+    commands = {**{n: c + exclusion_args(excluded) for n, c in E2E_COMMANDS.items()},
+                "merge_M": merge_command(inputs, Path("out.pset"), "M"),
                 "train_default": train_command(Path("config.json"), Path("run"))}
     end_to_end = {
         **section("end_to_end", commands={n: " ".join(["PYTHONPATH=src", "python3", *c[1:]])
-                                          for n, c in commands.items()}),
+                                          for n, c in commands.items()},
+                  excluded_tests=excluded),
         "per_step": section(
             "per_step", repeats=STEP_REPEATS, extra_steps=STEP_EXTRA,
             runs_per_config={run: {"dpo_steps": n, "phase_steps": p}

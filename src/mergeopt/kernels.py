@@ -145,6 +145,9 @@ class SegmentedTopP:
     once, bit for bit as one call per tensor. This is the path for the small
     tensors of an optimizer step, where per-call overhead dominates;
     sparsify_top_p's partition stays the path for single large tensors.
+    Offline TIES partitions instead: one partition of all models' rows for a
+    tensor inside one merge block (_row_cuts), one per model for a tensor
+    that crosses a block boundary (_top_p_cut).
 
     Each call scatters -|x| into one NaN-padded row per tensor, sorts the rows
     (NaNs last, as a partition puts them) and keeps |x[i]| >= c, c the k-th
@@ -190,11 +193,13 @@ def sign_consensus(a, b):
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    agree = (np.sign(a) == np.sign(b)) | (a == 0.0) | (b == 0.0)
+    # Opposed: exactly one is below zero. That also pairs a zero with a
+    # negative number, whose larger magnitude is the sum's bits, and a NaN
+    # with a negative number, which no comparison picks, leaving the sum.
+    opp = np.less(a, 0.0) != np.less(b, 0.0)
     abs_a, abs_b = np.abs(a), np.abs(b)
-    total = a + b
-    conflict = np.where(abs_a > abs_b, a, np.where(abs_b > abs_a, b, total))
-    out = np.where(agree, total, conflict)
+    out = np.where(opp & (abs_a > abs_b), a, a + b)
+    np.copyto(out, b, where=opp & (abs_b > abs_a))
     if out.ndim == 0:
         return float(out)
     return out
@@ -265,51 +270,90 @@ def _linear_blocks(base, models, spec, out) -> None:
         acc += b
 
 
+def _sum_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = ((0.0 + rows[0]) + rows[1]) + ..., bit for bit as a loop of +=.
+    np.add.reduce adds down axis 0 in row order, except over a lone column,
+    which it sums pairwise from eight rows on."""
+    if rows.shape[1] > 1:
+        return np.add.reduce(rows, axis=0, out=out, initial=0.0)
+    out.fill(0.0)
+    for row in rows:
+        out += row
+    return out
+
+
+def _row_cuts(rows: np.ndarray, key: np.ndarray, k: int):
+    """_top_p_cut of every row of rows, the deltas of one tensor, one row per
+    model, keeping k of each, with key scratch of rows' shape: one partition
+    of all rows. A row whose k-th key is NaN or tied with a key past it goes
+    through _partitioned_cut's tie resolution; every other row keeps
+    |x| >= c. Returns (the cuts as a column, [(c, limit) per row])."""
+    np.copysign(rows, -1.0, out=key)
+    key.partition(k - 1, axis=1)
+    col = np.negative(key[:, k - 1 : k])
+    tied = np.logical_or.reduce(key[:, k:] == key[:, k - 1 : k], axis=1)
+    n = rows.shape[1]
+    return col, [_partitioned_cut(x, kx, k) if c != c or t else (c, n)
+                 for x, kx, c, t in zip(rows, key, col[:, 0].tolist(), tied.tolist())]
+
+
 def _ties_blocks(base, models, spec, out) -> None:
-    """TIES: per block, which may cross tensor boundaries, each delta is
-    recomputed and trimmed by its tensor's top-p cut, the elementwise majority
-    sign elected from the weighted trimmed mass, and the weighted average of
-    the entries with that sign written over base. A tensor's cuts, one per
-    model, are found when its first block comes up; only the cuts are held
-    across models."""
+    """TIES: per block, which may cross tensor boundaries, the M deltas are
+    recomputed as the rows of an (M, block) array, trimmed by their tensors'
+    top-p cuts, the elementwise majority sign elected from the weighted
+    trimmed mass, and the weighted average of the entries with that sign
+    written over base; every step is one operation on all rows, and every
+    sum adds the rows in model order.
+
+    A tensor's cuts are found when its first block comes up. A tensor that
+    starts and ends in that block gets every model's cut from one partition
+    of its rows (_row_cuts). A tensor that crosses into the next block gets
+    one _top_p_cut per model, its delta held in the tensor's output slice.
+    Only the cuts are held across blocks."""
     weights, vecs, bv = spec.weights, [m.vector() for m in models], base.vector()
     slices = [sl for _, sl in base.slices()]
     blk = min(BLOCK, out.size)
     key = np.empty(max((sl.stop - sl.start for sl in slices), default=0))
-    deltas, work = np.empty((2, len(vecs), blk)), np.empty((4, blk))
-    keep, mask = np.empty(blk, dtype=bool), np.empty(blk, dtype=np.uint64)
-    w_bits = [np.float64(w).view(np.uint64) for w in weights]
+    deltas, work = np.empty((2, len(vecs), blk)), np.empty((3, blk))
+    keep, bits = np.empty((len(vecs), blk), dtype=bool), deltas.view(np.uint64)
+    w_col = np.array(weights).reshape(-1, 1)
+    w_bits = w_col.view(np.uint64)
     cuts = [None] * len(slices)
     for lo, hi, segs in _blocks(slices, out.size):
-        for j, sl, _, _ in segs:
-            if sl.start >= lo:  # its output slice holds each delta while its cut is found
-                cuts[j] = [
-                    _top_p_cut(np.subtract(v[sl], bv[sl], out=out[sl]), spec.reserve_rate,
-                               key[: sl.stop - sl.start])
-                    for v in vecs
-                ]
-        b, k, m = bv[lo:hi], keep[: hi - lo], mask[: hi - lo]
-        (trimmed, weighted), (sign, num, den, x) = deltas[:, :, : hi - lo], work[:, : hi - lo]
-        bits, x_bits = trimmed.view(np.uint64), x.view(np.uint64)
-        num.fill(0.0)  # first the elected mass, whose sign goes to sign
-        for i, (t, t_bits, wt, w, v) in enumerate(zip(trimmed, bits, weighted, weights, vecs)):
+        b, n = bv[lo:hi], hi - lo
+        (trimmed, weighted), (sign, num, den), k = deltas[:, :, :n], work[:, :n], keep[:, :n]
+        t_bits, wt_bits = bits[0, :, :n], bits[1, :, :n]
+        for t, v in zip(trimmed, vecs):
             np.subtract(v[lo:hi], b, out=t)
-            np.abs(t, out=x)
-            for j, sl, a, z in segs:  # each tie limit counts from its tensor's start
-                _top_p_keep(x[a:z], cuts[j][i], lo + a - sl.start, k[a:z])
-            _zero_unless(t_bits, k, m)
-            num += np.multiply(w, t, out=wt)
-        np.sign(num, out=sign)
+        for j, sl, a, z in segs:
+            if sl.start < lo:
+                continue
+            if sl.stop > hi:  # its output slice holds each delta while its cut is found
+                pairs = [_top_p_cut(np.subtract(v[sl], bv[sl], out=out[sl]), spec.reserve_rate,
+                                    key[: sl.stop - sl.start]) for v in vecs]
+                cuts[j] = np.array([c for c, _ in pairs]).reshape(-1, 1), pairs
+            else:  # weighted is the partition's scratch
+                cuts[j] = _row_cuts(trimmed[:, a:z], weighted[:, a:z],
+                                    _top_p_k(z - a, spec.reserve_rate))
+        mag = np.abs(trimmed, out=weighted)
+        for j, sl, a, z in segs:  # each tie limit counts from its tensor's start
+            col, pairs = cuts[j]
+            np.greater_equal(mag[:, a:z], col, out=k[:, a:z])
+            first = lo + a - sl.start
+            for i, (c, limit) in enumerate(pairs):
+                if c != c or limit < first + z - a:  # not |x| >= c throughout the segment
+                    _top_p_keep(mag[i, a:z], (c, limit), first, k[i, a:z])
+        _zero_unless(t_bits, k, wt_bits)
+        np.sign(_sum_rows(np.multiply(w_col, trimmed, out=weighted), num), out=sign)
         # Survivors are nonzero with the elected sign: t * sign > 0, which
         # NaNs fail. num sums their w * t, den their weights.
-        num.fill(0.0)
-        den.fill(0.0)
-        for t, wt_bits, wb in zip(trimmed, weighted.view(np.uint64), w_bits):
-            np.negative(np.greater(np.multiply(t, sign, out=x), 0.0, out=k), dtype=np.uint64, out=m)
-            np.bitwise_and(wt_bits, m, out=x_bits)
-            num += x
-            np.bitwise_and(m, wb, out=x_bits)
-            den += x
+        # The survivor masks take trimmed's place, then its weights' bits.
+        np.greater(np.multiply(trimmed, sign, out=trimmed), 0.0, out=k)
+        m = np.negative(k, dtype=np.uint64, out=t_bits)
+        np.bitwise_and(wt_bits, m, out=wt_bits)
+        np.bitwise_and(m, w_bits, out=m)
+        _sum_rows(weighted, num)
+        _sum_rows(trimmed, den)
         # Where den is 0 every survivor has weight 0 and is finite (0 * inf
         # would have made the elected sign NaN), so num there is +0.0, and
         # dividing it by the least positive double keeps it: that is num

@@ -506,3 +506,69 @@ def test_main_runs_every_section_over_the_same_pairs(bp, root, monkeypatch):
         ("criterion_9", True), ("tier1", True)] * 4
     assert sorted(m for m in e2e["per_step"]["summary"]["per_step"]["metrics"]
                   if m.startswith("sup_us")) == ["sup_us.h16", "sup_us.h4"]
+
+
+def test_tests_that_fail_in_either_tree_are_left_out_of_every_timed_run(bp, tmp_path):
+    # The parent's tests pin a name the change removed: one test calls it and
+    # one module imports it, so neither collects nor passes over the change.
+    trees = {}
+    for side, module in (("parent", "x = 1\nremoved = 2\n"), ("change", "x = 1\n")):
+        tree = trees[side] = tmp_path / side
+        (tree / "src" / "mergeopt").mkdir(parents=True)
+        (tree / "src" / "mergeopt" / "__init__.py").write_text(module)
+        (tree / "tests").mkdir()
+        (tree / "tests" / "test_a.py").write_text(
+            "import mergeopt\n\ndef test_kept():\n    assert mergeopt.x == 1\n\n"
+            "def test_pinned():\n    assert mergeopt.removed == 2\n")
+        (tree / "tests" / "test_b.py").write_text(
+            "from mergeopt import removed\n\ndef test_b():\n    assert removed == 2\n")
+    excluded = bp.excluded_tests(trees.values())
+    assert excluded == ["tests/test_a.py::test_pinned", "tests/test_b.py"]
+    assert bp.exclusion_args(excluded) == ["--deselect=tests/test_a.py::test_pinned",
+                                           "--ignore=tests/test_b.py"]
+    tier1 = bp.E2E_COMMANDS["tier1"]
+    assert not bp.time_command(trees["change"], tier1)["correct"]
+    runs = [{"pair": 0, "side": side, "command": "tier1", **r,
+             "passed": bp.passed_count(r["summary"])}
+            for side, r in ((s, bp.time_command(trees[s], tier1 + bp.exclusion_args(excluded)))
+                            for s in bp.SIDES)]
+    assert [(r["correct"], r["passed"], r["failed"]) for r in runs] == [(True, 1, [])] * 2
+    bp.mark_comparable(runs)
+    assert all(r["comparable"] for r in runs)
+
+
+def test_main_records_the_excluded_tests_and_passes_them_to_every_pytest_run(
+        bp, root, monkeypatch):
+    commands = []
+
+    def time_command(checkout, cmd):
+        commands.append((checkout.name, cmd))
+        if "pytest" not in cmd:  # merge and train: a failed run, with no output to digest
+            return {"returncode": 1, "correct": False, "summary": "", "failed": [],
+                    "metrics": {}}
+        failed = {"parent": ["tests/t.py::a"], "change-src": ["tests/u.py"]}[checkout.name]
+        return {"returncode": 0, "correct": True, "summary": "5 passed in 1.00s",
+                "failed": [] if "--ignore=tests/u.py" in cmd else failed,
+                "metrics": {"cpu_s": {"value": 1.0}, "wall_s": {"value": 2.0}}}
+
+    def run_child(checkout, script, args):
+        return {"returncode": 1, "correct": False, "metrics": {}, "stderr": ""}
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"returncode": 1, "correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+
+    for name, stub in [("run_once", run_once), ("run_child", run_child),
+                       ("time_command", time_command)]:
+        monkeypatch.setattr(bp, name, stub)
+    assert bp.main(["--parent", "X", "--pr", "0", "--pairs", "2"]) == 0
+    e2e = json.loads((root / "BENCH_0.json").read_text())["end_to_end"]
+    assert e2e["excluded_tests"] == ["tests/t.py::a", "tests/u.py"]
+    args = ["--deselect=tests/t.py::a", "--ignore=tests/u.py"]
+    # First one untimed Tier-1 run per tested tree, then the pairs.
+    assert commands[:2] == [("parent", bp.E2E_COMMANDS["tier1"]),
+                            ("change-src", bp.E2E_COMMANDS["tier1"])]
+    timed = [cmd for _, cmd in commands[2:] if "pytest" in cmd]
+    assert len(timed) == 8 and all(cmd[-2:] == args for cmd in timed)
+    assert e2e["commands"]["tier1"].endswith(" ".join(args))
+    tier1 = [r for r in e2e["runs"] if r.get("command") == "tier1"]
+    assert [(r["correct"], r["failed"], r["comparable"]) for r in tier1] == [(True, [], True)] * 4

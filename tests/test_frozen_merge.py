@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergeopt import (
@@ -168,6 +168,39 @@ def test_every_method_matches_reference(p, sizes, weights, kind, seed):
     for fields in SPECS:
         spec = MergeSpec(reserve_rate=p, weights=tuple(weights), seed=seed, **fields)
         check_merge(pset(base), models, spec)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(1, 200), min_size=1, max_size=6),
+    st.lists(st.sampled_from(WEIGHTS), min_size=4, max_size=9),
+    st.sampled_from(["normal", "tied", "specials"]),
+    st.sampled_from([1e-6, 0.4, 0.5, 1.0]),
+    st.integers(0, 2**32),
+)
+# Nine models of one element, then pushed to a last block of one element:
+# every sum adds nine rows of one column, in model order.
+@example([1], [0.3, 0.5, 1.0, 2.0] * 2 + [0.3], "normal", 0.5, 24)
+@example([6], [0.3, 0.5, 1.0, 2.0] * 2 + [0.3], "normal", 1.0, 1)
+def test_soup_layouts_match_reference(sizes, weights, kind, p, seed):
+    # A soup: 4 to 9 models of small tensors that all start and end in one
+    # block. Then the same tensors behind a prefix tensor of BLOCK - 5
+    # elements, which pushes them across a block boundary: the first of them
+    # crosses it (if it has more than 5 elements), the rest start and end in
+    # the next block.
+    rng = np.random.default_rng(seed)
+    prefix = values(rng, BLOCK - 5, "normal")
+    base = [values(rng, n, "tied" if kind == "specials" else kind) for n in sizes]
+    models = [
+        [prefix + values(rng, prefix.size, kind)]
+        + [b + values(rng, b.size, kind) if rng.random() < 0.8 else b.copy() for b in base]
+        for _ in weights
+    ]
+    for fields in SPECS:
+        spec = MergeSpec(reserve_rate=p, weights=tuple(weights), seed=seed, **fields)
+        check_merge(pset(base), [pset(m[1:]) for m in models], spec)
+        check_merge(pset([prefix, *base]), [pset(m) for m in models], spec)
 
 
 def rate_for(k, n):

@@ -250,6 +250,24 @@ class TestSignConsensus:
                 assert got == sign_consensus(b, a)
                 assert abs(got) <= abs(a) + abs(b)
 
+    def test_special_values_keep_the_former_bits(self):
+        def former(a, b):  # the consensus before it took fewer passes; do not edit
+            agree = (np.sign(a) == np.sign(b)) | (a == 0.0) | (b == 0.0)
+            abs_a, abs_b = np.abs(a), np.abs(b)
+            total = a + b
+            conflict = np.where(abs_a > abs_b, a, np.where(abs_b > abs_a, b, total))
+            return np.where(agree, total, conflict)
+
+        grid = [0.0, np.inf, np.nan, 5e-324, 1e-200, 1.0, 2.0]
+        grid = np.array(grid + [-x for x in grid])
+        a, b = (x.ravel() for x in np.meshgrid(grid, grid))
+        with np.errstate(invalid="ignore"):
+            assert sign_consensus(a, b).tobytes() == former(a, b).tobytes()
+            for x, y in zip(a.tolist(), b.tolist()):
+                got = sign_consensus(x, y)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == former(np.array(x), np.array(y)).tobytes()
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=50), rng.normal(size=50)
