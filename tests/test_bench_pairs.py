@@ -1,5 +1,6 @@
-"""The summary rules of scripts/bench_pairs.py, on synthetic runs: what it
-flags, what it leaves out and how it applies a metric's bound."""
+"""The summary rules of scripts/bench_pairs.py, on synthetic runs and on the
+runs of the committed BENCH_*.json files: what it flags, what it leaves out
+and how it applies a metric's bound."""
 
 import importlib.util
 import json
