@@ -124,6 +124,14 @@ def test_a_win_needs_nine_pairs_in_ten(bp, wins, flagged):
     assert s["median_gap_exceeds_parent_iqr"] and (s["wins"], s["flagged"]) == (wins, flagged)
 
 
+@pytest.mark.parametrize("losses, flagged", [(10, "loss"), (8, "loss"), (7, None)])
+def test_a_loss_needs_eight_pairs_in_ten(bp, losses, flagged):
+    parent = [10.0 + 0.1 * i for i in range(10)]  # quartiles 10.225 and 10.675
+    change = [v + 2.0 if i < losses else v - 0.05 for i, v in enumerate(parent)]
+    s = bp.summarize(runs(parent, change), [metric()])["m"]
+    assert s["median_gap_exceeds_parent_iqr"] and (s["losses"], s["flagged"]) == (losses, flagged)
+
+
 def test_loss_and_higher_is_better(bp):
     s = bp.summarize(runs(PARENT, [v + 1.0 for v in PARENT]), [metric()])["m"]
     assert (s["losses"], s["flagged"]) == (5, "loss")
@@ -159,6 +167,7 @@ RESCORED = {
     30: {("gated", "optimizer-mix-h16", "merge_mb_per_s", "win"),
          ("gated", "optimizer-mix-h16", "run_s.onties", "win"),
          ("gated", "offline-merge", "peak_rss_mb", "win")},
+    31: {("end_to_end", "wide-h256", "run_s.ondare-ema", "win")},
 }
 
 
@@ -189,6 +198,20 @@ def test_an_eight_in_ten_win_is_no_longer_flagged(bp):
     s = rescored(bp, 30)[("end_to_end", "wide-h256")]["metrics"]["run_s.onties"]
     assert (s["wins"], s["pairs"], s["median_gap_exceeds_parent_iqr"]) == (8, 10, True)
     assert s["flagged"] is None
+
+
+def test_bench_31_has_one_summary_per_section_over_ten_pairs(bp):
+    report = json.loads((SCRIPT.parent.parent / "BENCH_31.json").read_text())
+    e2e = report["end_to_end"]
+    assert "per_step" not in e2e and "soup" not in e2e
+    assert list(report["summary"]) == ["alpha-sweep-h4", "optimizer-mix-h16", "offline-merge"]
+    assert list(e2e["summary"]) == ["criterion_9", "tier1", "wide-h256", "merge_linear",
+                                    "merge_dare", "merge_ties", "train_default"]
+    assert report["meta"]["pairs"] == e2e["pairs"] == 10
+    for summary in (report["summary"], e2e["summary"]):
+        for group in summary.values():
+            assert group["metrics"]
+            assert all(s["pairs"] == 10 for s in group["metrics"].values())
 
 
 def test_one_pair_gives_no_summary(bp):
