@@ -37,22 +37,31 @@ def _load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-# The reference part of the last run this process trained, under the key it
-# depends on, (seed, data, phases): one entry at most.
+# The reference parts of the last runs this process trained, under the key
+# each depends on, (seed, data, phases), least recent first: two at most, and
+# at most one per (data, phases).
 _REFERENCES: dict = {}
 
 
 def _reference(cfg: RunConfig) -> ReferenceModels:
-    """train_reference of cfg's suite, shared by consecutive runs of the same
-    seed, data and phases, with the reference log-prob rows and the keep-mask
-    rows that the runs before computed. The slot is emptied before a build,
-    so an old and a new reference part are never held at once, and a build
-    that raises stores nothing. Sharing needs no copy: its arrays are
-    read-only and train_preference only reads it; each mask row is the draw
-    a run would make itself, so every run writes the same bytes."""
+    """train_reference of cfg's suite, shared by the runs of the same seed,
+    data and phases, with the reference log-prob rows and the keep-mask rows
+    that the runs before computed. Runs of two shapes, (data, phases), may
+    interleave and each keeps its own. Before a build, the entry of the same
+    shape (an earlier seed's) is dropped, and of any other entries only the
+    most recently used is kept, so at most two reference parts are ever held,
+    the new one included, and a build that raises stores nothing. Sharing
+    needs no copy: its arrays are read-only and train_preference only reads
+    it; each mask row is the draw a run would make itself, so every run
+    writes the same bytes."""
     key = (cfg.seed, cfg.data, cfg.phases)
-    if key not in _REFERENCES:
-        _REFERENCES.clear()
+    if key in _REFERENCES:
+        _REFERENCES[key] = _REFERENCES.pop(key)  # now the most recent
+    else:
+        for held in [k for k in _REFERENCES if k[1:] == key[1:]]:
+            del _REFERENCES[held]
+        while len(_REFERENCES) > 1:
+            del _REFERENCES[next(iter(_REFERENCES))]
         _REFERENCES[key] = train_reference(make_suite(cfg), cfg)
     return _REFERENCES[key]
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import check_u64, validate_probability
 
 _U64 = 1 << 64
-MASK_TABLE_BYTES = 1 << 20  # keep-mask rows a MaskTable keeps: 1 MiB
+MASK_TABLE_BYTES = 1 << 21  # keep-mask rows a MaskTable keeps: 2 MiB
 _BLOCK_BYTES = 1 << 14  # a MaskTable allocates rows about this many bytes at a time
 
 

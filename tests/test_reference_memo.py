@@ -134,12 +134,20 @@ def test_preference_abort_after_a_memo_hit_leaves_a_fresh_runs_files(tmp_path, c
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_pretrain_fails_the_same_way_twice(tmp_path, capsys, builds):
     assert train(write(tmp_path / "good.json"), tmp_path / "good") == 0
+    good, held = files(tmp_path / "good"), reference_digest()
     config = write(tmp_path / "boom.json", phases={"learning_rate": 1e307})
     outcomes = []
     for _ in range(2):
         code = train(config, tmp_path / "boom")
         outcomes.append((code, files(tmp_path / "boom"), capsys.readouterr().err))
-        assert cli._REFERENCES == {}  # the failed build is not kept, nor the one before it
+        # The failed build is not kept; the good run's reference part, of
+        # other phases, is kept unchanged, and a re-run of it builds nothing.
+        boom = cli._load_config(config)
+        assert (boom.seed, boom.data, boom.phases) not in cli._REFERENCES
+        assert reference_digest() == held
+        shutil.rmtree(tmp_path / "good")
+        assert train(tmp_path / "good.json", tmp_path / "good") == 0
+        assert files(tmp_path / "good") == good
         shutil.rmtree(tmp_path / "boom")
     assert outcomes[0] == outcomes[1]
     code, written, err = outcomes[0]
