@@ -76,7 +76,7 @@ def _run(cfg: RunConfig) -> MetricsRecord:
     under a file or a dangling symlink, which fails before training, leaves
     nothing. Training checks every value it needs finite, so numpy's
     floating-point warnings are silenced. The reference phases come from
-    _reference, so a run that follows one of the same seed, data and phases
+    _reference, so a run whose seed, data and phases _reference still holds
     skips them and writes the same bytes.
     """
     nearest = os.path.abspath(cfg.out_dir)

@@ -40,6 +40,8 @@ from mergeopt.training import (
     PhaseSettings,
     RunConfig,
     make_suite,
+    train_preference,
+    train_reference,
     train_run,
 )
 
@@ -377,6 +379,22 @@ def test_criterion_8_directional_tradeoff():
     )
 
 
+def seed_major_pref_accuracy(seeds, points, config):
+    """Per point, in seed order, the final pref_accuracy of
+    train_run(make_suite(cfg), cfg) for cfg = config(seed, point). train_run is
+    train_preference(train_reference(suite, cfg), cfg), and the reference part
+    depends only on the seed, data and phases, which the points share; so each
+    seed's reference part is trained once, for all of its points."""
+    acc = {point: [] for point in points}
+    for seed in seeds:
+        cfgs = [config(seed, point) for point in points]
+        assert len({(cfg.seed, cfg.data, cfg.phases) for cfg in cfgs}) == 1
+        reference = train_reference(make_suite(cfgs[0]), cfgs[0])
+        for point, cfg in zip(points, cfgs):
+            acc[point].append(train_preference(reference, cfg).metrics.last().pref_accuracy)
+    return acc
+
+
 def test_criterion_9_qualitative_sweep_shapes():
     # Reward proxy: final preference accuracy on the eval split. It is the
     # bounded analogue of a win-rate judge and, unlike the mean margin, is
@@ -388,20 +406,16 @@ def test_criterion_9_qualitative_sweep_shapes():
     # alpha=1e-4 visibly outruns what the gradient can counteract; at the
     # paper's scale the same imbalance is what breaks the policy.
     tight = DataSettings(hidden_dim=4)
-    accs = {}
-    for alpha in (1e-7, 1e-6, 1e-5, 1e-4):
-        acc = []
-        for seed in (1, 2, 3):
-            cfg = RunConfig(
-                seed=seed,
-                optimizer="ondare",
-                data=tight,
-                adam=AdamHyper(learning_rate=1e-4),
-                dpo=DpoSettings(steps=20000, eval_every=2000),
-                merge=OnlineMergeConfig(alpha=alpha, reserve_rate=0.5),
-            )
-            acc.append(train_run(make_suite(cfg), cfg).metrics.last().pref_accuracy)
-        accs[alpha] = float(np.mean(acc))
+    alphas = (1e-7, 1e-6, 1e-5, 1e-4)
+    acc = seed_major_pref_accuracy((1, 2, 3), alphas, lambda seed, alpha: RunConfig(
+        seed=seed,
+        optimizer="ondare",
+        data=tight,
+        adam=AdamHyper(learning_rate=1e-4),
+        dpo=DpoSettings(steps=20000, eval_every=2000),
+        merge=OnlineMergeConfig(alpha=alpha, reserve_rate=0.5),
+    ))
+    accs = {alpha: float(np.mean(acc[alpha])) for alpha in alphas}
     collapse_ok = accs[1e-4] <= accs[1e-6] - 0.06
     top_end_ok = accs[1e-4] <= accs[1e-5] + 0.01
 
@@ -410,18 +424,14 @@ def test_criterion_9_qualitative_sweep_shapes():
     # the online optimizer's reward as a fraction of AdamW's), so the
     # directional gate is one-sided: the proxy must not increase with K
     # beyond seed noise.
-    k_accs = []
-    for gap in (1, 5, 10, 50):
-        acc = []
-        for seed in (1, 2, 3, 4, 5):
-            cfg = RunConfig(
-                seed=seed,
-                optimizer="stepk-ondare",
-                merge=OnlineMergeConfig(gap_step=gap),
-                dpo=DpoSettings(steps=500, eval_every=100),
-            )
-            acc.append(train_run(make_suite(cfg), cfg).metrics.last().pref_accuracy)
-        k_accs.append(float(np.mean(acc)))
+    gaps = (1, 5, 10, 50)
+    acc = seed_major_pref_accuracy((1, 2, 3, 4, 5), gaps, lambda seed, gap: RunConfig(
+        seed=seed,
+        optimizer="stepk-ondare",
+        merge=OnlineMergeConfig(gap_step=gap),
+        dpo=DpoSettings(steps=500, eval_every=100),
+    ))
+    k_accs = [float(np.mean(acc[gap])) for gap in gaps]
     k_tol = 0.01
     k_ok = all(b <= a + k_tol for a, b in zip(k_accs, k_accs[1:]))
     report(

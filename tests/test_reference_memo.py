@@ -11,7 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mergeopt import cli
+from mergeopt import cli, masks
 from mergeopt.cli import main
 from mergeopt.training import OPTIMIZER_NAMES
 
@@ -154,3 +154,70 @@ def test_nonfinite_pretrain_fails_the_same_way_twice(tmp_path, capsys, builds):
     assert code == 1 and sorted(written) == ["config.json"]
     assert err == "error: supervised phase pretrain loss went non-finite (inf) at step 2\n"
     assert builds == [CONFIG["seed"]] * 3
+
+
+@pytest.fixture
+def held(builds, monkeypatch):
+    """Per build from here on: the keys held when it starts, and its key."""
+    log, train_reference = [], cli.train_reference
+
+    def logged(suite, cfg):
+        log.append((list(cli._REFERENCES), key(cfg)))
+        return train_reference(suite, cfg)
+
+    monkeypatch.setattr(cli, "train_reference", logged)
+    return log
+
+
+def key(cfg):
+    """The memo key of a RunConfig or of a config file."""
+    cfg = cfg if isinstance(cfg, cli.RunConfig) else cli._load_config(cfg)
+    return cfg.seed, cfg.data, cfg.phases
+
+
+def test_a_shape_keeps_its_reference_part_and_mask_rows_across_another(
+    tmp_path, builds, monkeypatch
+):
+    drawn, stream = [], masks.MaskGenerator.stream
+
+    def counted(self, material):
+        drawn.append(material)
+        return stream(self, material)
+
+    monkeypatch.setattr(masks.MaskGenerator, "stream", counted)
+    a = write(tmp_path / "a.json", optimizer="ondare")
+    b = write(tmp_path / "b.json", optimizer="ondare", phases={"sft_steps": 40})
+    assert key(a)[:2] == key(b)[:2] and key(a) != key(b)  # b differs only in phases
+    assert train(a, tmp_path / "a") == 0 and drawn
+    assert train(b, tmp_path / "b") == 0
+    assert list(cli._REFERENCES) == [key(a), key(b)]
+    del drawn[:]
+    assert train(a, tmp_path / "again") == 0
+    assert drawn == [] and builds == [CONFIG["seed"]] * 2  # no row drawn, nothing built
+    assert list(cli._REFERENCES) == [key(b), key(a)]
+    shared = files(tmp_path / "again")
+    shutil.rmtree(tmp_path / "again")
+    assert fresh(a, tmp_path / "again") == (0, shared)
+
+
+def test_a_new_seed_replaces_its_shapes_reference_part_before_the_build(
+    tmp_path, builds, held
+):
+    for seed in (1, 2, 1):
+        config = write(tmp_path / f"{seed}.json", seed=seed)
+        assert train(config, tmp_path / "run") == 0
+        assert list(cli._REFERENCES) == [key(config)]
+        shutil.rmtree(tmp_path / "run")
+    assert builds == [1, 2, 1]
+    assert [keys for keys, _ in held] == [[]] * 3  # none of the shape held during a build
+
+
+def test_at_most_two_reference_parts_are_held(tmp_path, held):
+    shapes = {name: write(tmp_path / f"{name}.json", phases={"sft_steps": steps})
+              for name, steps in (("a", 60), ("b", 50), ("c", 40))}
+    for name in "abca":
+        assert train(shapes[name], tmp_path / "run") == 0
+        assert len(cli._REFERENCES) <= 2 and list(cli._REFERENCES)[-1] == key(shapes[name])
+        shutil.rmtree(tmp_path / "run")
+    assert [k for _, k in held] == [key(shapes[name]) for name in "abca"]
+    assert [len(keys) for keys, _ in held] == [0, 1, 1, 1]  # plus the one being built
